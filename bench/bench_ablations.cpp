@@ -28,8 +28,11 @@ void ablate_hausdorff() {
     const auto a = traj::make_protein_trajectory(p);
     p.seed = 2;
     const auto b = traj::make_protein_trajectory(p);
-    const auto naive = analysis::hausdorff_naive_profiled(a, b);
-    const auto early = analysis::hausdorff_early_break_profiled(a, b);
+    // The tiled kVectorized scan, whose early break fires per kFrameTile
+    // tile; the kScalar default breaks per frame pair and saves more.
+    constexpr auto kTiled = kernels::KernelPolicy::kVectorized;
+    const auto naive = analysis::hausdorff_naive_profiled(a, b, kTiled);
+    const auto early = analysis::hausdorff_early_break_profiled(a, b, kTiled);
     table.add_row(
         {std::to_string(frames), std::to_string(naive.metric_evals),
          std::to_string(early.metric_evals),

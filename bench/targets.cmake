@@ -33,3 +33,7 @@ mdtask_bench(bench_iterative_caching mdtask_analysis mdtask_engines)
 mdtask_bench(bench_utilization mdtask_perf mdtask_autoscale)
 mdtask_bench(bench_service mdtask_service)
 mdtask_bench(bench_repex mdtask_repex)
+
+# The end-to-end benchmark (bench/e2e): its binary lands in
+# build/bench_e2e/, and ctest runs its --quick smoke and compare.py tests.
+include(${MDTASK_BENCH_DIR}/e2e/bench_e2e.cmake)

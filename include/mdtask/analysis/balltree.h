@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "mdtask/kernels/policy.h"
 #include "mdtask/traj/vec3.h"
 
 namespace mdtask::analysis {
@@ -20,17 +19,12 @@ class BallTree {
  public:
   /// Builds an index over `points`. The tree stores a copy of the points
   /// (reordered for locality) plus their original indices.
-  /// `leaf_size` bounds the linear-scan fan-out at the leaves.
-  /// `policy` selects the leaf-scan kernel: kScalar is the per-point
-  /// branchy loop; kBlocked/kVectorized run a branch-free SoA distance
-  /// sweep over the leaf range. The per-point predicate
-  /// (dist2(p, q) <= radius^2, double accumulation over float inputs) is
-  /// the same expression under every policy, so query results are
-  /// identical.
+  /// `leaf_size` bounds the linear-scan fan-out at the leaves, which
+  /// run a branch-free SoA distance sweep. Its per-point predicate is
+  /// the exact traj::dist2(p, q) <= radius^2, so queries return the
+  /// same points as a brute-force scan.
   explicit BallTree(std::span<const traj::Vec3> points,
-                    std::size_t leaf_size = 32,
-                    kernels::KernelPolicy policy =
-                        kernels::default_policy());
+                    std::size_t leaf_size = 32);
 
   std::size_t size() const noexcept { return points_.size(); }
 
@@ -67,7 +61,6 @@ class BallTree {
   std::vector<std::uint32_t> ids_;     ///< original index per point
   std::vector<float> xs_, ys_, zs_;    ///< SoA lanes of points_ (leaf scans)
   std::vector<Node> nodes_;
-  kernels::KernelPolicy policy_ = kernels::KernelPolicy::kScalar;
 };
 
 }  // namespace mdtask::analysis

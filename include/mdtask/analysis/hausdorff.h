@@ -38,11 +38,10 @@ double hausdorff_early_break(const traj::Trajectory& t1,
 /// the devirtualized fast path: the frame metric is called directly on a
 /// packed SoA layout (mdtask::kernels) instead of through the
 /// std::function indirection, with the batch kernel variant selected by
-/// `policy`. kScalar reproduces the seed's values and evaluation counts
-/// bit-for-bit; kBlocked adds tiling (identical values, early break at
-/// tile granularity); kVectorized additionally accumulates in single
-/// precision (values equal to ~1e-6 relative). The policy defaults to
-/// kernels::default_policy() (env MDTASK_KERNEL_POLICY).
+/// `policy`. kScalar, the default, reproduces the seed's values and
+/// evaluation counts bit-for-bit; kVectorized tiles the scan and
+/// accumulates in single precision (values equal to ~1e-6 relative,
+/// early break at tile granularity).
 double hausdorff_naive(const traj::Trajectory& t1, const traj::Trajectory& t2,
                        kernels::KernelPolicy policy);
 double hausdorff_early_break(const traj::Trajectory& t1,
@@ -54,9 +53,9 @@ double hausdorff_early_break(const traj::Trajectory& t1,
 
 /// Counts metric evaluations; used by tests/ablations to demonstrate the
 /// early-break saving. Both run to completion and must agree on value.
-/// On the blocked/vectorized paths the early-break count is at tile
-/// granularity and can exceed the scalar per-pair count, but never the
-/// naive frames^2 total.
+/// On the kVectorized path the early-break count is at tile granularity
+/// and can exceed the scalar per-pair count, but never the naive
+/// frames^2 total.
 struct HausdorffProfile {
   double distance = 0.0;
   std::size_t metric_evals = 0;

@@ -64,39 +64,23 @@ struct BlockPair {
 std::vector<BlockPair> make_2d_blocks(std::size_t n_atoms,
                                       std::size_t target_tasks);
 
-/// Map kernel, approach 1: edges between chunk atoms and the full system
-/// via a materialized cdist block.
+/// Map kernel, approach 1: edges between chunk atoms and the full system,
+/// streamed through edges_within_cutoff (the serial reference's
+/// predicate, `dist2 <= cutoff^2`). The paper's pipelines materialize a
+/// cdist block here; the engines still charge that block against the
+/// task memory limit (lf_block_cdist_bytes).
 std::vector<Edge> lf_edges_1d(std::span<const traj::Vec3> all_atoms,
                               const AtomChunk& chunk, double cutoff);
 
-/// Map kernel, approaches 2-3: edges within one 2-D block via cdist.
-/// On diagonal blocks only the upper triangle is emitted.
+/// Map kernel, approaches 2-3: edges within one 2-D block, streamed the
+/// same way. On diagonal blocks only the upper triangle is emitted.
 std::vector<Edge> lf_edges_2d(std::span<const traj::Vec3> all_atoms,
                               const BlockPair& block, double cutoff);
 
-/// Policy-selected variants of the cdist map kernels. kScalar runs the
-/// materializing cdist path above, bit-identical to the seed (including
-/// its sqrt-then-compare predicate). kBlocked/kVectorized stream the
-/// block through the cache-blocked cutoff kernel instead — no dense
-/// block is materialized, and the predicate is the squared-distance form
-/// `dist2 <= cutoff^2` (the same one edges_within_cutoff and the
-/// serial reference use).
-std::vector<Edge> lf_edges_1d(std::span<const traj::Vec3> all_atoms,
-                              const AtomChunk& chunk, double cutoff,
-                              kernels::KernelPolicy policy);
-std::vector<Edge> lf_edges_2d(std::span<const traj::Vec3> all_atoms,
-                              const BlockPair& block, double cutoff,
-                              kernels::KernelPolicy policy);
-
 /// Map kernel, approach 4: edges within one 2-D block via a BallTree over
-/// the column chunk queried by the row chunk atoms. The policy overload
-/// forwards to the BallTree leaf-scan kernel (identical hit sets under
-/// every policy); the 3-arg form uses kernels::default_policy().
+/// the column chunk queried by the row chunk atoms.
 std::vector<Edge> lf_edges_tree(std::span<const traj::Vec3> all_atoms,
                                 const BlockPair& block, double cutoff);
-std::vector<Edge> lf_edges_tree(std::span<const traj::Vec3> all_atoms,
-                                const BlockPair& block, double cutoff,
-                                kernels::KernelPolicy policy);
 
 /// Streamed (out-of-core) variants: the chunk positions arrive as
 /// caller-loaded spans (read from a stream::ShardReader) instead of
@@ -106,16 +90,13 @@ std::vector<Edge> lf_edges_tree(std::span<const traj::Vec3> all_atoms,
 /// kernels above delegate here), so streamed runs are bit-identical.
 std::vector<Edge> lf_edges_1d_spans(std::span<const traj::Vec3> chunk_atoms,
                                     std::span<const traj::Vec3> all_atoms,
-                                    const AtomChunk& chunk, double cutoff,
-                                    kernels::KernelPolicy policy);
+                                    const AtomChunk& chunk, double cutoff);
 std::vector<Edge> lf_edges_2d_spans(std::span<const traj::Vec3> row_atoms,
                                     std::span<const traj::Vec3> col_atoms,
-                                    const BlockPair& block, double cutoff,
-                                    kernels::KernelPolicy policy);
+                                    const BlockPair& block, double cutoff);
 std::vector<Edge> lf_edges_tree_spans(std::span<const traj::Vec3> row_atoms,
                                       std::span<const traj::Vec3> col_atoms,
-                                      const BlockPair& block, double cutoff,
-                                      kernels::KernelPolicy policy);
+                                      const BlockPair& block, double cutoff);
 
 /// Bytes a map task's cdist block materializes for the given block shape;
 /// drives the paper's memory-pressure behaviour (42k tasks at 4M atoms,

@@ -50,20 +50,20 @@ std::vector<Edge> edges_from_cdist_block(std::span<const traj::Vec3> xs,
                                          std::span<const std::uint32_t> y_ids,
                                          double cutoff);
 
-/// Same output as edges_from_cdist_block but without materializing the
-/// dense block (streaming threshold scan); memory O(1) beyond the output.
+/// Streaming counterpart of edges_from_cdist_block that never
+/// materializes the dense block: both point sets are packed into SoA
+/// lanes and streamed through kernels::cutoff_pairs_packed. Its float
+/// pre-filter only drops pairs the exact `dist2(p, q) <= cutoff^2`
+/// confirm would reject, so the edge list (values and order) equals a
+/// scalar double scan's.
 std::vector<Edge> edges_within_cutoff(std::span<const traj::Vec3> xs,
                                       std::span<const traj::Vec3> ys,
                                       std::span<const std::uint32_t> x_ids,
                                       std::span<const std::uint32_t> y_ids,
                                       double cutoff);
 
-/// Policy-selected variant: kScalar runs the streaming scan above;
-/// kBlocked/kVectorized pack both point sets into SoA lanes and run the
-/// cache-blocked cutoff kernel (mdtask/kernels/batch.h). Positions are
-/// already single precision, so the per-pair predicate is the exact
-/// `dist2(p, q) <= cutoff^2` of the scalar scan under every policy; the
-/// edge list (values and order) is identical.
+/// The same kernel; `policy` has no effect (the cutoff predicate has one
+/// exact path).
 std::vector<Edge> edges_within_cutoff(std::span<const traj::Vec3> xs,
                                       std::span<const traj::Vec3> ys,
                                       std::span<const std::uint32_t> x_ids,

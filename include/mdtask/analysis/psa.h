@@ -64,8 +64,9 @@ enum class HausdorffKernel { kNaive, kEarlyBreak };
 
 /// Computes one block of the distance matrix into `out` (which must be
 /// N x N). This is the per-task kernel every engine schedules. `policy`
-/// selects the batch-kernel implementation (mdtask/kernels/policy.h);
-/// row trajectories are packed once per block, not once per pair.
+/// selects the Hausdorff kernel tier (mdtask/kernels/policy.h; the
+/// overload without it uses the exact kScalar default); row
+/// trajectories are packed once per block, not once per pair.
 void compute_psa_block(const traj::Ensemble& ensemble, const PsaBlock& block,
                        HausdorffKernel kernel, kernels::KernelPolicy policy,
                        DistanceMatrix& out);

@@ -1,49 +1,41 @@
-// Kernel implementation policy for the hot analysis kernels.
+// Kernel implementation tiers for the hot analysis kernels.
 //
-// Every batch kernel in mdtask::kernels ships three implementations:
-//  * kScalar     — the original per-pair double loop, kept as the
-//                  reference; bit-identical to the seed code paths.
-//  * kBlocked    — cache-blocked SoA traversal with a single accumulator
-//                  per pair in the seed's summation order, so results
-//                  stay bit-identical to kScalar while the layout and
-//                  tiling already buy a large speedup.
-//  * kVectorized — kBlocked plus multi-accumulator (SIMD-lane) inner
-//                  loops the compiler vectorizes; squared differences
-//                  are accumulated in single precision and drained into
-//                  doubles periodically, so distance values may differ
-//                  from kScalar by ~1e-6 relative (the equivalence
-//                  tests pin the bound).
+// The distance kernels in mdtask::kernels (frame sum-of-squares,
+// Hausdorff, 2D-RMSD) ship two implementations:
+//  * kScalar     — the per-pair double loop: exact, with the seed's
+//                  values and evaluation counts. The default.
+//  * kVectorized — cache-blocked SoA traversal with multi-accumulator
+//                  (SIMD-lane) inner loops the compiler vectorizes;
+//                  squared differences are accumulated in single
+//                  precision and drained into doubles periodically, so
+//                  distance values may differ from kScalar by ~1e-6
+//                  relative (the equivalence tests pin the bound).
 //
-// Predicate kernels (cutoff within/without) decide with the same exact
-// double per-pair expression under every policy — kVectorized only adds
-// a conservative single-precision pre-filter — so the emitted pair
-// lists are identical across all three.
+// Predicate kernels (the Leaflet Finder cutoff scans and the BallTree
+// leaf scan) have one production path: a single-precision pre-filter
+// whose survivors are confirmed with the exact double per-pair
+// expression, so their output equals the scalar reference scan. Where
+// they take a policy argument, it has no effect.
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <string_view>
 
 namespace mdtask::kernels {
 
-enum class KernelPolicy { kScalar = 0, kBlocked = 1, kVectorized = 2 };
+enum class KernelPolicy { kScalar = 0, kVectorized = 1 };
 
 /// Number of policies; sized for per-policy calibration arrays.
-inline constexpr std::size_t kPolicyCount = 3;
+inline constexpr std::size_t kPolicyCount = 2;
 
 /// All policies in enum order (for sweeps in tests and benches).
 inline constexpr KernelPolicy kAllPolicies[kPolicyCount] = {
-    KernelPolicy::kScalar, KernelPolicy::kBlocked,
-    KernelPolicy::kVectorized};
+    KernelPolicy::kScalar, KernelPolicy::kVectorized};
 
 const char* to_string(KernelPolicy policy) noexcept;
 
-/// Parses "scalar" / "blocked" / "vectorized" (case-sensitive).
-std::optional<KernelPolicy> parse_policy(std::string_view name) noexcept;
-
-/// Process-wide default: the MDTASK_KERNEL_POLICY environment variable
-/// when set to a valid policy name, otherwise kBlocked (fast and
-/// bit-identical to the seed scalar results). Read once per process.
-KernelPolicy default_policy() noexcept;
+/// The default tier: kScalar, exact and bit-identical to the seed.
+constexpr KernelPolicy default_policy() noexcept {
+  return KernelPolicy::kScalar;
+}
 
 }  // namespace mdtask::kernels

@@ -36,15 +36,13 @@ struct KernelCosts {
   /// Same, optimized kernel (the "Intel -O3" build of Fig. 6).
   double rmsd2d_atom_optimized = 0.0;
 
-  // ---- per-policy batch-kernel figures (mdtask/kernels) ----
+  // ---- per-tier distance-kernel figures (mdtask/kernels) ----
   // Indexed by static_cast<std::size_t>(kernels::KernelPolicy); measured
   // from the same workloads as the scalar figures above so the speedup
   // ratios are directly comparable.
 
   /// Hausdorff pair cost per (frame-pair x atom) under each policy.
   std::array<double, kernels::kPolicyCount> hausdorff_unit_by_policy{};
-  /// Streaming cutoff scan cost per candidate pair under each policy.
-  std::array<double, kernels::kPolicyCount> cutoff_element_by_policy{};
   /// 2D-RMSD cost per (frame-pair x atom) under each policy.
   std::array<double, kernels::kPolicyCount> rmsd2d_atom_by_policy{};
 

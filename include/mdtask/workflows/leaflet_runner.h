@@ -11,9 +11,12 @@
 //     (shuffles O(n) instead of O(E)).
 //  4. Tree-search — as 3, with BallTree edge discovery instead of cdist.
 //
-// A configurable simulated per-task memory limit reproduces the paper's
-// cdist memory wall: oversized blocks fail the task (Spark/MPI abort,
-// Dask retries through simulated worker restarts, RP marks units FAILED).
+// Map tasks of approaches 1-3 find their edges with the exact streaming
+// cutoff kernel (analysis::lf_edges_1d/2d) rather than a materialized
+// cdist block, but a configurable simulated per-task memory limit still
+// charges the cdist block and so reproduces the paper's memory wall:
+// oversized blocks fail the task (Spark/MPI abort, Dask retries through
+// simulated worker restarts, RP marks units FAILED).
 #pragma once
 
 #include <span>
@@ -38,11 +41,6 @@ struct LfRunConfig {
   /// Approaches 3-4: merge partial components inside the framework as a
   /// tree reduce (true) or gather-and-merge at the driver (false).
   bool tree_reduce = true;
-  /// Batch-kernel policy for edge discovery (mdtask/kernels/policy.h):
-  /// kScalar materializes cdist blocks exactly as the seed; blocked and
-  /// vectorized stream the cutoff kernel. The default honours
-  /// MDTASK_KERNEL_POLICY.
-  kernels::KernelPolicy kernel_policy = kernels::default_policy();
   /// When set, the run registers engine/worker tracks on this tracer and
   /// emits spans for stages, tasks, collectives and staging phases
   /// (export with trace::write_chrome_trace).

@@ -33,9 +33,10 @@ struct PsaRunConfig {
   /// (the paper generates one task per core).
   std::size_t block_size = 0;
   PsaMetric metric = PsaMetric::kHausdorff;
-  /// Batch-kernel policy the map tasks compute their blocks with
-  /// (mdtask/kernels/policy.h). kScalar reproduces the seed's arithmetic
-  /// bit-for-bit; the default honours MDTASK_KERNEL_POLICY.
+  /// Hausdorff kernel tier the map tasks compute their blocks with
+  /// (mdtask/kernels/policy.h). The default, kScalar, reproduces the
+  /// seed's arithmetic bit-for-bit; kVectorized is the opt-in SIMD tier
+  /// (~1e-6 relative).
   kernels::KernelPolicy kernel_policy = kernels::default_policy();
   /// When set, the run registers engine/worker tracks on this tracer and
   /// emits spans for the engine's tasks and collectives.

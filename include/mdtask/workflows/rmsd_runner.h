@@ -1,9 +1,10 @@
 // Engine-parallel RMSD time series.
 //
 // The third of the paper's named MD analyses (Sec. 2). A map-only job:
-// the reference conformation is broadcast, frame blocks are the tasks,
-// results concatenate into the series. Runs on every engine; identical
-// output asserted by tests.
+// frame blocks are the tasks, results concatenate into the series. A
+// thin wrapper over run_frame_series (frame_series.h) with the per-frame
+// RMSD against the reference conformation as the observable. Runs on
+// every engine; identical output asserted by tests.
 #pragma once
 
 #include "mdtask/analysis/rmsd_series.h"

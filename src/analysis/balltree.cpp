@@ -6,9 +6,8 @@
 
 namespace mdtask::analysis {
 
-BallTree::BallTree(std::span<const traj::Vec3> points, std::size_t leaf_size,
-                   kernels::KernelPolicy policy)
-    : policy_(policy) {
+BallTree::BallTree(std::span<const traj::Vec3> points,
+                   std::size_t leaf_size) {
   points_.assign(points.begin(), points.end());
   ids_.resize(points_.size());
   std::iota(ids_.begin(), ids_.end(), 0u);
@@ -105,15 +104,9 @@ std::uint32_t BallTree::build(std::uint32_t begin, std::uint32_t end,
 
 void BallTree::scan_leaf(const Node& node, traj::Vec3 q, double r2,
                          std::vector<std::uint32_t>& out) const {
-  if (policy_ == kernels::KernelPolicy::kScalar) {
-    for (std::uint32_t i = node.begin; i < node.end; ++i) {
-      if (traj::dist2(points_[i], q) <= r2) out.push_back(ids_[i]);
-    }
-    return;
-  }
   // Branch-free SoA sweep: distances into a buffer first (the loop the
   // compiler vectorizes), then a branchless hit compaction — the same
-  // two-pass shape as the blocked cutoff kernel.
+  // two-pass shape as the cutoff kernel.
   constexpr std::size_t kLeafTile = 256;
   double d2[kLeafTile];
   std::uint32_t hits[kLeafTile];

@@ -109,38 +109,26 @@ std::vector<std::uint32_t> iota_ids(std::uint32_t begin, std::uint32_t end) {
 
 std::vector<Edge> lf_edges_1d_spans(std::span<const traj::Vec3> chunk_atoms,
                                     std::span<const traj::Vec3> all_atoms,
-                                    const AtomChunk& chunk, double cutoff,
-                                    kernels::KernelPolicy policy) {
+                                    const AtomChunk& chunk, double cutoff) {
   const auto row_ids = iota_ids(chunk.begin, chunk.end);
   const auto col_ids =
       iota_ids(0, static_cast<std::uint32_t>(all_atoms.size()));
-  if (policy == kernels::KernelPolicy::kScalar) {
-    return edges_from_cdist_block(chunk_atoms, all_atoms, row_ids, col_ids,
-                                  cutoff);
-  }
   return edges_within_cutoff(chunk_atoms, all_atoms, row_ids, col_ids,
-                             cutoff, policy);
+                             cutoff);
 }
 
 std::vector<Edge> lf_edges_2d_spans(std::span<const traj::Vec3> row_atoms,
                                     std::span<const traj::Vec3> col_atoms,
-                                    const BlockPair& block, double cutoff,
-                                    kernels::KernelPolicy policy) {
+                                    const BlockPair& block, double cutoff) {
   const auto row_ids = iota_ids(block.rows.begin, block.rows.end);
   const auto col_ids = iota_ids(block.cols.begin, block.cols.end);
-  if (policy == kernels::KernelPolicy::kScalar) {
-    return edges_from_cdist_block(row_atoms, col_atoms, row_ids, col_ids,
-                                  cutoff);
-  }
-  return edges_within_cutoff(row_atoms, col_atoms, row_ids, col_ids, cutoff,
-                             policy);
+  return edges_within_cutoff(row_atoms, col_atoms, row_ids, col_ids, cutoff);
 }
 
 std::vector<Edge> lf_edges_tree_spans(std::span<const traj::Vec3> row_atoms,
                                       std::span<const traj::Vec3> col_atoms,
-                                      const BlockPair& block, double cutoff,
-                                      kernels::KernelPolicy policy) {
-  const BallTree tree(col_atoms, /*leaf_size=*/32, policy);
+                                      const BlockPair& block, double cutoff) {
+  const BallTree tree(col_atoms, /*leaf_size=*/32);
   std::vector<Edge> edges;
   std::vector<std::uint32_t> hits;
   for (std::uint32_t i = block.rows.begin; i < block.rows.end; ++i) {
@@ -157,46 +145,21 @@ std::vector<Edge> lf_edges_tree_spans(std::span<const traj::Vec3> row_atoms,
 std::vector<Edge> lf_edges_1d(std::span<const traj::Vec3> all_atoms,
                               const AtomChunk& chunk, double cutoff) {
   return lf_edges_1d_spans(all_atoms.subspan(chunk.begin, chunk.size()),
-                           all_atoms, chunk, cutoff,
-                           kernels::KernelPolicy::kScalar);
+                           all_atoms, chunk, cutoff);
 }
 
 std::vector<Edge> lf_edges_2d(std::span<const traj::Vec3> all_atoms,
                               const BlockPair& block, double cutoff) {
   return lf_edges_2d_spans(
       all_atoms.subspan(block.rows.begin, block.rows.size()),
-      all_atoms.subspan(block.cols.begin, block.cols.size()), block, cutoff,
-      kernels::KernelPolicy::kScalar);
-}
-
-std::vector<Edge> lf_edges_1d(std::span<const traj::Vec3> all_atoms,
-                              const AtomChunk& chunk, double cutoff,
-                              kernels::KernelPolicy policy) {
-  return lf_edges_1d_spans(all_atoms.subspan(chunk.begin, chunk.size()),
-                           all_atoms, chunk, cutoff, policy);
-}
-
-std::vector<Edge> lf_edges_2d(std::span<const traj::Vec3> all_atoms,
-                              const BlockPair& block, double cutoff,
-                              kernels::KernelPolicy policy) {
-  return lf_edges_2d_spans(
-      all_atoms.subspan(block.rows.begin, block.rows.size()),
-      all_atoms.subspan(block.cols.begin, block.cols.size()), block, cutoff,
-      policy);
+      all_atoms.subspan(block.cols.begin, block.cols.size()), block, cutoff);
 }
 
 std::vector<Edge> lf_edges_tree(std::span<const traj::Vec3> all_atoms,
                                 const BlockPair& block, double cutoff) {
-  return lf_edges_tree(all_atoms, block, cutoff, kernels::default_policy());
-}
-
-std::vector<Edge> lf_edges_tree(std::span<const traj::Vec3> all_atoms,
-                                const BlockPair& block, double cutoff,
-                                kernels::KernelPolicy policy) {
   return lf_edges_tree_spans(
       all_atoms.subspan(block.rows.begin, block.rows.size()),
-      all_atoms.subspan(block.cols.begin, block.cols.size()), block, cutoff,
-      policy);
+      all_atoms.subspan(block.cols.begin, block.cols.size()), block, cutoff);
 }
 
 std::size_t lf_block_cdist_bytes(const BlockPair& block) {

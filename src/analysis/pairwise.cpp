@@ -43,32 +43,12 @@ std::vector<Edge> edges_within_cutoff(std::span<const traj::Vec3> xs,
                                       std::span<const std::uint32_t> x_ids,
                                       std::span<const std::uint32_t> y_ids,
                                       double cutoff) {
-  const double c2 = cutoff * cutoff;
-  std::vector<Edge> edges;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const std::uint32_t a = x_ids[i];
-    for (std::size_t j = 0; j < ys.size(); ++j) {
-      const std::uint32_t b = y_ids[j];
-      if (a < b && traj::dist2(xs[i], ys[j]) <= c2) edges.push_back({a, b});
-    }
-  }
-  return edges;
-}
-
-std::vector<Edge> edges_within_cutoff(std::span<const traj::Vec3> xs,
-                                      std::span<const traj::Vec3> ys,
-                                      std::span<const std::uint32_t> x_ids,
-                                      std::span<const std::uint32_t> y_ids,
-                                      double cutoff,
-                                      kernels::KernelPolicy policy) {
-  if (policy == kernels::KernelPolicy::kScalar) {
-    return edges_within_cutoff(xs, ys, x_ids, y_ids, cutoff);
-  }
   const kernels::FramePack rows = kernels::pack_points(xs);
   const kernels::FramePack cols = kernels::pack_points(ys);
   std::vector<kernels::IndexPair> pairs;
-  kernels::cutoff_pairs_packed(rows, cols, cutoff, policy, pairs);
-  // The kernel emits hits row-major, same order the scalar scan visits
+  kernels::cutoff_pairs_packed(rows, cols, cutoff,
+                               kernels::default_policy(), pairs);
+  // The kernel emits hits row-major, the order a scalar scan visits
   // them, so mapping to global ids with the a < b filter reproduces the
   // scalar edge list exactly.
   std::vector<Edge> edges;
@@ -78,6 +58,15 @@ std::vector<Edge> edges_within_cutoff(std::span<const traj::Vec3> xs,
     if (a < b) edges.push_back({a, b});
   }
   return edges;
+}
+
+std::vector<Edge> edges_within_cutoff(std::span<const traj::Vec3> xs,
+                                      std::span<const traj::Vec3> ys,
+                                      std::span<const std::uint32_t> x_ids,
+                                      std::span<const std::uint32_t> y_ids,
+                                      double cutoff,
+                                      kernels::KernelPolicy /*policy*/) {
+  return edges_within_cutoff(xs, ys, x_ids, y_ids, cutoff);
 }
 
 }  // namespace mdtask::analysis

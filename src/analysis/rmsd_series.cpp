@@ -4,13 +4,19 @@
 
 namespace mdtask::analysis {
 
+double rmsd_to_reference(std::span<const traj::Vec3> frame,
+                         std::span<const traj::Vec3> reference,
+                         bool superpose) {
+  return superpose ? kabsch_rmsd(frame, reference)
+                   : frame_rmsd(frame, reference);
+}
+
 void rmsd_series_block(const traj::Trajectory& trajectory,
                        std::span<const traj::Vec3> reference,
                        std::size_t begin, std::size_t end, bool superpose,
                        std::span<double> out) {
   for (std::size_t f = begin; f < end; ++f) {
-    out[f] = superpose ? kabsch_rmsd(trajectory.frame(f), reference)
-                       : frame_rmsd(trajectory.frame(f), reference);
+    out[f] = rmsd_to_reference(trajectory.frame(f), reference, superpose);
   }
 }
 

@@ -118,12 +118,11 @@ double directed_scalar(const FramePack& a, const FramePack& b,
   return cmax;
 }
 
-/// Blocked/vectorized directed scan: squared-sum domain, early break at
-/// kFrameTile granularity. sqrt and /atoms are monotone, so the result
-/// equals the scalar scan exactly.
-double directed_blocked(const FramePack& a, const FramePack& b,
-                        bool early_break, KernelPolicy policy,
-                        std::size_t* evals) noexcept {
+/// Vectorized directed scan: squared-sum domain, early break at
+/// kFrameTile granularity. sqrt and /atoms are monotone, so the tiled
+/// early break returns the full scan's value.
+double directed_tiled(const FramePack& a, const FramePack& b,
+                      bool early_break, std::size_t* evals) noexcept {
   const std::size_t nb = b.frames();
   double tile_sums[kFrameTile];
   double cmax_ss = 0.0;
@@ -133,7 +132,8 @@ double directed_blocked(const FramePack& a, const FramePack& b,
     for (std::size_t j0 = 0; j0 < nb; j0 += kFrameTile) {
       const std::size_t j1 = std::min(j0 + kFrameTile, nb);
       const double tile_min = sumsq_one_to_many(
-          a, i, b, j0, j1, std::span<double>(tile_sums, j1 - j0), policy);
+          a, i, b, j0, j1, std::span<double>(tile_sums, j1 - j0),
+          KernelPolicy::kVectorized);
       if (evals) *evals += j1 - j0;
       if (tile_min < cmin) cmin = tile_min;
       if (early_break && cmin <= cmax_ss) break;
@@ -177,7 +177,7 @@ double hausdorff_directed_packed(const FramePack& a, const FramePack& b,
   if (policy == KernelPolicy::kScalar) {
     return directed_scalar(a, b, early_break, evals);
   }
-  return directed_blocked(a, b, early_break, policy, evals);
+  return directed_tiled(a, b, early_break, evals);
 }
 
 double hausdorff_packed(const FramePack& a, const FramePack& b,
@@ -282,8 +282,8 @@ void rmsd2d_packed_parallel(const FramePack& a, const FramePack& b,
 
 namespace {
 
-/// Row block height of the blocked cutoff kernel: hits are buffered per
-/// row across column tiles so the emitted order stays row-major.
+/// Row block height of the cutoff kernel: hits are buffered per row
+/// across column tiles so the emitted order stays row-major.
 constexpr std::size_t kCutoffRowTile = 32;
 
 void cutoff_scalar(const float* rx, const float* ry, const float* rz,
@@ -304,20 +304,20 @@ void cutoff_scalar(const float* rx, const float* ry, const float* rz,
   }
 }
 
-/// Candidate-group width of the vectorized cutoff pre-filter: one
-/// cmpps-reduced block. Must divide kCutoffTile.
+/// Candidate-group width of the cutoff pre-filter: one cmpps-reduced
+/// block. Must divide kCutoffTile.
 constexpr std::size_t kCutoffGroup = 16;
 
 void cutoff_tiled(const float* rx, const float* ry, const float* rz,
                   std::size_t nr, const float* cx, const float* cy,
                   const float* cz, std::size_t nc, double c2,
-                  bool vectorized, std::vector<IndexPair>& out) {
+                  std::vector<IndexPair>& out) {
   float f2[kCutoffTile];
   // Conservative float acceptance threshold for the pre-filter. The float
   // sweep's relative error vs the exact double expression is < 1e-6, so
   // widening the cut by 1e-5 guarantees every true hit survives the
   // filter; survivors are confirmed with the exact double predicate, so
-  // the emitted pairs are identical to the scalar kernel's.
+  // the emitted pairs are identical to the reference scan's.
   const float c2m = static_cast<float>(c2 * (1.0 + 1e-5));
   std::vector<std::vector<IndexPair>> row_hits(kCutoffRowTile);
   for (std::size_t i0 = 0; i0 < nr; i0 += kCutoffRowTile) {
@@ -329,46 +329,34 @@ void cutoff_tiled(const float* rx, const float* ry, const float* rz,
       for (std::size_t i = i0; i < i1; ++i) {
         auto& rh = row_hits[i - i0];
         const double xi = rx[i], yi = ry[i], zi = rz[i];
-        if (vectorized) {
-          // Pass 1: branch-free single-precision distance sweep (the
-          // compiler vectorizes it four-to-sixteen wide).
-          const float xf = rx[i], yf = ry[i], zf = rz[i];
-          for (std::size_t j = 0; j < w; ++j) {
-            const float dx = xf - cx[j0 + j];
-            const float dy = yf - cy[j0 + j];
-            const float dz = zf - cz[j0 + j];
-            f2[j] = dx * dx + dy * dy + dz * dz;
+        // Pass 1: branch-free single-precision distance sweep (the
+        // compiler vectorizes it four-to-sixteen wide).
+        const float xf = rx[i], yf = ry[i], zf = rz[i];
+        for (std::size_t j = 0; j < w; ++j) {
+          const float dx = xf - cx[j0 + j];
+          const float dy = yf - cy[j0 + j];
+          const float dz = zf - cz[j0 + j];
+          f2[j] = dx * dx + dy * dy + dz * dz;
+        }
+        // Pass 2: vectorized count per group of kCutoffGroup candidates
+        // skips hitless groups without a per-element branch; only
+        // groups with candidates pay the exact double confirmation.
+        for (std::size_t g = 0; g < w; g += kCutoffGroup) {
+          const std::size_t ge = std::min(w, g + kCutoffGroup);
+          unsigned any = 0;
+          for (std::size_t j = g; j < ge; ++j) {
+            any += f2[j] <= c2m ? 1u : 0u;
           }
-          // Pass 2: vectorized count per group of kCutoffGroup candidates
-          // skips hitless groups without a per-element branch; only
-          // groups with candidates pay the exact double confirmation.
-          for (std::size_t g = 0; g < w; g += kCutoffGroup) {
-            const std::size_t ge = std::min(w, g + kCutoffGroup);
-            unsigned any = 0;
-            for (std::size_t j = g; j < ge; ++j) {
-              any += f2[j] <= c2m ? 1u : 0u;
-            }
-            if (any == 0) continue;
-            for (std::size_t j = g; j < ge; ++j) {
-              if (f2[j] <= c2m) {
-                const double dx = xi - cx[j0 + j];
-                const double dy = yi - cy[j0 + j];
-                const double dz = zi - cz[j0 + j];
-                if (dx * dx + dy * dy + dz * dz <= c2) {
-                  rh.push_back({static_cast<std::uint32_t>(i),
-                                static_cast<std::uint32_t>(j0 + j)});
-                }
+          if (any == 0) continue;
+          for (std::size_t j = g; j < ge; ++j) {
+            if (f2[j] <= c2m) {
+              const double dx = xi - cx[j0 + j];
+              const double dy = yi - cy[j0 + j];
+              const double dz = zi - cz[j0 + j];
+              if (dx * dx + dy * dy + dz * dz <= c2) {
+                rh.push_back({static_cast<std::uint32_t>(i),
+                              static_cast<std::uint32_t>(j0 + j)});
               }
-            }
-          }
-        } else {
-          for (std::size_t j = j0; j < j1; ++j) {
-            const double dx = xi - cx[j];
-            const double dy = yi - cy[j];
-            const double dz = zi - cz[j];
-            if (dx * dx + dy * dy + dz * dz <= c2) {
-              rh.push_back({static_cast<std::uint32_t>(i),
-                            static_cast<std::uint32_t>(j)});
             }
           }
         }
@@ -384,23 +372,18 @@ void cutoff_tiled(const float* rx, const float* ry, const float* rz,
 }  // namespace
 
 void cutoff_pairs_packed(const FramePack& rows, const FramePack& cols,
-                         double cutoff, KernelPolicy policy,
+                         double cutoff, KernelPolicy /*policy*/,
                          std::vector<IndexPair>& out) {
   if (rows.empty() || cols.empty()) return;
-  const double c2 = cutoff * cutoff;
-  const float* rx = rows.x(0);
-  const float* ry = rows.y(0);
-  const float* rz = rows.z(0);
-  const float* cx = cols.x(0);
-  const float* cy = cols.y(0);
-  const float* cz = cols.z(0);
-  if (policy == KernelPolicy::kScalar) {
-    cutoff_scalar(rx, ry, rz, rows.atoms(), cx, cy, cz, cols.atoms(), c2,
-                  out);
-  } else {
-    cutoff_tiled(rx, ry, rz, rows.atoms(), cx, cy, cz, cols.atoms(), c2,
-                 policy == KernelPolicy::kVectorized, out);
-  }
+  cutoff_tiled(rows.x(0), rows.y(0), rows.z(0), rows.atoms(), cols.x(0),
+               cols.y(0), cols.z(0), cols.atoms(), cutoff * cutoff, out);
+}
+
+void cutoff_pairs_reference(const FramePack& rows, const FramePack& cols,
+                            double cutoff, std::vector<IndexPair>& out) {
+  if (rows.empty() || cols.empty()) return;
+  cutoff_scalar(rows.x(0), rows.y(0), rows.z(0), rows.atoms(), cols.x(0),
+                cols.y(0), cols.z(0), cols.atoms(), cutoff * cutoff, out);
 }
 
 }  // namespace mdtask::kernels

@@ -83,27 +83,6 @@ KernelCosts calibrate_kernels() {
     costs.cdist_element = t / (512.0 * 512.0);
   }
 
-  // Streaming cutoff scan over the same 512 x 512 pair grid, per policy.
-  {
-    const auto xs = random_cloud(512, 21);
-    const auto ys = random_cloud(512, 22);
-    std::vector<std::uint32_t> x_ids(512), y_ids(512);
-    for (std::uint32_t i = 0; i < 512; ++i) {
-      x_ids[i] = i;
-      y_ids[i] = 512 + i;
-    }
-    volatile std::size_t sink = 0;
-    for (const auto policy : kernels::kAllPolicies) {
-      const double t = median_time(5, [&] {
-        const auto edges =
-            analysis::edges_within_cutoff(xs, ys, x_ids, y_ids, 3.0, policy);
-        sink = sink + edges.size();
-      });
-      costs.cutoff_element_by_policy[static_cast<std::size_t>(policy)] =
-          t / (512.0 * 512.0);
-    }
-  }
-
   // BallTree build + query over 8192 points.
   {
     const auto pts = random_cloud(8192, 31);

@@ -122,6 +122,7 @@ FrameSeriesResult run_frame_series(EngineKind engine,
               })
               .collect();
       for (const auto& block : computed) place(result.series, block);
+      result.metrics.stages = sc.metrics().stages_executed.load();
       break;
     }
     case EngineKind::kDask: {

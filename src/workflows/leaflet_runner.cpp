@@ -56,23 +56,6 @@ std::uint64_t task_memory_bytes(int approach, const MapTask& task) {
   return task.block.cols.size() * 24;
 }
 
-/// Runs one map task's edge discovery with the configured batch-kernel
-/// policy (kScalar = the seed's materializing cdist path).
-std::vector<Edge> discover_edges(int approach,
-                                 std::span<const Vec3> atoms,
-                                 const MapTask& task, double cutoff,
-                                 kernels::KernelPolicy policy) {
-  switch (approach) {
-    case 1:
-      return analysis::lf_edges_1d(atoms, task.block.rows, cutoff, policy);
-    case 2:
-    case 3:
-      return analysis::lf_edges_2d(atoms, task.block, cutoff, policy);
-    default:
-      return analysis::lf_edges_tree(atoms, task.block, cutoff, policy);
-  }
-}
-
 bool uses_partial_components(int approach) { return approach >= 3; }
 
 LfRunResult finish_from_edges(std::size_t n_atoms, std::vector<Edge> edges) {
@@ -122,7 +105,7 @@ struct LfStreamState {
   /// runs (approach 1 never reaches here — its broadcast semantics load
   /// the store whole at the driver).
   std::vector<Edge> discover(int approach, const MapTask& task,
-                             double cutoff, kernels::KernelPolicy policy) {
+                             double cutoff) {
     auto rows = load(task.block.rows);
     if (!rows.has_value()) return {};
     const std::span<const Vec3> row_view = rows->data();
@@ -135,10 +118,10 @@ struct LfStreamState {
     }
     if (approach == 4) {
       return analysis::lf_edges_tree_spans(row_view, col_view, task.block,
-                                           cutoff, policy);
+                                           cutoff);
     }
     return analysis::lf_edges_2d_spans(row_view, col_view, task.block,
-                                       cutoff, policy);
+                                       cutoff);
   }
 };
 
@@ -146,10 +129,17 @@ struct LfStreamState {
 /// in-memory view otherwise.
 std::vector<Edge> run_discovery(int approach, std::span<const Vec3> view,
                                 const MapTask& task, double cutoff,
-                                kernels::KernelPolicy policy,
                                 LfStreamState* stream) {
-  if (stream != nullptr) return stream->discover(approach, task, cutoff, policy);
-  return discover_edges(approach, view, task, cutoff, policy);
+  if (stream != nullptr) return stream->discover(approach, task, cutoff);
+  switch (approach) {
+    case 1:
+      return analysis::lf_edges_1d(view, task.block.rows, cutoff);
+    case 2:
+    case 3:
+      return analysis::lf_edges_2d(view, task.block, cutoff);
+    default:
+      return analysis::lf_edges_tree(view, task.block, cutoff);
+  }
 }
 
 // ---------------------------------------------------------------- MPI --
@@ -195,8 +185,7 @@ Result<LfRunResult> run_mpi(int approach, std::span<const Vec3> atoms,
             memory_failed.store(true);
             break;
           }
-          auto edges = run_discovery(approach, view, tasks[t], cutoff,
-                                     config.kernel_policy, stream);
+          auto edges = run_discovery(approach, view, tasks[t], cutoff, stream);
           if (uses_partial_components(approach)) {
             auto part = analysis::partial_components(edges);
             my_pairs.insert(my_pairs.end(), part.vertex_root.begin(),
@@ -311,13 +300,13 @@ Result<LfRunResult> run_spark(int approach, std::span<const Vec3> atoms,
   try {
     if (uses_partial_components(approach)) {
       auto parts_rdd = base.map_partitions(
-          [positions, approach, cutoff, policy = config.kernel_policy,
-           stream](spark::TaskContext& tc, std::vector<MapTask>& mine) {
+          [positions, approach, cutoff, stream](spark::TaskContext& tc,
+                                                std::vector<MapTask>& mine) {
             std::vector<PartialComponents> out;
             for (const auto& task : mine) {
               tc.reserve_memory(task_memory_bytes(approach, task));
               out.push_back(analysis::partial_components(run_discovery(
-                  approach, *positions, task, cutoff, policy, stream)));
+                  approach, *positions, task, cutoff, stream)));
             }
             return out;
           });
@@ -346,14 +335,13 @@ Result<LfRunResult> run_spark(int approach, std::span<const Vec3> atoms,
     } else {
       auto edges =
           base.map_partitions(
-                  [positions, approach, cutoff, policy = config.kernel_policy,
-                   stream](spark::TaskContext& tc,
-                           std::vector<MapTask>& mine) {
+                  [positions, approach, cutoff, stream](
+                      spark::TaskContext& tc, std::vector<MapTask>& mine) {
                     std::vector<Edge> out;
                     for (const auto& task : mine) {
                       tc.reserve_memory(task_memory_bytes(approach, task));
                       auto part = run_discovery(approach, *positions, task,
-                                                cutoff, policy, stream);
+                                                cutoff, stream);
                       out.insert(out.end(), part.begin(), part.end());
                     }
                     return out;
@@ -420,11 +408,10 @@ Result<LfRunResult> run_dask(int approach, std::span<const Vec3> atoms,
       futures.reserve(tasks.size());
       for (const auto& task : tasks) {
         futures.push_back(client.submit([&client, &atoms, task, approach,
-                                         cutoff, policy = config.kernel_policy,
-                                         stream] {
+                                         cutoff, stream] {
           client.reserve_memory(task_memory_bytes(approach, task));
           auto part = analysis::partial_components(
-              run_discovery(approach, atoms, task, cutoff, policy, stream));
+              run_discovery(approach, atoms, task, cutoff, stream));
           // The summary is what moves to the reduce side (Table 2).
           client.metrics().shuffle_bytes += part.byte_size();
           client.metrics().shuffle_records += part.vertex_root.size();
@@ -461,11 +448,9 @@ Result<LfRunResult> run_dask(int approach, std::span<const Vec3> atoms,
       futures.reserve(tasks.size());
       for (const auto& task : tasks) {
         futures.push_back(client.submit(
-            [&client, &atoms, task, approach, cutoff,
-             policy = config.kernel_policy, stream] {
+            [&client, &atoms, task, approach, cutoff, stream] {
               client.reserve_memory(task_memory_bytes(approach, task));
-              return run_discovery(approach, atoms, task, cutoff, policy,
-                                   stream);
+              return run_discovery(approach, atoms, task, cutoff, stream);
             }));
       }
       std::vector<Edge> edges;
@@ -526,14 +511,12 @@ Result<LfRunResult> run_rp(int approach, std::span<const Vec3> atoms,
         .executable =
             [&atoms, task = tasks[t], approach, cutoff, out_path,
              limit = config.task_memory_limit,
-             policy = config.kernel_policy,
              stream](rp::SharedFilesystem& fs) {
               engines::check_task_memory(task_memory_bytes(approach, task),
                                          limit);
               ByteWriter writer;
               auto edges =
-                  run_discovery(approach, atoms, task, cutoff, policy,
-                                stream);
+                  run_discovery(approach, atoms, task, cutoff, stream);
               if (uses_partial_components(approach)) {
                 auto part = analysis::partial_components(edges);
                 writer.put_span<analysis::VertexRoot>(part.vertex_root);

@@ -1,11 +1,11 @@
-// Property-based equivalence of the three KernelPolicy tiers.
+// Property-based equivalence of the two KernelPolicy tiers.
 //
 // Contract under test (mdtask/kernels/policy.h):
-//  * kBlocked reproduces kScalar bit-for-bit (same accumulation order).
 //  * kVectorized accumulates in single precision: values agree with
 //    kScalar to ~1e-6 relative (asserted at 1e-4 with headroom).
-//  * The cutoff kernel emits identical pair lists under every policy.
-//  * The blocked early-break Hausdorff never evaluates more frame pairs
+//  * The cutoff kernel's one production path emits the pair list of the
+//    scalar reference scan, whatever policy it is passed.
+//  * The tiled early-break Hausdorff never evaluates more frame pairs
 //    than the naive scan.
 #include "mdtask/kernels/batch.h"
 
@@ -51,25 +51,6 @@ std::vector<traj::Vec3> make_cloud(std::uint64_t seed, std::size_t n,
 const std::size_t kFrameSizes[] = {1, 2, kFrameTile - 1, kFrameTile,
                                    kFrameTile + 1, 37};
 const std::size_t kAtomSizes[] = {1, 3, 15, 16, 17, 61};
-
-TEST(BatchEquivalenceTest, BlockedSumsqIsBitIdenticalToScalar) {
-  std::uint64_t seed = 1;
-  for (const std::size_t frames : kFrameSizes) {
-    for (const std::size_t atoms : kAtomSizes) {
-      const auto a = make_pack(seed, frames, atoms);
-      const auto b = make_pack(seed + 1000, frames, atoms);
-      ++seed;
-      for (std::size_t i = 0; i < frames; ++i) {
-        for (std::size_t j = 0; j < frames; ++j) {
-          EXPECT_DOUBLE_EQ(
-              frame_sumsq_packed(a, i, b, j, KernelPolicy::kScalar),
-              frame_sumsq_packed(a, i, b, j, KernelPolicy::kBlocked))
-              << "frames " << frames << " atoms " << atoms;
-        }
-      }
-    }
-  }
-}
 
 TEST(BatchEquivalenceTest, VectorizedSumsqWithinRelativeTolerance) {
   std::uint64_t seed = 50;
@@ -125,21 +106,6 @@ TEST(BatchEquivalenceTest, OneToManyEmptyRangeReturnsInfinity) {
   }
 }
 
-TEST(BatchEquivalenceTest, HausdorffBlockedMatchesScalarExactly) {
-  std::uint64_t seed = 100;
-  for (const std::size_t frames : kFrameSizes) {
-    const auto a = make_pack(seed, frames, 24);
-    const auto b = make_pack(seed + 1, frames + 2, 24);
-    ++seed;
-    for (const bool early : {false, true}) {
-      EXPECT_DOUBLE_EQ(
-          hausdorff_packed(a, b, early, KernelPolicy::kScalar),
-          hausdorff_packed(a, b, early, KernelPolicy::kBlocked))
-          << "frames " << frames << " early " << early;
-    }
-  }
-}
-
 TEST(BatchEquivalenceTest, HausdorffVectorizedWithinTolerance) {
   std::uint64_t seed = 200;
   for (const std::size_t frames : kFrameSizes) {
@@ -186,7 +152,7 @@ TEST(BatchEquivalenceTest, DirectedEarlyBreakEvalCountsAreTileGranular) {
   const auto a = make_pack(42, 37, 20);
   const auto b = make_pack(43, 41, 20);
   std::size_t evals = 0;
-  hausdorff_directed_packed(a, b, true, KernelPolicy::kBlocked, &evals);
+  hausdorff_directed_packed(a, b, true, KernelPolicy::kVectorized, &evals);
   EXPECT_LE(evals, 37u * 41u);
   EXPECT_GT(evals, 0u);
 }
@@ -199,12 +165,10 @@ TEST(BatchEquivalenceTest, Rmsd2dPoliciesAgree) {
       const auto b = make_pack(seed + 9, frames + 1, atoms);
       ++seed;
       const std::size_t n = a.frames() * b.frames();
-      std::vector<double> ref(n), blk(n), vec(n);
+      std::vector<double> ref(n), vec(n);
       rmsd2d_packed(a, b, KernelPolicy::kScalar, ref);
-      rmsd2d_packed(a, b, KernelPolicy::kBlocked, blk);
       rmsd2d_packed(a, b, KernelPolicy::kVectorized, vec);
       for (std::size_t k = 0; k < n; ++k) {
-        EXPECT_DOUBLE_EQ(blk[k], ref[k]) << "frames " << frames;
         EXPECT_NEAR(vec[k], ref[k], kVecRelTol * std::max(ref[k], 1.0))
             << "frames " << frames;
       }
@@ -256,8 +220,9 @@ TEST(BatchEquivalenceTest, HausdorffParallelSingleWorkerFallsBackSerial) {
   const auto a = make_pack(31, kFrameTile, 12);
   const auto b = make_pack(32, kFrameTile, 12);
   EXPECT_DOUBLE_EQ(
-      hausdorff_packed_parallel(a, b, true, KernelPolicy::kBlocked, pool, 0),
-      hausdorff_packed(a, b, true, KernelPolicy::kBlocked));
+      hausdorff_packed_parallel(a, b, true, KernelPolicy::kVectorized, pool,
+                                0),
+      hausdorff_packed(a, b, true, KernelPolicy::kVectorized));
 }
 
 TEST(BatchEquivalenceTest, CutoffPairListsIdenticalAcrossPolicies) {
@@ -270,12 +235,13 @@ TEST(BatchEquivalenceTest, CutoffPairListsIdenticalAcrossPolicies) {
     const auto cols_cloud = make_cloud(900 + n, n + 3, 20.0);
     const auto rows = pack_points(rows_cloud);
     const auto cols = pack_points(cols_cloud);
-    std::vector<IndexPair> ref, blk, vec;
-    cutoff_pairs_packed(rows, cols, 3.0, KernelPolicy::kScalar, ref);
-    cutoff_pairs_packed(rows, cols, 3.0, KernelPolicy::kBlocked, blk);
-    cutoff_pairs_packed(rows, cols, 3.0, KernelPolicy::kVectorized, vec);
-    EXPECT_EQ(ref, blk) << "n " << n;
-    EXPECT_EQ(ref, vec) << "n " << n;
+    std::vector<IndexPair> ref;
+    cutoff_pairs_reference(rows, cols, 3.0, ref);
+    for (const auto policy : kAllPolicies) {
+      std::vector<IndexPair> got;
+      cutoff_pairs_packed(rows, cols, 3.0, policy, got);
+      EXPECT_EQ(got, ref) << to_string(policy) << " n " << n;
+    }
     EXPECT_FALSE(ref.empty() && n > 200) << "degenerate fixture, n " << n;
   }
 }
@@ -291,6 +257,9 @@ TEST(BatchEquivalenceTest, CutoffHandlesEmptyOperands) {
     cutoff_pairs_packed(pts, empty, 3.0, policy, out);
     EXPECT_TRUE(out.empty());
   }
+  cutoff_pairs_reference(empty, pts, 3.0, out);
+  cutoff_pairs_reference(pts, empty, 3.0, out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(BatchEquivalenceTest, CutoffBoundaryPairIsInclusiveUnderEveryPolicy) {
@@ -300,11 +269,14 @@ TEST(BatchEquivalenceTest, CutoffBoundaryPairIsInclusiveUnderEveryPolicy) {
                                      {3.0000005f, 0.0f, 0.0f}};
   const auto rows = pack_points(a);
   const auto cols = pack_points(b);
+  std::vector<IndexPair> ref;
+  cutoff_pairs_reference(rows, cols, 3.0, ref);
+  ASSERT_EQ(ref.size(), 1u);
+  EXPECT_EQ(ref[0], (IndexPair{0, 0}));
   for (const auto policy : kAllPolicies) {
     std::vector<IndexPair> out;
     cutoff_pairs_packed(rows, cols, 3.0, policy, out);
-    ASSERT_EQ(out.size(), 1u) << to_string(policy);
-    EXPECT_EQ(out[0], (IndexPair{0, 0})) << to_string(policy);
+    EXPECT_EQ(out, ref) << to_string(policy);
   }
 }
 
@@ -313,10 +285,13 @@ TEST(BatchEquivalenceTest, CutoffDenseClusterAllPairsHit) {
   // not drop any candidate when every group is full of hits.
   const auto cloud = make_cloud(5, 70, 0.5);
   const auto pack = pack_points(cloud);
+  std::vector<IndexPair> ref;
+  cutoff_pairs_reference(pack, pack, 3.0, ref);
+  EXPECT_EQ(ref.size(), 70u * 70u);
   for (const auto policy : kAllPolicies) {
     std::vector<IndexPair> out;
     cutoff_pairs_packed(pack, pack, 3.0, policy, out);
-    EXPECT_EQ(out.size(), 70u * 70u) << to_string(policy);
+    EXPECT_EQ(out, ref) << to_string(policy);
   }
 }
 

@@ -1,11 +1,14 @@
-// Policy equivalence of the analysis-layer entry points wired onto the
-// batch kernels: Hausdorff overloads, PSA, the Leaflet edge kernels, the
-// BallTree leaf scan and the cpptraj 2D-RMSD tiled kernel.
+// Equivalence of the analysis-layer entry points wired onto the batch
+// kernels: the Hausdorff overloads and PSA under both tiers; the Leaflet
+// edge kernels and the BallTree leaf scan, which have one production
+// path each, against a scalar reference scan; and the cpptraj 2D-RMSD
+// tiled kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "mdtask/analysis/balltree.h"
@@ -40,15 +43,6 @@ traj::Ensemble make_ensemble(std::size_t n, std::uint64_t seed = 1) {
   return e;
 }
 
-TEST(HausdorffPolicyTest, BlockedMatchesScalarExactly) {
-  const auto a = make_traj(1), b = make_traj(2);
-  EXPECT_DOUBLE_EQ(hausdorff_naive(a, b, kernels::KernelPolicy::kScalar),
-                   hausdorff_naive(a, b, kernels::KernelPolicy::kBlocked));
-  EXPECT_DOUBLE_EQ(
-      hausdorff_early_break(a, b, kernels::KernelPolicy::kScalar),
-      hausdorff_early_break(a, b, kernels::KernelPolicy::kBlocked));
-}
-
 TEST(HausdorffPolicyTest, ScalarPolicyMatchesFrameMetricPath) {
   // The devirtualized kScalar fast path must reproduce the pluggable
   // std::function path bit-for-bit.
@@ -70,15 +64,6 @@ TEST(HausdorffPolicyTest, VectorizedWithinTolerance) {
   const double vec =
       hausdorff_naive(a, b, kernels::KernelPolicy::kVectorized);
   EXPECT_NEAR(vec, ref, kVecRelTol * std::max(ref, 1.0));
-}
-
-TEST(PsaPolicyTest, ReferenceMatrixIdenticalScalarVsBlocked) {
-  const auto ensemble = make_ensemble(6);
-  const auto scalar = psa_reference(ensemble, HausdorffKernel::kNaive,
-                                    kernels::KernelPolicy::kScalar);
-  const auto blocked = psa_reference(ensemble, HausdorffKernel::kNaive,
-                                     kernels::KernelPolicy::kBlocked);
-  EXPECT_EQ(scalar.max_abs_diff(blocked), 0.0);
 }
 
 TEST(PsaPolicyTest, VectorizedMatrixWithinTolerance) {
@@ -116,61 +101,96 @@ struct LfFixture {
   }
 };
 
+std::vector<std::uint32_t> iota_ids(std::uint32_t begin, std::uint32_t end) {
+  std::vector<std::uint32_t> ids(end - begin);
+  std::iota(ids.begin(), ids.end(), begin);
+  return ids;
+}
+
+/// Scalar reference scan: every cross pair with a < b and
+/// dist2 <= cutoff^2 by the exact double predicate, row-major.
+std::vector<Edge> reference_edges(std::span<const traj::Vec3> xs,
+                                  std::span<const traj::Vec3> ys,
+                                  std::span<const std::uint32_t> x_ids,
+                                  std::span<const std::uint32_t> y_ids,
+                                  double cutoff) {
+  const double c2 = cutoff * cutoff;
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    for (std::size_t j = 0; j < ys.size(); ++j) {
+      if (x_ids[i] < y_ids[j] && traj::dist2(xs[i], ys[j]) <= c2) {
+        edges.push_back({x_ids[i], y_ids[j]});
+      }
+    }
+  }
+  return edges;
+}
+
+std::vector<Edge> reference_block_edges(std::span<const traj::Vec3> atoms,
+                                        const BlockPair& block,
+                                        double cutoff) {
+  return reference_edges(
+      atoms.subspan(block.rows.begin, block.rows.size()),
+      atoms.subspan(block.cols.begin, block.cols.size()),
+      iota_ids(block.rows.begin, block.rows.end),
+      iota_ids(block.cols.begin, block.cols.end), cutoff);
+}
+
 TEST(LeafletPolicyTest, EdgesWithinCutoffIdenticalAcrossPolicies) {
   const LfFixture fx(300);
   const std::span<const traj::Vec3> atoms(fx.bilayer.positions);
-  std::vector<std::uint32_t> ids(atoms.size());
-  for (std::uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
+  const auto ids = iota_ids(0, static_cast<std::uint32_t>(atoms.size()));
   const auto xs = atoms.subspan(0, 120);
   const auto ys = atoms.subspan(120);
   const auto x_ids = std::span<const std::uint32_t>(ids).subspan(0, 120);
   const auto y_ids = std::span<const std::uint32_t>(ids).subspan(120);
-  const auto legacy = edges_within_cutoff(xs, ys, x_ids, y_ids, fx.cutoff);
+  const auto ref = reference_edges(xs, ys, x_ids, y_ids, fx.cutoff);
+  EXPECT_EQ(edges_within_cutoff(xs, ys, x_ids, y_ids, fx.cutoff), ref);
   for (const auto policy : kernels::kAllPolicies) {
     const auto got =
         edges_within_cutoff(xs, ys, x_ids, y_ids, fx.cutoff, policy);
-    EXPECT_EQ(got, legacy) << kernels::to_string(policy);
+    EXPECT_EQ(got, ref) << kernels::to_string(policy);
   }
-  EXPECT_FALSE(legacy.empty());
+  EXPECT_FALSE(ref.empty());
 }
 
 TEST(LeafletPolicyTest, MapKernelsIdenticalAcrossPolicies) {
+  // The map kernels have one production path each; every one must emit
+  // the scalar reference scan's edges (the tree in its own row order).
   const LfFixture fx(240);
   const std::span<const traj::Vec3> atoms(fx.bilayer.positions);
-  const auto chunks = make_1d_chunks(atoms.size(), 4);
-  const auto blocks = make_2d_blocks(atoms.size(), 10);
-  for (const auto policy : kernels::kAllPolicies) {
-    for (const auto& chunk : chunks) {
-      EXPECT_EQ(lf_edges_1d(atoms, chunk, fx.cutoff, policy),
-                lf_edges_1d(atoms, chunk, fx.cutoff))
-          << kernels::to_string(policy);
-    }
-    for (const auto& block : blocks) {
-      EXPECT_EQ(lf_edges_2d(atoms, block, fx.cutoff, policy),
-                lf_edges_2d(atoms, block, fx.cutoff))
-          << kernels::to_string(policy);
-      EXPECT_EQ(lf_edges_tree(atoms, block, fx.cutoff, policy),
-                lf_edges_tree(atoms, block, fx.cutoff,
-                              kernels::KernelPolicy::kScalar))
-          << kernels::to_string(policy);
-    }
+  const auto all = static_cast<std::uint32_t>(atoms.size());
+  for (const auto& chunk : make_1d_chunks(atoms.size(), 4)) {
+    EXPECT_EQ(lf_edges_1d(atoms, chunk, fx.cutoff),
+              reference_block_edges(atoms, {chunk, {0, all}}, fx.cutoff));
+  }
+  for (const auto& block : make_2d_blocks(atoms.size(), 10)) {
+    const auto ref = reference_block_edges(atoms, block, fx.cutoff);
+    EXPECT_EQ(lf_edges_2d(atoms, block, fx.cutoff), ref);
+    auto tree = lf_edges_tree(atoms, block, fx.cutoff);
+    std::sort(tree.begin(), tree.end());
+    auto sorted_ref = ref;
+    std::sort(sorted_ref.begin(), sorted_ref.end());
+    EXPECT_EQ(tree, sorted_ref);
   }
 }
 
 TEST(BallTreePolicyTest, QueriesIdenticalAcrossPolicies) {
+  // The leaf scan has one production path: tree queries must return the
+  // points a brute-force scalar scan finds.
   const LfFixture fx(500);
   const std::span<const traj::Vec3> atoms(fx.bilayer.positions);
-  BallTree scalar_tree(atoms, 32, kernels::KernelPolicy::kScalar);
-  for (const auto policy : kernels::kAllPolicies) {
-    BallTree tree(atoms, 32, policy);
-    for (std::size_t q = 0; q < atoms.size(); q += 37) {
-      std::vector<std::uint32_t> expect, got;
-      scalar_tree.query_radius(atoms[q], fx.cutoff, expect);
-      tree.query_radius(atoms[q], fx.cutoff, got);
-      std::sort(expect.begin(), expect.end());
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, expect) << kernels::to_string(policy) << " q " << q;
+  const BallTree tree(atoms, 32);
+  const double c2 = fx.cutoff * fx.cutoff;
+  for (std::size_t q = 0; q < atoms.size(); q += 37) {
+    std::vector<std::uint32_t> expect, got;
+    for (std::uint32_t i = 0; i < atoms.size(); ++i) {
+      if (traj::dist2(atoms[i], atoms[q]) <= c2) expect.push_back(i);
     }
+    tree.query_radius(atoms[q], fx.cutoff, got);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expect) << "q " << q;
+    EXPECT_FALSE(expect.empty());
   }
 }
 
