@@ -5,7 +5,11 @@
 // callback that samples the engine's pool (size, busy, queue depth)
 // into a MetricsWindow right before each tick. Completed-task
 // durations flow into the same window through the engine's own config
-// (SparkConfig/DaskConfig/PilotDescription `metrics_window`).
+// (SparkConfig/DaskConfig/PilotDescription `metrics_window`). The same
+// grow/shrink actions apply a MembershipPlan's joins and leaves
+// (workflows::ElasticDriver): Spark and Dask take the plan's departure
+// policy as the `departure` argument, RP always drains and MPI never
+// resizes.
 //
 // Header-only on purpose: mdtask_autoscale sits below the engines in
 // the link order, so its compiled sources cannot reference them — but
@@ -32,17 +36,21 @@ struct EngineAdapter {
 };
 
 /// Spark: executor-pool resizing via dynamic allocation plus
-/// spark.speculation-style backup tasks.
-inline EngineAdapter spark_adapter(spark::SparkContext& ctx) {
+/// spark.speculation-style backup tasks. `departure` is how shrink
+/// decommissions executors (kEngineDefault: kill, lineage recomputes).
+inline EngineAdapter spark_adapter(
+    spark::SparkContext& ctx,
+    fault::DeparturePolicy departure =
+        fault::DeparturePolicy::kEngineDefault) {
   EngineAdapter adapter;
   adapter.actions.engine = fault::EngineId::kSpark;
   adapter.actions.grow = [&ctx](std::size_t count) {
     ctx.add_executors(count);
     return count;
   };
-  adapter.actions.shrink = [&ctx](std::size_t count) {
+  adapter.actions.shrink = [&ctx, departure](std::size_t count) {
     const std::size_t before = ctx.pool().size();
-    ctx.decommission_executors(count);
+    ctx.decommission_executors(count, departure);
     const std::size_t after = ctx.pool().size();
     return before > after ? before - after : 0;
   };
@@ -58,15 +66,19 @@ inline EngineAdapter spark_adapter(spark::SparkContext& ctx) {
 }
 
 /// Dask: worker add/retire plus straggler re-enqueue speculation.
-inline EngineAdapter dask_adapter(dask::DaskClient& client) {
+/// `departure` is how shrink retires workers (kEngineDefault: drain).
+inline EngineAdapter dask_adapter(
+    dask::DaskClient& client,
+    fault::DeparturePolicy departure =
+        fault::DeparturePolicy::kEngineDefault) {
   EngineAdapter adapter;
   adapter.actions.engine = fault::EngineId::kDask;
   adapter.actions.grow = [&client](std::size_t count) {
     client.add_workers(count);
     return count;
   };
-  adapter.actions.shrink = [&client](std::size_t count) {
-    return client.retire_workers(count);
+  adapter.actions.shrink = [&client, departure](std::size_t count) {
+    return client.retire_workers(count, departure);
   };
   adapter.actions.speculate = [&client](double threshold_s) {
     return client.speculate_inflight(threshold_s);
@@ -79,7 +91,8 @@ inline EngineAdapter dask_adapter(dask::DaskClient& client) {
 }
 
 /// RADICAL-Pilot: pilot resizing only — a CU is atomic at the pilot
-/// level, so there is no unit-level speculation callback.
+/// level, so there is no unit-level speculation callback, and a shrunk
+/// pilot always drains its departing cores.
 inline EngineAdapter rp_adapter(rp::UnitManager& manager) {
   EngineAdapter adapter;
   adapter.actions.engine = fault::EngineId::kRp;

@@ -41,8 +41,8 @@ struct EngineActions {
   bool rigid = false;
   /// Adds `count` servers; returns how many joined.
   std::function<std::size_t(std::size_t count)> grow;
-  /// Removes `count` servers (engine-default departure semantics);
-  /// returns how many actually left.
+  /// Removes `count` servers (with the departure semantics the adapter
+  /// was built with); returns how many actually left.
   std::function<std::size_t(std::size_t count)> shrink;
   /// Backup-submits every in-flight task older than `threshold_s`;
   /// returns the number of copies submitted.

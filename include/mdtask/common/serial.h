@@ -72,12 +72,14 @@ class ByteReader {
   Result<std::vector<T>> get_vector() {
     auto n = get<std::uint64_t>();
     if (!n.ok()) return n.error();
-    const std::size_t bytes = static_cast<std::size_t>(n.value()) * sizeof(T);
-    if (pos_ + bytes > data_.size()) {
+    // Bound the count before multiplying: n * sizeof(T) can wrap.
+    if (n.value() > remaining() / sizeof(T)) {
       return Error(ErrorCode::kFormatError, "ByteReader: truncated vector");
     }
     std::vector<T> out(static_cast<std::size_t>(n.value()));
-    std::memcpy(out.data(), data_.data() + pos_, bytes);
+    const std::size_t bytes = out.size() * sizeof(T);
+    // An empty vector's data() may be null, which memcpy forbids.
+    if (bytes > 0) std::memcpy(out.data(), data_.data() + pos_, bytes);
     pos_ += bytes;
     return out;
   }
@@ -85,7 +87,7 @@ class ByteReader {
   Result<std::string> get_string() {
     auto n = get<std::uint64_t>();
     if (!n.ok()) return n.error();
-    if (pos_ + n.value() > data_.size()) {
+    if (n.value() > remaining()) {
       return Error(ErrorCode::kFormatError, "ByteReader: truncated string");
     }
     std::string out(reinterpret_cast<const char*>(data_.data() + pos_),

@@ -53,6 +53,18 @@ bool world_try_collect(World& world, int dest, int source, int tag,
                        std::vector<std::uint8_t>& out);
 std::vector<std::uint8_t> world_collect(World& world, int dest, int source,
                                         int tag);
+
+/// Unpacks a received payload into whole elements of T. An empty payload
+/// copies nothing: its data() may be null, which memcpy forbids even for
+/// zero bytes.
+template <typename T>
+std::vector<T> unpack(const std::vector<std::uint8_t>& bytes) {
+  std::vector<T> out(bytes.size() / sizeof(T));
+  if (!out.empty()) {
+    std::memcpy(out.data(), bytes.data(), out.size() * sizeof(T));
+  }
+  return out;
+}
 }  // namespace detail
 
 class Communicator;
@@ -103,10 +115,7 @@ class Communicator {
   template <typename T>
   std::vector<T> recv(int source, int tag) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto bytes = recv_bytes(source, tag);
-    std::vector<T> out(bytes.size() / sizeof(T));
-    std::memcpy(out.data(), bytes.data(), out.size() * sizeof(T));
-    return out;
+    return detail::unpack<T>(recv_bytes(source, tag));
   }
 
   /// Combined exchange with one peer (MPI_Sendrecv analogue): ships
@@ -417,8 +426,7 @@ bool RecvRequest<T>::test() {
   if (!detail::world_try_collect(*world_, dest_, source_, tag_, bytes)) {
     return false;
   }
-  payload_.resize(bytes.size() / sizeof(T));
-  std::memcpy(payload_.data(), bytes.data(), payload_.size() * sizeof(T));
+  payload_ = detail::unpack<T>(bytes);
   done_ = true;
   return true;
 }
@@ -426,10 +434,8 @@ bool RecvRequest<T>::test() {
 template <typename T>
 std::vector<T> RecvRequest<T>::wait() {
   if (!done_) {
-    const auto bytes = detail::world_collect(*world_, dest_, source_, tag_);
-    payload_.resize(bytes.size() / sizeof(T));
-    std::memcpy(payload_.data(), bytes.data(),
-                payload_.size() * sizeof(T));
+    payload_ = detail::unpack<T>(
+        detail::world_collect(*world_, dest_, source_, tag_));
     done_ = true;
   }
   return std::move(payload_);

@@ -26,27 +26,25 @@
 // All four feed their native exchange data through the same pure
 // decision functions (repex/model.h), so same-seed runs produce
 // byte-identical canonical RecoveryLogs across engines and against the
-// simulate_repex_wave DES twin (docs/REPEX.md).
+// simulate_repex_wave DES twin (docs/REPEX.md). The engines themselves
+// are built through the workflows harness (workflows/common.h), like
+// every other runner's.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "mdtask/fault/fault.h"
-#include "mdtask/fault/membership.h"
-#include "mdtask/fault/recovery.h"
 #include "mdtask/repex/model.h"
-#include "mdtask/trace/tracer.h"
 #include "mdtask/workflows/common.h"
 
 namespace mdtask::repex {
 
-/// One RepEx run: the science parameters plus the engine/infrastructure
-/// knobs every workflow runner carries (tracing, faults, elasticity,
+/// One RepEx run: the science parameters plus RepEx's engine knobs, on
+/// top of the infrastructure every workflow runner carries
+/// (workflows::EngineOptions: workers, tracing, faults, elasticity,
 /// closed-loop autoscaling).
-struct RepexConfig {
+struct RepexConfig : workflows::EngineOptions {
   RepexParams params;
-  std::size_t workers = 4;
   /// Spark only: cache() the static replica-state RDD across rounds.
   /// Off, every round's action recomputes the expensive base
   /// observables through the lineage — the measured cost of losing
@@ -55,11 +53,6 @@ struct RepexConfig {
   /// RP only: modelled MongoDB roundtrip latency charged per unit-state
   /// transition (the paper's DB-mediated dispatch cost).
   double db_roundtrip_latency_s = 0.0;
-  trace::Tracer* tracer = nullptr;                       ///< not owned
-  const fault::FaultPlan* fault_plan = nullptr;          ///< not owned
-  fault::RecoveryLog* recovery_log = nullptr;            ///< not owned
-  const fault::MembershipPlan* membership_plan = nullptr;  ///< not owned
-  workflows::AdaptiveConfig adaptive;
 };
 
 /// What one run produced. The decision-stream fields (rounds, counts,

@@ -9,12 +9,13 @@
 //  * Dask   — one delayed task per block, futures gathered.
 //  * RP     — one Compute-Unit per block, results staged through the
 //             shared filesystem (RP has no collectives).
+//
+// Each engine is built through the workflows harness (common.h), so
+// faults, membership plans, autoscaling and tracing apply to PSA as to
+// every other runner.
 #pragma once
 
 #include "mdtask/analysis/psa.h"
-#include "mdtask/fault/fault.h"
-#include "mdtask/fault/recovery.h"
-#include "mdtask/trace/tracer.h"
 #include "mdtask/traj/trajectory.h"
 #include "mdtask/workflows/common.h"
 
@@ -27,8 +28,9 @@ enum class PsaMetric {
   kFrechet,             ///< PSA's second published metric
 };
 
-struct PsaRunConfig {
-  std::size_t workers = 4;  ///< cores (ranks / executor threads / CUs slots)
+/// PSA's own knobs on top of the shared EngineOptions (workers, tracer,
+/// fault/membership plans, recovery log, adaptive; see common.h).
+struct PsaRunConfig : EngineOptions {
   /// Alg. 2 block size n1; 0 picks n1 so the block count ~= 2x workers
   /// (the paper generates one task per core).
   std::size_t block_size = 0;
@@ -38,26 +40,6 @@ struct PsaRunConfig {
   /// seed's arithmetic bit-for-bit; kVectorized is the opt-in SIMD tier
   /// (~1e-6 relative).
   kernels::KernelPolicy kernel_policy = kernels::default_policy();
-  /// When set, the run registers engine/worker tracks on this tracer and
-  /// emits spans for the engine's tasks and collectives.
-  trace::Tracer* tracer = nullptr;
-  /// Optional failure model (mdtask/fault): injected into the engine's
-  /// tasks with its native recovery policy when set and non-empty.
-  const fault::FaultPlan* fault_plan = nullptr;
-  /// Optional sink for every fault/recovery decision the run makes.
-  fault::RecoveryLog* recovery_log = nullptr;
-  /// Optional membership schedule (mdtask/fault/membership.h): an
-  /// ElasticDriver applies join/leave events to the live engine while
-  /// the run executes. MPI ignores it — the rigid baseline cannot
-  /// resize; use the DES layer (simulate_task_wave) to model its
-  /// shrink-restart cost.
-  const fault::MembershipPlan* membership_plan = nullptr;
-  /// Closed-loop elasticity (mdtask/autoscale): when enabled, an
-  /// AdaptiveDriver observes the live engine and resizes / speculates
-  /// by policy instead of a fixed schedule. Composes with
-  /// membership_plan (the plan plays churn, the controller reacts).
-  /// On MPI the controller only records rigid vetoes.
-  AdaptiveConfig adaptive;
 };
 
 struct PsaRunResult {

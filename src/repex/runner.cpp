@@ -121,25 +121,8 @@ struct PairAcc {
 
 RepexResult run_repex_spark(const RepexConfig& config) {
   const RepexParams p = config.params;
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  spark::SparkContext sc(spark::SparkConfig{
-      .executor_threads = config.workers,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) sc.enable_tracing(*config.tracer);
-  workflows::ElasticDriver elastic(
-      config.membership_plan,
-      [&sc, plan = config.membership_plan](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          sc.add_executors(ev.count);
-        } else {
-          sc.decommission_executors(ev.count, plan->departure);
-        }
-      });
-  workflows::AdaptiveDriver adaptive(config.adaptive,
-                                     autoscale::spark_adapter(sc), &window,
-                                     config.recovery_log);
+  workflows::SparkSession session(config);
+  spark::SparkContext& sc = session.engine();
   Driver driver(config);
   WallTimer timer;
 
@@ -223,11 +206,8 @@ RepexResult run_repex_spark(const RepexConfig& config) {
   }
 
   auto result = driver.take();
+  result.metrics = session.metrics();
   result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = sc.metrics().tasks_executed.load();
-  result.metrics.stages = sc.metrics().stages_executed.load();
-  result.metrics.shuffle_bytes = sc.metrics().shuffle_bytes.load();
-  result.metrics.broadcast_bytes = sc.metrics().broadcast_bytes.load();
   return result;
 }
 
@@ -235,26 +215,8 @@ RepexResult run_repex_spark(const RepexConfig& config) {
 
 RepexResult run_repex_dask(const RepexConfig& config) {
   const RepexParams p = config.params;
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  dask::DaskClient client(dask::DaskConfig{
-      .workers = config.workers,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) client.enable_tracing(*config.tracer);
-  workflows::ElasticDriver elastic(
-      config.membership_plan,
-      [&client,
-       plan = config.membership_plan](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          client.add_workers(ev.count);
-        } else {
-          client.retire_workers(ev.count, plan->departure);
-        }
-      });
-  workflows::AdaptiveDriver adaptive(config.adaptive,
-                                     autoscale::dask_adapter(client),
-                                     &window, config.recovery_log);
+  workflows::DaskSession session(config);
+  dask::DaskClient& client = session.engine();
   Driver driver(config);
   WallTimer timer;
 
@@ -320,8 +282,8 @@ RepexResult run_repex_dask(const RepexConfig& config) {
   }
 
   auto result = driver.take();
+  result.metrics = session.metrics();
   result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = client.metrics().tasks_executed.load();
   return result;
 }
 
@@ -334,11 +296,6 @@ RepexResult run_repex_mpi(const RepexConfig& config) {
   // not the configuration data).
   const int ranks = static_cast<int>(std::clamp<std::size_t>(
       config.workers, 1, std::max<std::size_t>(1, p.replicas)));
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  workflows::AdaptiveDriver adaptive(
-      config.adaptive,
-      autoscale::mpi_adapter(static_cast<std::size_t>(ranks)), &window,
-      config.recovery_log);
   Driver driver(config);
   WallTimer timer;
 
@@ -474,18 +431,7 @@ RepexResult run_repex_mpi(const RepexConfig& config) {
     }
   };
 
-  mpi::SpmdReport report;
-  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
-    report = mpi::run_spmd_with_recovery(ranks, body, *config.fault_plan,
-                                         config.recovery_log,
-                                         mpi::BcastAlgorithm::kBinomialTree,
-                                         config.tracer);
-  } else {
-    fault::CheckpointStore store;
-    report = mpi::run_spmd(
-        ranks, [&](mpi::Communicator& comm) { body(comm, store); },
-        mpi::BcastAlgorithm::kBinomialTree, config.tracer);
-  }
+  const auto report = workflows::run_mpi_job(config, ranks, body);
 
   auto result = driver.take();
   result.metrics.wall_seconds = timer.seconds();
@@ -498,25 +444,9 @@ RepexResult run_repex_mpi(const RepexConfig& config) {
 
 RepexResult run_repex_rp(const RepexConfig& config) {
   const RepexParams p = config.params;
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  rp::UnitManager um(rp::PilotDescription{
-      .cores = config.workers,
-      .db_roundtrip_latency_s = config.db_roundtrip_latency_s,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) um.enable_tracing(*config.tracer);
-  workflows::ElasticDriver elastic(
-      config.membership_plan, [&um](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          um.grow_pilot(ev.count);
-        } else {
-          um.shrink_pilot(ev.count);
-        }
-      });
-  workflows::AdaptiveDriver adaptive(config.adaptive,
-                                     autoscale::rp_adapter(um), &window,
-                                     config.recovery_log);
+  workflows::RpSession session(
+      config, {.db_roundtrip_latency_s = config.db_roundtrip_latency_s});
+  rp::UnitManager& um = session.engine();
   Driver driver(config);
   WallTimer timer;
 
@@ -615,27 +545,17 @@ RepexResult run_repex_rp(const RepexConfig& config) {
   }
 
   auto result = driver.take();
+  result.metrics = session.metrics();
   result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = um.metrics().tasks_executed.load();
-  result.metrics.staged_bytes = um.metrics().staged_bytes.load();
-  result.metrics.db_roundtrips = um.metrics().db_roundtrips.load();
   return result;
 }
 
 }  // namespace
 
 RepexResult run_repex(EngineKind engine, const RepexConfig& config) {
-  trace::Span run_span;
-  if (config.tracer != nullptr) {
-    const std::uint32_t pid = config.tracer->process("workflow");
-    run_span = config.tracer->span(
-        config.tracer->named_thread(pid, "driver"),
-        std::string("repex/") + workflows::to_string(engine), "workflow");
-    run_span.arg_num("replicas",
-                     static_cast<double>(config.params.replicas));
-    run_span.arg_num("max_rounds",
-                     static_cast<double>(config.params.max_rounds));
-  }
+  trace::Span span = workflows::run_span(config.tracer, "repex", engine);
+  span.arg_num("replicas", static_cast<double>(config.params.replicas));
+  span.arg_num("max_rounds", static_cast<double>(config.params.max_rounds));
   switch (engine) {
     case EngineKind::kMpi: return run_repex_mpi(config);
     case EngineKind::kSpark: return run_repex_spark(config);

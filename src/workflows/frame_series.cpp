@@ -63,13 +63,15 @@ FrameSeriesResult run_frame_series(EngineKind engine,
   result.series.assign(trajectory.frames(), 0.0);
   if (trajectory.frames() == 0) return result;
   const auto blocks = plan(trajectory.frames(), config);
+  // Default infrastructure: no tracer, faults, membership or autoscaling.
+  const EngineOptions options{.workers = config.workers};
   WallTimer timer;
 
   switch (engine) {
     case EngineKind::kMpi: {
-      mpi::run_spmd(
-          static_cast<int>(std::max<std::size_t>(1, config.workers)),
-          [&](mpi::Communicator& comm) {
+      run_mpi_job(
+          options, static_cast<int>(std::max<std::size_t>(1, config.workers)),
+          [&](mpi::Communicator& comm, fault::CheckpointStore&) {
             std::vector<double> mine;
             std::vector<std::uint64_t> offsets;
             for (std::size_t b = static_cast<std::size_t>(comm.rank());
@@ -107,8 +109,8 @@ FrameSeriesResult run_frame_series(EngineKind engine,
       break;
     }
     case EngineKind::kSpark: {
-      spark::SparkContext sc(
-          spark::SparkConfig{.executor_threads = config.workers});
+      SparkSession session(options);
+      spark::SparkContext& sc = session.engine();
       auto computed =
           sc.parallelize(blocks, blocks.size())
               .map_partitions([&trajectory, &observable](
@@ -122,11 +124,12 @@ FrameSeriesResult run_frame_series(EngineKind engine,
               })
               .collect();
       for (const auto& block : computed) place(result.series, block);
-      result.metrics.stages = sc.metrics().stages_executed.load();
+      result.metrics = session.metrics();
       break;
     }
     case EngineKind::kDask: {
-      dask::DaskClient client(dask::DaskConfig{.workers = config.workers});
+      DaskSession session(options);
+      dask::DaskClient& client = session.engine();
       std::vector<dask::Future<BlockValues>> futures;
       for (const auto& block : blocks) {
         futures.push_back(client.submit([&trajectory, &observable, block] {
@@ -134,10 +137,12 @@ FrameSeriesResult run_frame_series(EngineKind engine,
         }));
       }
       for (const auto& f : futures) place(result.series, f.get());
+      result.metrics = session.metrics();
       break;
     }
     case EngineKind::kRp: {
-      rp::UnitManager um(rp::PilotDescription{.cores = config.workers});
+      RpSession session(options);
+      rp::UnitManager& um = session.engine();
       std::vector<rp::ComputeUnitDescription> descriptions;
       for (std::size_t b = 0; b < blocks.size(); ++b) {
         const std::string path =
@@ -171,7 +176,7 @@ FrameSeriesResult run_frame_series(EngineKind engine,
           place(result.series, block);
         }
       }
-      result.metrics.db_roundtrips = um.metrics().db_roundtrips.load();
+      result.metrics = session.metrics();
       break;
     }
   }

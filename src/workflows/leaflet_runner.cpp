@@ -156,7 +156,7 @@ Result<LfRunResult> run_mpi(int approach, std::span<const Vec3> atoms,
   std::vector<PartialComponents> root_parts;
   double distribute_seconds = 0.0;
 
-  auto body = [&](mpi::Communicator& comm) {
+  auto body = [&](mpi::Communicator& comm, fault::CheckpointStore&) {
         // Approach 1 really broadcasts the positions through the MPI
         // runtime (Fig. 8 measures this phase); other approaches assume
         // pre-partitioned data on the shared filesystem.
@@ -212,36 +212,19 @@ Result<LfRunResult> run_mpi(int approach, std::span<const Vec3> atoms,
           }
         }
   };
-  const int ranks = static_cast<int>(std::max<std::size_t>(1, config.workers));
-  // Rigid world: the controller can only record vetoed resize
-  // decisions, reproducing the paper's inelastic-MPI baseline.
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  AdaptiveDriver adaptive(config.adaptive,
-                          autoscale::mpi_adapter(
-                              static_cast<std::size_t>(ranks)),
-                          &window, config.recovery_log);
+  // Under a fault plan, faulty attempts abort before the body's first
+  // collective, so the rank-0 accumulators above are only ever filled by
+  // the one attempt that runs to completion.
   mpi::SpmdReport report;
-  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
-    // Faulty attempts abort before the body's first collective, so the
-    // rank-0 accumulators above are only ever filled by the one attempt
-    // that runs to completion.
-    try {
-      report = mpi::run_spmd_with_recovery(
-          ranks,
-          [&](mpi::Communicator& comm, fault::CheckpointStore&) {
-            body(comm);
-          },
-          *config.fault_plan, config.recovery_log,
-          mpi::BcastAlgorithm::kBinomialTree, config.tracer);
-    } catch (const fault::InjectedFault& f) {
-      return Error(ErrorCode::kUnavailable,
-                   std::string("MPI leaflet finder: ") + f.what())
-          .with_task({"mpi", f.task_id(), f.attempt(),
-                      std::string(fault::to_string(f.kind()))});
-    }
-  } else {
-    report = mpi::run_spmd(ranks, body, mpi::BcastAlgorithm::kBinomialTree,
-                           config.tracer);
+  try {
+    report = run_mpi_job(
+        config, static_cast<int>(std::max<std::size_t>(1, config.workers)),
+        body);
+  } catch (const fault::InjectedFault& f) {
+    return Error(ErrorCode::kUnavailable,
+                 std::string("MPI leaflet finder: ") + f.what())
+        .with_task({"mpi", f.task_id(), f.attempt(),
+                    std::string(fault::to_string(f.kind()))});
   }
 
   if (memory_failed.load()) {
@@ -266,25 +249,9 @@ Result<LfRunResult> run_spark(int approach, std::span<const Vec3> atoms,
                               const LfRunConfig& config,
                               LfStreamState* stream) {
   auto tasks = plan_tasks(approach, n_atoms, config.target_tasks);
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  spark::SparkContext sc(spark::SparkConfig{
-      .executor_threads = config.workers,
-      .task_memory_limit = config.task_memory_limit,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) sc.enable_tracing(*config.tracer);
-  ElasticDriver elastic(
-      config.membership_plan,
-      [&sc, plan = config.membership_plan](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          sc.add_executors(ev.count);
-        } else {
-          sc.decommission_executors(ev.count, plan->departure);
-        }
-      });
-  AdaptiveDriver adaptive(config.adaptive, autoscale::spark_adapter(sc),
-                          &window, config.recovery_log);
+  SparkSession session(config,
+                       {.task_memory_limit = config.task_memory_limit});
+  spark::SparkContext& sc = session.engine();
 
   // Approach 1 broadcasts the full system; the others account only the
   // per-task block inputs (task-API style).
@@ -355,11 +322,8 @@ Result<LfRunResult> run_spark(int approach, std::span<const Vec3> atoms,
                      std::to_string(e.requested()) + " B > limit " +
                      std::to_string(e.limit()) + " B");
   }
+  result.metrics = session.metrics();
   result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = sc.metrics().tasks_executed.load();
-  result.metrics.stages = sc.metrics().stages_executed.load();
-  result.metrics.shuffle_bytes = sc.metrics().shuffle_bytes.load();
-  result.metrics.broadcast_bytes = sc.metrics().broadcast_bytes.load();
   result.distribute_seconds = distribute_seconds;
   return result;
 }
@@ -371,26 +335,9 @@ Result<LfRunResult> run_dask(int approach, std::span<const Vec3> atoms,
                              const LfRunConfig& config,
                              LfStreamState* stream) {
   const auto tasks = plan_tasks(approach, n_atoms, config.target_tasks);
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  dask::DaskClient client(dask::DaskConfig{
-      .workers = config.workers,
-      .task_memory_limit = config.task_memory_limit,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) client.enable_tracing(*config.tracer);
-  ElasticDriver elastic(
-      config.membership_plan,
-      [&client,
-       plan = config.membership_plan](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          client.add_workers(ev.count);
-        } else {
-          client.retire_workers(ev.count, plan->departure);
-        }
-      });
-  AdaptiveDriver adaptive(config.adaptive, autoscale::dask_adapter(client),
-                          &window, config.recovery_log);
+  DaskSession session(config,
+                      {.task_memory_limit = config.task_memory_limit});
+  dask::DaskClient& client = session.engine();
 
   // Approach 1: scatter/replicate the positions to workers (Dask's
   // broadcast is weaker than Spark's — modelled in the perf layer; here
@@ -466,9 +413,8 @@ Result<LfRunResult> run_dask(int approach, std::span<const Vec3> atoms,
                      std::to_string(e.requested()) + " B > limit " +
                      std::to_string(e.limit()) + " B)");
   }
+  result.metrics = session.metrics();
   result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = client.metrics().tasks_executed.load();
-  result.metrics.shuffle_bytes = client.metrics().shuffle_bytes.load();
   result.metrics.broadcast_bytes = broadcast_bytes;
   result.worker_restarts = client.worker_restarts();
   result.distribute_seconds = distribute_seconds;
@@ -482,24 +428,8 @@ Result<LfRunResult> run_rp(int approach, std::span<const Vec3> atoms,
                            const LfRunConfig& config,
                            LfStreamState* stream) {
   const auto tasks = plan_tasks(approach, n_atoms, config.target_tasks);
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  rp::UnitManager um(rp::PilotDescription{
-      .cores = config.workers,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) um.enable_tracing(*config.tracer);
-  ElasticDriver elastic(
-      config.membership_plan,
-      [&um](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          um.grow_pilot(ev.count);
-        } else {
-          um.shrink_pilot(ev.count);
-        }
-      });
-  AdaptiveDriver adaptive(config.adaptive, autoscale::rp_adapter(um),
-                          &window, config.recovery_log);
+  RpSession session(config);
+  rp::UnitManager& um = session.engine();
 
   WallTimer timer;
   std::vector<rp::ComputeUnitDescription> descriptions;
@@ -563,10 +493,8 @@ Result<LfRunResult> run_rp(int approach, std::span<const Vec3> atoms,
   result = uses_partial_components(approach)
                ? finish_from_partials(n_atoms, parts)
                : finish_from_edges(n_atoms, std::move(edges));
+  result.metrics = session.metrics();
   result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = um.metrics().tasks_executed.load();
-  result.metrics.staged_bytes = um.metrics().staged_bytes.load();
-  result.metrics.db_roundtrips = um.metrics().db_roundtrips.load();
   return result;
 }
 
@@ -598,17 +526,9 @@ Result<LfRunResult> run_leaflet_finder(EngineKind engine, int approach,
     return Error(ErrorCode::kInvalidArgument,
                  "leaflet finder approach must be 1..4");
   }
-  // Whole-run span on the shared "workflow" driver track, enclosing the
-  // engine-level spans the run emits below it in the timeline.
-  trace::Span run_span;
-  if (config.tracer != nullptr) {
-    const std::uint32_t pid = config.tracer->process("workflow");
-    run_span = config.tracer->span(
-        config.tracer->named_thread(pid, "driver"),
-        std::string("leaflet-finder/") + to_string(engine), "workflow");
-    run_span.arg_num("approach", approach);
-    run_span.arg_num("atoms", static_cast<double>(atoms.size()));
-  }
+  trace::Span span = run_span(config.tracer, "leaflet-finder", engine);
+  span.arg_num("approach", approach);
+  span.arg_num("atoms", static_cast<double>(atoms.size()));
   return dispatch(engine, approach, atoms, atoms.size(), cutoff, config,
                   nullptr);
 }
@@ -643,16 +563,10 @@ Result<LfRunResult> run_leaflet_finder_streamed(EngineKind engine,
     return run;
   }
 
-  trace::Span run_span;
-  if (config.tracer != nullptr) {
-    const std::uint32_t pid = config.tracer->process("workflow");
-    run_span = config.tracer->span(
-        config.tracer->named_thread(pid, "driver"),
-        std::string("leaflet-finder-streamed/") + to_string(engine),
-        "workflow");
-    run_span.arg_num("approach", approach);
-    run_span.arg_num("atoms", static_cast<double>(n_atoms));
-  }
+  trace::Span span =
+      run_span(config.tracer, "leaflet-finder-streamed", engine);
+  span.arg_num("approach", approach);
+  span.arg_num("atoms", static_cast<double>(n_atoms));
   auto result =
       dispatch(engine, approach, {}, n_atoms, cutoff, config, &state);
   if (!result.ok()) return result;

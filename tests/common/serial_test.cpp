@@ -59,6 +59,36 @@ TEST(SerialTest, TruncatedVectorFails) {
   EXPECT_FALSE(r.get_vector<double>().ok());
 }
 
+TEST(SerialTest, WrappingVectorCountFailsWithFormatError) {
+  // 2^61 doubles is 2^64 bytes: the byte count wraps to 0, so only a
+  // bound on the element count itself catches the truncation.
+  ByteWriter w;
+  w.put<std::uint64_t>(std::uint64_t{1} << 61);
+  ByteReader r(w.bytes());
+  auto back = r.get_vector<double>();
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code(), ErrorCode::kFormatError);
+}
+
+TEST(SerialTest, WrappingStringLengthFailsWithFormatError) {
+  ByteWriter w;
+  w.put<std::uint64_t>(~std::uint64_t{0});
+  ByteReader r(w.bytes());
+  auto back = r.get_string();
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code(), ErrorCode::kFormatError);
+}
+
+TEST(SerialTest, EmptyVectorRoundTrip) {
+  ByteWriter w;
+  w.put_span<double>(std::vector<double>{});
+  ByteReader r(w.bytes());
+  auto back = r.get_vector<double>();
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back.value().empty());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
 TEST(SerialTest, SizeTracksPayload) {
   ByteWriter w;
   EXPECT_EQ(w.size(), 0u);

@@ -12,13 +12,14 @@
 
 #include "mdtask/stream/shard_format.h"
 #include "mdtask/traj/generators.h"
+#include "support/temp_path.h"
 
 namespace mdtask::stream {
 namespace {
 
 class StreamFaultTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/stream_fault_test.mds";
+  std::string path_ = testutil::unique_temp_path("mds");
 
   void SetUp() override {
     traj::ProteinTrajectoryParams p;

@@ -11,6 +11,7 @@
 #include "mdtask/traj/generators.h"
 #include "mdtask/workflows/leaflet_runner.h"
 #include "mdtask/workflows/psa_runner.h"
+#include "support/temp_path.h"
 
 namespace mdtask::workflows {
 namespace {
@@ -24,7 +25,7 @@ constexpr EngineKind kEngines[] = {EngineKind::kMpi, EngineKind::kSpark,
 
 class StreamWorkflowTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/stream_workflow_test.mds";
+  std::string path_ = testutil::unique_temp_path("mds");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

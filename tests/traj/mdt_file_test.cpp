@@ -7,13 +7,14 @@
 #include <unistd.h>
 
 #include "mdtask/traj/generators.h"
+#include "support/temp_path.h"
 
 namespace mdtask::traj {
 namespace {
 
 class MdtFileTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/test_traj.mdt";
+  std::string path_ = testutil::unique_temp_path("mdt");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

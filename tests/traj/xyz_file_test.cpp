@@ -6,13 +6,14 @@
 #include <fstream>
 
 #include "mdtask/traj/generators.h"
+#include "support/temp_path.h"
 
 namespace mdtask::traj {
 namespace {
 
 class XyzFileTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/test_traj.xyz";
+  std::string path_ = testutil::unique_temp_path("xyz");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
