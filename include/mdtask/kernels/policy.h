@@ -2,8 +2,10 @@
 //
 // The distance kernels in mdtask::kernels (frame sum-of-squares,
 // Hausdorff, 2D-RMSD) ship two implementations:
-//  * kScalar     — the per-pair double loop: exact, with the seed's
-//                  values and evaluation counts. The default.
+//  * kScalar     — one double accumulator per frame pair in the seed's
+//                  per-atom order (a kernel that computes several pairs
+//                  at once puts one pair in each SIMD lane): exact, with
+//                  the seed's values and evaluation counts. The default.
 //  * kVectorized — cache-blocked SoA traversal with multi-accumulator
 //                  (SIMD-lane) inner loops the compiler vectorizes;
 //                  squared differences are accumulated in single

@@ -17,7 +17,8 @@ namespace mdtask::perf {
 /// Seconds-per-unit costs of the analysis kernels on the host.
 struct KernelCosts {
   /// Hausdorff pair: seconds per (frame-pair comparison x atom), i.e.
-  /// cost(pair) = hausdorff_unit * 2 * frames^2 * atoms.
+  /// cost(pair) = hausdorff_unit * 2 * frames^2 * atoms. Timed on the two
+  /// directed scans, which evaluate all 2 * frames^2 pairs as Alg. 1 does.
   double hausdorff_unit = 0.0;
   /// cdist: seconds per materialized matrix element.
   double cdist_element = 0.0;

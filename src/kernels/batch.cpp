@@ -1,13 +1,16 @@
 // Batch kernel implementations. This TU is compiled -O3 -funroll-loops
 // in every build type (see src/CMakeLists.txt) so the lane loops below
 // vectorize; the MDTASK_NATIVE_ARCH CMake option additionally enables
-// -march=native for wider vectors.
+// -march=native for wider vectors. It is also compiled
+// -ffp-contract=off: GCC contracts `a * b + c` into an FMA wherever the
+// target has one, which changes the kScalar bits under -march=native.
 #include "mdtask/kernels/batch.h"
 
 #include <algorithm>
 #include <cmath>
 #include <future>
 #include <limits>
+#include <vector>
 
 namespace mdtask::kernels {
 namespace {
@@ -88,6 +91,47 @@ double pair_sumsq(const FramePack& a, std::size_t i, const FramePack& b,
                            a.atoms());
 }
 
+/// Transposes frames [j0, j0 + width) of `b` into `tile`, laid out
+/// [atom][axis][lane] in double; lanes past `width` are zero.
+void fill_pair_tile(const FramePack& b, std::size_t j0, std::size_t width,
+                    double* tile) noexcept {
+  const std::size_t atoms = b.atoms();
+  if (width < kPairTile) std::fill_n(tile, atoms * 3 * kPairTile, 0.0);
+  for (std::size_t l = 0; l < width; ++l) {
+    const float* bx = b.x(j0 + l);
+    const float* by = b.y(j0 + l);
+    const float* bz = b.z(j0 + l);
+    for (std::size_t k = 0; k < atoms; ++k) {
+      double* t = tile + k * 3 * kPairTile + l;
+      t[0] = bx[k];
+      t[kPairTile] = by[k];
+      t[2 * kPairTile] = bz[k];
+    }
+  }
+}
+
+/// Exact multi-pair kernel: the squared sums of one A frame against the
+/// kPairTile B frames of `tile`. Lane l accumulates one frame pair with
+/// pair_sumsq_scalar's per-atom expression and order, so the compiler
+/// vectorizes across the lanes (pairs) and out[l] equals
+/// pair_sumsq_scalar(a, b_{j0+l}) bit for bit.
+void pair_tile_sumsq(const float* ax, const float* ay, const float* az,
+                     const double* tile, std::size_t n,
+                     double* out) noexcept {
+  double s[kPairTile] = {};
+  for (std::size_t k = 0; k < n; ++k) {
+    const double x = ax[k], y = ay[k], z = az[k];
+    const double* t = tile + k * 3 * kPairTile;
+    for (std::size_t l = 0; l < kPairTile; ++l) {
+      const double dx = x - t[l];
+      const double dy = y - t[kPairTile + l];
+      const double dz = z - t[2 * kPairTile + l];
+      s[l] += dx * dx + dy * dy + dz * dz;
+    }
+  }
+  for (std::size_t l = 0; l < kPairTile; ++l) out[l] = s[l];
+}
+
 /// RMSD from a squared sum; 0 atoms is defined as distance 0 (the packed
 /// kernels' uniform convention for degenerate inputs).
 double rmsd_from_sumsq(double sumsq, std::size_t atoms) noexcept {
@@ -145,6 +189,53 @@ double directed_tiled(const FramePack& a, const FramePack& b,
   return rmsd_from_sumsq(cmax_ss, a.atoms());
 }
 
+/// Naive symmetric Hausdorff in one pass over frames(A) x frames(B),
+/// kPairTile B frames at a time. Each pair's squared sum updates the A
+/// frame's row minimum and the B frame's column minimum; the directed
+/// maxima are reduced in the squared-sum domain and take one sqrt each.
+double symmetric_one_pass(const FramePack& a, const FramePack& b,
+                          KernelPolicy policy) {
+  const std::size_t na = a.frames();
+  const std::size_t nb = b.frames();
+  const std::size_t atoms = a.atoms();
+  const bool scalar = policy == KernelPolicy::kScalar;
+  // One allocation per call: the row minima, then the kScalar pair tile.
+  std::vector<double> scratch(na + (scalar ? atoms * 3 * kPairTile : 0),
+                              kInf);
+  double* row_min = scratch.data();
+  double* tile = row_min + na;
+  double col_max = 0.0;
+  for (std::size_t j0 = 0; j0 < nb; j0 += kPairTile) {
+    const std::size_t width = std::min(kPairTile, nb - j0);
+    if (scalar) fill_pair_tile(b, j0, width, tile);
+    double col_min[kPairTile];
+    std::fill_n(col_min, kPairTile, kInf);
+    for (std::size_t i = 0; i < na; ++i) {
+      double s[kPairTile];
+      if (scalar) {
+        pair_tile_sumsq(a.x(i), a.y(i), a.z(i), tile, atoms, s);
+      } else {
+        for (std::size_t l = 0; l < width; ++l) {
+          s[l] = pair_sumsq(a, i, b, j0 + l, policy);
+        }
+      }
+      for (std::size_t l = 0; l < width; ++l) {
+        if (s[l] < row_min[i]) row_min[i] = s[l];
+        if (s[l] < col_min[l]) col_min[l] = s[l];
+      }
+    }
+    for (std::size_t l = 0; l < width; ++l) {
+      if (col_min[l] > col_max) col_max = col_min[l];
+    }
+  }
+  double row_max = 0.0;
+  for (std::size_t i = 0; i < na; ++i) {
+    if (row_min[i] > row_max) row_max = row_min[i];
+  }
+  return std::max(rmsd_from_sumsq(row_max, atoms),
+                  rmsd_from_sumsq(col_max, atoms));
+}
+
 }  // namespace
 
 double frame_sumsq_packed(const FramePack& a, std::size_t frame_a,
@@ -182,30 +273,15 @@ double hausdorff_directed_packed(const FramePack& a, const FramePack& b,
 
 double hausdorff_packed(const FramePack& a, const FramePack& b,
                         bool early_break, KernelPolicy policy,
-                        std::size_t* evals) noexcept {
-  return std::max(hausdorff_directed_packed(a, b, early_break, policy, evals),
-                  hausdorff_directed_packed(b, a, early_break, policy, evals));
-}
-
-double hausdorff_packed_parallel(const FramePack& a, const FramePack& b,
-                                 bool early_break, KernelPolicy policy,
-                                 ThreadPool& pool, std::uint64_t pair_id,
-                                 std::size_t* evals) {
-  if (pool.size() <= 1) return hausdorff_packed(a, b, early_break, policy,
-                                                evals);
-  // Same group, distinct member hints: the router places both halves in
-  // one L2 domain, on different workers where the domain has them.
-  std::size_t evals_ab = 0, evals_ba = 0;
-  auto ab = pool.submit_grouped(pair_id, 0, [&] {
-    return hausdorff_directed_packed(a, b, early_break, policy, &evals_ab);
-  });
-  auto ba = pool.submit_grouped(pair_id, 1, [&] {
-    return hausdorff_directed_packed(b, a, early_break, policy, &evals_ba);
-  });
-  const double hab = ab.get();
-  const double hba = ba.get();
-  if (evals != nullptr) *evals += evals_ab + evals_ba;
-  return std::max(hab, hba);
+                        std::size_t* evals) {
+  if (early_break) {
+    return std::max(
+        hausdorff_directed_packed(a, b, early_break, policy, evals),
+        hausdorff_directed_packed(b, a, early_break, policy, evals));
+  }
+  if (a.atoms() == 0) return 0.0;
+  if (evals) *evals += 2 * a.frames() * b.frames();
+  return symmetric_one_pass(a, b, policy);
 }
 
 void rmsd2d_packed(const FramePack& a, const FramePack& b,

@@ -6,7 +6,6 @@
 
 #include "mdtask/analysis/balltree.h"
 #include "mdtask/analysis/graph.h"
-#include "mdtask/analysis/hausdorff.h"
 #include "mdtask/analysis/pairwise.h"
 #include "mdtask/common/rng.h"
 #include "mdtask/common/timer.h"
@@ -48,7 +47,10 @@ KernelCosts calibrate_kernels() {
   KernelCosts costs;
 
   // Hausdorff: two 24-frame, 512-atom trajectories, once per policy.
-  // The simulations charge the scalar figure (simulation_policy).
+  // The simulations charge the scalar figure (simulation_policy). Alg. 1
+  // as the paper ran it evaluates every frame pair in both directions,
+  // so the two directed scans are timed, not the one-pass naive kernel
+  // that computes each distance once.
   {
     traj::ProteinTrajectoryParams p;
     p.frames = 24;
@@ -62,7 +64,12 @@ KernelCosts calibrate_kernels() {
     volatile double sink = 0.0;
     for (const auto policy : kernels::kAllPolicies) {
       const double t = median_time(5, [&] {
-        sink = sink + analysis::hausdorff_naive(a, b, policy);
+        const auto pa = kernels::pack_trajectory(a);
+        const auto pb = kernels::pack_trajectory(b);
+        sink = sink + std::max(kernels::hausdorff_directed_packed(
+                                   pa, pb, /*early_break=*/false, policy),
+                               kernels::hausdorff_directed_packed(
+                                   pb, pa, /*early_break=*/false, policy));
       });
       costs.hausdorff_unit_by_policy[static_cast<std::size_t>(policy)] =
           t / units;

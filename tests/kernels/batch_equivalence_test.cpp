@@ -7,10 +7,14 @@
 //    scalar reference scan, whatever policy it is passed.
 //  * The tiled early-break Hausdorff never evaluates more frame pairs
 //    than the naive scan.
+//  * The one-pass naive symmetric Hausdorff equals the max of the two
+//    directed scans bit for bit under both tiers, with Alg. 1's count.
 #include "mdtask/kernels/batch.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -122,6 +126,46 @@ TEST(BatchEquivalenceTest, HausdorffVectorizedWithinTolerance) {
   }
 }
 
+TEST(BatchEquivalenceTest, NaiveOnePassEqualsDirectedScansBitForBit) {
+  // The naive symmetric scan computes each frame-pair sum once for both
+  // directions. Compare it with the two directed scans, which do not go
+  // through that path, on shapes straddling the pair and frame tiles,
+  // unequal frame counts and the degenerate conventions included: an
+  // empty side gives +inf, 0 atoms gives 0 with nothing evaluated.
+  const std::size_t frames[] = {0,              1,
+                                kPairTile - 1,  kPairTile + 1,
+                                kFrameTile - 1, kFrameTile + 1,
+                                33};
+  const std::size_t atom_counts[] = {0, 1, 15, 16, 17, 61};
+  std::uint64_t seed = 1300;
+  for (const std::size_t atoms : atom_counts) {
+    for (const std::size_t na : frames) {
+      for (const std::size_t nb : frames) {
+        const auto a = make_pack(seed, na, atoms);
+        const auto b = make_pack(seed + 1, nb, atoms);
+        ++seed;
+        for (const auto policy : kAllPolicies) {
+          std::size_t evals = 0, directed_evals = 0;
+          const double one_pass = hausdorff_packed(a, b, false, policy,
+                                                   &evals);
+          const double directed = std::max(
+              hausdorff_directed_packed(a, b, false, policy,
+                                        &directed_evals),
+              hausdorff_directed_packed(b, a, false, policy,
+                                        &directed_evals));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(one_pass),
+                    std::bit_cast<std::uint64_t>(directed))
+              << to_string(policy) << " " << na << "x" << nb << " frames, "
+              << atoms << " atoms: " << one_pass << " vs " << directed;
+          EXPECT_EQ(evals, atoms == 0 ? 0 : 2 * na * nb)
+              << to_string(policy);
+          EXPECT_EQ(evals, directed_evals) << to_string(policy);
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchEquivalenceTest, HausdorffEarlyBreakValueEqualsFullScan) {
   for (const auto policy : kAllPolicies) {
     for (std::uint64_t seed = 300; seed < 306; ++seed) {
@@ -189,40 +233,6 @@ TEST(BatchEquivalenceTest, Rmsd2dParallelMatchesSerial) {
       EXPECT_DOUBLE_EQ(parallel[k], serial[k]) << to_string(policy);
     }
   }
-}
-
-TEST(BatchEquivalenceTest, HausdorffParallelMatchesSerialExactly) {
-  // The grouped two-task split must not change the value OR the eval
-  // count: each directed half is computed by the same serial kernel,
-  // just on a co-scheduled worker pair.
-  ThreadPool pool(4, topo::CpuTopology::synthetic(4, 1, 2), false);
-  std::uint64_t seed = 1200;
-  for (const std::size_t frames : {kFrameTile - 1, kFrameTile + 3}) {
-    const auto a = make_pack(seed, frames, 19);
-    const auto b = make_pack(seed + 5, frames + 2, 19);
-    ++seed;
-    for (const auto policy : kAllPolicies) {
-      for (const bool early : {false, true}) {
-        std::size_t serial_evals = 0, parallel_evals = 0;
-        const double serial =
-            hausdorff_packed(a, b, early, policy, &serial_evals);
-        const double parallel = hausdorff_packed_parallel(
-            a, b, early, policy, pool, /*pair_id=*/seed, &parallel_evals);
-        EXPECT_DOUBLE_EQ(parallel, serial) << to_string(policy);
-        EXPECT_EQ(parallel_evals, serial_evals) << to_string(policy);
-      }
-    }
-  }
-}
-
-TEST(BatchEquivalenceTest, HausdorffParallelSingleWorkerFallsBackSerial) {
-  ThreadPool pool(1, topo::CpuTopology::synthetic(1), false);
-  const auto a = make_pack(31, kFrameTile, 12);
-  const auto b = make_pack(32, kFrameTile, 12);
-  EXPECT_DOUBLE_EQ(
-      hausdorff_packed_parallel(a, b, true, KernelPolicy::kVectorized, pool,
-                                0),
-      hausdorff_packed(a, b, true, KernelPolicy::kVectorized));
 }
 
 TEST(BatchEquivalenceTest, CutoffPairListsIdenticalAcrossPolicies) {

@@ -51,11 +51,10 @@ TEST(HausdorffPolicyTest, ScalarPolicyMatchesFrameMetricPath) {
                                 std::span<const traj::Vec3> y) {
     return frame_rmsd(x, y);
   };
-  EXPECT_DOUBLE_EQ(hausdorff_naive(a, b, metric),
-                   hausdorff_naive(a, b, kernels::KernelPolicy::kScalar));
-  EXPECT_DOUBLE_EQ(
-      hausdorff_early_break(a, b, metric),
-      hausdorff_early_break(a, b, kernels::KernelPolicy::kScalar));
+  EXPECT_EQ(hausdorff_naive(a, b, metric),
+            hausdorff_naive(a, b, kernels::KernelPolicy::kScalar));
+  EXPECT_EQ(hausdorff_early_break(a, b, metric),
+            hausdorff_early_break(a, b, kernels::KernelPolicy::kScalar));
 }
 
 TEST(HausdorffPolicyTest, VectorizedWithinTolerance) {

@@ -4,9 +4,12 @@
 // CSVs stay identical whether the input was materialized or streamed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
+#include "mdtask/kernels/batch.h"
 #include "mdtask/stream/shard_format.h"
 #include "mdtask/traj/generators.h"
 #include "mdtask/workflows/leaflet_runner.h"
@@ -65,6 +68,44 @@ TEST_F(StreamWorkflowTest, PsaMatrixBitIdenticalOnEveryEngine) {
         << to_string(engine);
     EXPECT_EQ(streamed.value().metrics.tasks, memory.metrics.tasks);
     EXPECT_GT(streamed.value().metrics.staged_bytes, 0u);
+  }
+}
+
+TEST_F(StreamWorkflowTest, PsaMatrixEqualsDirectedScansOnEveryEngine) {
+  // The naive PSA kernel computes each frame-pair distance once for both
+  // directions, and run_psa shares that kernel. Check every engine's
+  // streamed matrix against one built only from the two directed scans.
+  traj::ProteinTrajectoryParams p;
+  p.atoms = 21;
+  p.frames = 9;  // straddles the kernel's pair tile
+  const traj::Ensemble ensemble = traj::make_protein_ensemble(5, p);
+  ASSERT_TRUE(write_sharded(path_, concatenate(ensemble)).ok());
+
+  const std::size_t n = ensemble.size();
+  std::vector<kernels::FramePack> packs;
+  for (const auto& t : ensemble) packs.push_back(kernels::pack_trajectory(t));
+  std::vector<double> expected(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      expected[i * n + j] = std::max(
+          kernels::hausdorff_directed_packed(packs[i], packs[j], false,
+                                             kernels::KernelPolicy::kScalar),
+          kernels::hausdorff_directed_packed(packs[j], packs[i], false,
+                                             kernels::KernelPolicy::kScalar));
+    }
+  }
+
+  StreamInput input;
+  input.path = path_;
+  input.trajectories = n;
+  PsaRunConfig config;
+  config.workers = 3;
+  for (const EngineKind engine : kEngines) {
+    auto streamed = run_psa_streamed(engine, input, config);
+    ASSERT_TRUE(streamed.ok())
+        << to_string(engine) << ": " << streamed.error().to_string();
+    EXPECT_EQ(streamed.value().matrix.data(), expected) << to_string(engine);
   }
 }
 
