@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "mdtask/autoscale/sim_adaptive.h"
+#include "mdtask/autoscale/task_wave.h"
 #include "mdtask/engines/dask/dask.h"
 #include "mdtask/engines/spark/spark.h"
 #include "mdtask/fault/sim_faults.h"
@@ -47,11 +47,11 @@ int main(int argc, char** argv) {
     for (double fraction : {0.01, 0.05, 0.10}) {
       for (double factor : {4.0, 10.0}) {
         const double plain = simulate_straggler_makespan(
-            cluster, 1024, 1.0, fraction, factor, SpeculationPolicy{},
+            cluster, 1024, 1.0, fraction, factor, fault::SpeculationConfig{},
             seed);
         const double spec = simulate_straggler_makespan(
             cluster, 1024, 1.0, fraction, factor,
-            SpeculationPolicy{.enabled = true, .threshold_factor = 1.5},
+            fault::SpeculationConfig{.enabled = true, .threshold_factor = 1.5},
             seed);
         table.add_row({Table::fmt(fraction, 2), Table::fmt(factor, 0),
                        Table::fmt(plain, 2), Table::fmt(spec, 2),
@@ -86,13 +86,14 @@ int main(int argc, char** argv) {
         fault::EngineId::kRp, fault::EngineId::kMpi};
     for (const fault::EngineId engine : engines) {
       const double fixed =
-          fault::simulate_task_wave(32, durations, plan, engine).makespan_s;
+          autoscale::simulate_task_wave(32, durations, plan, engine)
+              .makespan_s;
       fault::MembershipPlan membership{.seed = seed};
       membership.schedule.push_back(
           {fault::MembershipKind::kNodeJoin, 8.0, 16});
       membership.schedule.push_back(
           {fault::MembershipKind::kNodeLeave, 16.0, 8});
-      const auto outcome = fault::simulate_task_wave(
+      const auto outcome = autoscale::simulate_task_wave(
           32, durations, plan, engine, nullptr, &membership);
       table.add_row(
           {fault::to_string(engine),
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
       if (churn > 0) {
         const auto churned = fault::churn_plan(seed, engine, churn, churn,
                                                /*horizon_s=*/24.0);
-        const auto stirred = fault::simulate_task_wave(
+        const auto stirred = autoscale::simulate_task_wave(
             32, durations, plan, engine, nullptr, &churned);
         table.add_row(
             {std::string(fault::to_string(engine)) + " churn",
@@ -170,18 +171,18 @@ int main(int argc, char** argv) {
 
     struct StaticRow {
       std::string name;
-      fault::SimFaultOutcome out;
+      autoscale::TaskWaveOutcome out;
     };
     std::vector<StaticRow> statics;
     statics.push_back({"static 32",
-                       fault::simulate_task_wave(32, durations, plan,
-                                                 fault::EngineId::kDask)});
+                       autoscale::simulate_task_wave(
+                           32, durations, plan, fault::EngineId::kDask)});
     for (double at : {2.0, 4.0, 8.0}) {
       fault::MembershipPlan membership{.seed = seed};
       membership.schedule.push_back(
           {fault::MembershipKind::kNodeJoin, at, 32});
       statics.push_back({"static +32 @ " + Table::fmt(at, 0) + " s",
-                         fault::simulate_task_wave(
+                         autoscale::simulate_task_wave(
                              32, durations, plan, fault::EngineId::kDask,
                              nullptr, &membership)});
     }
@@ -196,7 +197,9 @@ int main(int argc, char** argv) {
                      "-"});
     }
 
-    autoscale::AdaptiveSimConfig control;
+    autoscale::AdaptiveConfig control;
+    control.enabled = true;
+    control.tick_interval_s = 0.5;  // virtual seconds
     control.utilization.low_watermark = 0.20;
     control.utilization.cooldown_s = 1.0;
     control.utilization.max_pool = 64;
@@ -206,9 +209,9 @@ int main(int argc, char** argv) {
 
     const auto add_adaptive = [&](const std::string& name,
                                   fault::EngineId engine,
-                                  const autoscale::AdaptiveSimConfig& cfg) {
-      const auto out =
-          autoscale::simulate_adaptive_wave(32, durations, plan, engine, cfg);
+                                  const autoscale::AdaptiveConfig& cfg) {
+      const auto out = autoscale::simulate_task_wave(
+          32, durations, plan, engine, nullptr, nullptr, nullptr, cfg);
       table.add_row({name, std::string(fault::to_string(engine)),
                      Table::fmt(out.makespan_s, 2),
                      Table::fmt(best_static / out.makespan_s, 2) + "x",
@@ -218,10 +221,10 @@ int main(int argc, char** argv) {
                      std::to_string(out.rigid_vetoes),
                      Table::fmt(out.p99_task_s, 2)});
     };
-    autoscale::AdaptiveSimConfig scaling_only = control;
+    autoscale::AdaptiveConfig scaling_only = control;
     scaling_only.speculation_enabled = false;
     add_adaptive("adaptive scaling", fault::EngineId::kDask, scaling_only);
-    autoscale::AdaptiveSimConfig speculation_only = control;
+    autoscale::AdaptiveConfig speculation_only = control;
     speculation_only.scaling_enabled = false;
     add_adaptive("adaptive speculation", fault::EngineId::kDask,
                  speculation_only);
@@ -248,7 +251,7 @@ int main(int argc, char** argv) {
 
     constexpr std::uint64_t kStragglerParts[] = {5, 17, 29, 41};
     constexpr double kStragglerDelayS = 0.25;
-    workflows::AdaptiveConfig driver_config;
+    autoscale::AdaptiveConfig driver_config;
     driver_config.scaling_enabled = false;
     driver_config.speculation_enabled = true;
     driver_config.tick_interval_s = 0.02;
@@ -280,7 +283,7 @@ int main(int argc, char** argv) {
       autoscale::MetricsWindow window(256);
       spark::SparkContext sc({.executor_threads = 8, .fault_plan = &plan,
                               .metrics_window = &window});
-      workflows::AdaptiveConfig cfg = driver_config;
+      autoscale::AdaptiveConfig cfg = driver_config;
       cfg.enabled = spec_on;
       workflows::AdaptiveDriver driver(cfg, autoscale::spark_adapter(sc),
                                        &window);
@@ -304,7 +307,7 @@ int main(int argc, char** argv) {
       autoscale::MetricsWindow window(256);
       dask::DaskClient client(
           {.workers = 8, .fault_plan = &plan, .metrics_window = &window});
-      workflows::AdaptiveConfig cfg = driver_config;
+      autoscale::AdaptiveConfig cfg = driver_config;
       cfg.enabled = spec_on;
       workflows::AdaptiveDriver driver(cfg, autoscale::dask_adapter(client),
                                        &window);

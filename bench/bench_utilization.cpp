@@ -11,8 +11,7 @@
 #include <cstring>
 
 #include "bench_common.h"
-#include "mdtask/autoscale/sim_adaptive.h"
-#include "mdtask/fault/sim_faults.h"
+#include "mdtask/autoscale/task_wave.h"
 #include "mdtask/perf/workloads.h"
 #include "mdtask/trace/chrome_export.h"
 #include "mdtask/trace/summary.h"
@@ -91,14 +90,14 @@ int main(int argc, char** argv) {
     plan.speculation.enabled = true;
     const std::vector<double> durations(1024, 1.0);
     const double fault_free =
-        fault::simulate_task_wave(256, durations, fault::FaultPlan{},
-                                  fault::EngineId::kSpark)
+        autoscale::simulate_task_wave(256, durations, fault::FaultPlan{},
+                                      fault::EngineId::kSpark)
             .makespan_s;
     for (auto engine :
          {fault::EngineId::kSpark, fault::EngineId::kDask,
           fault::EngineId::kRp, fault::EngineId::kMpi}) {
       const auto outcome =
-          fault::simulate_task_wave(256, durations, plan, engine);
+          autoscale::simulate_task_wave(256, durations, plan, engine);
       faults.add_row(
           {fault::to_string(engine), outcome.completed ? "yes" : "no",
            std::to_string(outcome.faults_injected),
@@ -137,12 +136,11 @@ int main(int argc, char** argv) {
         log.attach_tracer(&tracer,
                           tracer.thread(pool_pid, fault::to_string(engine)));
       }
-      std::vector<fault::PoolSample> timeline;
-      const auto outcome = fault::simulate_task_wave(
-          256, durations, plan, engine, &log,
-          membership.empty() ? nullptr : &membership, &timeline);
+      std::vector<autoscale::PoolSample> timeline;
+      const auto outcome = autoscale::simulate_task_wave(
+          256, durations, plan, engine, &log, &membership, &timeline);
       std::string profile;
-      if (timeline.empty()) {
+      if (membership.empty()) {
         profile = "256 throughout";
       } else {
         for (const auto& sample : timeline) {
@@ -169,7 +167,9 @@ int main(int argc, char** argv) {
     pool.set_header({"engine", "scale_ups", "scale_downs", "vetoes",
                      "makespan_s", "pool_timeline"});
     const std::vector<double> durations(1024, 1.0);
-    autoscale::AdaptiveSimConfig control;
+    autoscale::AdaptiveConfig control;
+    control.enabled = true;
+    control.tick_interval_s = 0.5;  // virtual seconds
     control.utilization.low_watermark = 0.20;
     control.utilization.cooldown_s = 1.0;
     control.utilization.max_pool = 256;
@@ -179,9 +179,9 @@ int main(int argc, char** argv) {
           fault::EngineId::kRp, fault::EngineId::kMpi}) {
       fault::FaultPlan plan;
       plan.seed = seed;
-      std::vector<fault::PoolSample> timeline;
-      const auto outcome = autoscale::simulate_adaptive_wave(
-          64, durations, plan, engine, control, nullptr, &timeline);
+      std::vector<autoscale::PoolSample> timeline;
+      const auto outcome = autoscale::simulate_task_wave(
+          64, durations, plan, engine, nullptr, nullptr, &timeline, control);
       std::string profile;
       for (const auto& sample : timeline) {
         if (!profile.empty()) profile += " -> ";

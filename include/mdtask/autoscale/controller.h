@@ -15,8 +15,9 @@
 //            on as a rigid-veto, mirroring the paper's rigid baseline.
 //
 // Who calls tick() decides the clock: the DES ticks in virtual time
-// (simulate_adaptive_wave), live runs tick from a wall-clock
-// AdaptiveDriver thread. The controller itself never reads a clock, so
+// (simulate_task_wave, autoscale/task_wave.h), live runs tick from a
+// wall-clock AdaptiveDriver thread. Both build the controller from the
+// same AdaptiveConfig. The controller itself never reads a clock, so
 // decision sequences are a deterministic function of the observed
 // snapshots.
 #pragma once
@@ -52,6 +53,21 @@ struct EngineActions {
   std::function<std::size_t()> pool_size;
 };
 
+/// Knobs of one closed control loop, shared by the live AdaptiveDriver
+/// (workflows/common.h) and the DES replay (simulate_task_wave).
+/// Scaling and speculation can be gated independently so benches can
+/// attribute wins to one mechanism.
+struct AdaptiveConfig {
+  bool enabled = false;
+  TargetUtilizationPolicy::Config utilization;
+  StragglerSpeculationPolicy::Config speculation;
+  bool scaling_enabled = true;
+  bool speculation_enabled = true;
+  /// Seconds between control ticks: wall seconds live, virtual seconds
+  /// in the DES (the published replays tick every 0.5 s).
+  double tick_interval_s = 0.05;
+};
+
 /// Result of one control tick (what the bench tables report).
 struct TickResult {
   Decision decision;           ///< first non-hold resize verdict
@@ -78,6 +94,18 @@ class AutoscaleController {
         window_(window),
         log_(log) {}
 
+  /// The controller of `config`: it owns one TargetUtilizationPolicy
+  /// and one StragglerSpeculationPolicy built from the config's policy
+  /// knobs and enables them per its gates, scaling first. `window` and
+  /// `log` are borrowed.
+  AutoscaleController(const AdaptiveConfig& config, EngineActions actions,
+                      MetricsWindow* window,
+                      fault::RecoveryLog* log = nullptr);
+
+  /// Not copyable: the policy list may point at the owned policies.
+  AutoscaleController(const AutoscaleController&) = delete;
+  AutoscaleController& operator=(const AutoscaleController&) = delete;
+
   /// One control tick at `now_s` (the caller's clock). Observes,
   /// decides, acts, records.
   TickResult tick(double now_s);
@@ -100,6 +128,8 @@ class AutoscaleController {
   MetricsWindow* window_;
   fault::RecoveryLog* log_;
   std::size_t seq_ = 0;
+  TargetUtilizationPolicy utilization_;
+  StragglerSpeculationPolicy speculation_;
 };
 
 }  // namespace mdtask::autoscale

@@ -53,8 +53,9 @@ struct MembershipEvent {
 };
 
 /// A complete elasticity scenario: seed + schedule + departure policy +
-/// join warm-up cost. Consumed by simulate_task_wave, the engine
-/// runtimes (via workflows::ElasticDriver) and the benches.
+/// join warm-up cost. Consumed by the DES task-wave replay
+/// (autoscale::simulate_task_wave), the engine runtimes (via
+/// workflows::ElasticDriver) and the benches.
 struct MembershipPlan {
   /// Same default as FaultPlan: the seed every bench prints.
   std::uint64_t seed = 42;

@@ -1,27 +1,22 @@
-// Fault injection under the discrete-event simulation.
+// Fault-model helpers for the discrete-event replays.
 //
-// Two entry points:
 //  * resolve_plan() — the feasibility oracle. Given a plan's scheduled
 //    faults and an engine's retry policy, decides whether the workload
 //    survives: the paper's Fig. 7 failure cells (Dask broadcast at
 //    >= 524k atoms, cdist OOM at 4M, Dask restart exhaustion) are
 //    produced by feeding physics-derived fault injections through this
 //    resolution instead of hard-coded branches.
-//  * simulate_task_wave() — the virtual-time replay. Replays a task
-//    wave on a simulated core pool with faults firing mid-flight:
-//    stragglers stretch tasks (optionally mitigated by speculative
-//    copies), OOM kills and partitions burn part of the task before a
-//    backoff + retry, node crashes additionally take cores offline for
-//    the repair window. Single-threaded virtual time: byte-identical
-//    traces per seed.
+//  * simulate_checkpointed_job() and the checkpoint cost model — the
+//    rigid-baseline checkpoint-interval study.
+//
+// The virtual-time task-wave replay with faults, membership and the
+// autoscale controller is autoscale::simulate_task_wave
+// (autoscale/task_wave.h).
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "mdtask/fault/fault.h"
-#include "mdtask/fault/membership.h"
 #include "mdtask/fault/recovery.h"
 #include "mdtask/sim/simulation.h"
 
@@ -44,51 +39,6 @@ struct PlanResolution {
 /// restarting survives them. Events are recorded into `log` if given.
 PlanResolution resolve_plan(const FaultPlan& plan, EngineId engine,
                             RecoveryLog* log = nullptr);
-
-/// Outcome of a virtual-time task-wave replay under a fault plan.
-struct SimFaultOutcome {
-  bool completed = true;
-  std::string failure;  ///< first give-up, when !completed
-  double makespan_s = 0.0;
-  std::uint64_t faults_injected = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t speculative_copies = 0;
-  std::uint64_t joins = 0;      ///< membership join events applied
-  std::uint64_t leaves = 0;     ///< membership leave events applied
-  std::uint64_t preempted = 0;  ///< in-flight tasks displaced by kill-leaves
-  std::size_t final_pool = 0;   ///< pool size when the replay drained
-};
-
-/// One pool-size observation for the pool-size-over-time bench table.
-struct PoolSample {
-  double at_s = 0.0;
-  std::size_t servers = 0;
-};
-
-/// Replays `durations` on `cores` simulated cores with the plan's
-/// faults injected and `engine`'s recovery policy applied, in virtual
-/// time. `log` (optional) receives every recovery decision stamped with
-/// virtual microseconds (pure slowdowns — stragglers without
-/// speculation, FS stalls — trigger no decision and are only counted);
-/// attach a tracer to the log to mirror events into a Chrome trace.
-///
-/// `membership` (optional) drives elastic pool scaling: joins add
-/// servers after the plan's warm-up (MPI is rigid and logs joins
-/// without growing); leaves apply the engine's departure semantics via
-/// departure_for() — drain (Dask, RP) finishes in-flight holds, kill
-/// (Spark lineage loss, MPI checkpoint-restart) preempts the youngest
-/// holds, whose tasks restart from scratch. Every applied event is
-/// recorded into `log` as a MembershipRecord (mirrored as an
-/// `elastic:*` trace instant) and, when `pool_timeline` is given,
-/// sampled as (virtual time, pool size). With membership events the
-/// makespan is the last task completion, so a post-drain schedule
-/// entry cannot inflate it. Single-threaded virtual time: same seed,
-/// byte-identical logs and traces.
-SimFaultOutcome simulate_task_wave(
-    std::size_t cores, const std::vector<double>& durations,
-    const FaultPlan& plan, EngineId engine, RecoveryLog* log = nullptr,
-    const MembershipPlan* membership = nullptr,
-    std::vector<PoolSample>* pool_timeline = nullptr);
 
 /// Outcome of a rigid checkpointed-job replay (simulate_checkpointed_job).
 struct CheckpointSweepPoint {

@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "mdtask/fault/fault.h"
 #include "mdtask/perf/calibration.h"
 #include "mdtask/perf/framework_model.h"
 #include "mdtask/sim/simulation.h"
@@ -98,26 +99,19 @@ std::vector<double> leaflet_task_durations(const FrameworkModel& model,
 
 // ---- Sec. 6 future-work extensions (ablation benches) ----
 
-/// Straggler-mitigation policy: when a task has run longer than
-/// `threshold_factor` x the nominal duration, a speculative copy is
-/// launched on another core and the earlier finisher wins (Spark's
-/// speculative execution; the paper's "strategies that mitigate issues
-/// occurring at large scale, e.g. stragglers").
-struct SpeculationPolicy {
-  bool enabled = false;
-  double threshold_factor = 1.5;
-};
-
 /// Replays `n_tasks` of nominal duration `task_s` with heavy-tailed
 /// straggler jitter (a fraction of tasks run `straggler_factor` x
-/// longer) with and without speculation support. Returns the makespan.
-/// `seed` selects the straggler set; the default reproduces the
-/// published bench stream exactly.
+/// longer) with and without speculation support — `policy` launches a
+/// backup copy on another core once a task has run threshold_factor x
+/// its nominal duration and the earlier finisher wins (Spark's
+/// speculative execution, the paper's Sec.-6 straggler mitigation).
+/// Returns the makespan. `seed` selects the straggler set; the default
+/// reproduces the published bench stream exactly.
 double simulate_straggler_makespan(const sim::ClusterSpec& cluster,
                                    std::size_t n_tasks, double task_s,
                                    double straggler_fraction,
                                    double straggler_factor,
-                                   const SpeculationPolicy& policy,
+                                   const fault::SpeculationConfig& policy,
                                    std::uint64_t seed = 42);
 
 /// Elastic-pool what-if ("dynamically scale the resource pool"): run

@@ -12,9 +12,11 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <queue>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "mdtask/trace/tracer.h"
@@ -66,10 +68,24 @@ struct ServiceInterval {
 
 /// A multi-server resource (a pool of cores, or a single-server database).
 /// Requests hold one server for a duration; excess requests queue FIFO.
+///
+/// Servers are numbered slots: the initial servers are 0..n-1, every
+/// added server takes the next fresh number, and an idle request takes
+/// the lowest-numbered free slot. The slot fixes a hold's speed
+/// (set_speeds) and its trace track.
 class Resource {
  public:
-  Resource(Simulation& simulation, std::size_t servers)
-      : simulation_(&simulation), free_(servers) {}
+  /// Handle of one hold, from acquire() until the hold completes or is
+  /// cancelled; a hold requeued by kill_servers keeps its handle.
+  using HoldId = std::uint64_t;
+
+  /// Where and since when a hold runs (see running()).
+  struct Placement {
+    double start_s = 0.0;
+    std::size_t slot = 0;
+  };
+
+  Resource(Simulation& simulation, std::size_t servers);
 
   /// Starts recording every service interval into `out` (not owned;
   /// must outlive the simulation). Pass nullptr to stop.
@@ -81,78 +97,115 @@ class Resource {
   /// VIRTUAL time (seconds -> microseconds), under process `pid`, one
   /// thread track per server ("<server_prefix>-<slot>"). Holds are
   /// assigned the lowest free slot, so identical simulations produce
-  /// byte-identical traces. Call before the first acquire; holds already
-  /// in flight keep their untraced slots. Pass nullptr to stop.
+  /// byte-identical traces. Call before the first acquire; holds
+  /// already in flight emit no span. Pass nullptr to stop.
   void set_trace(trace::Tracer* tracer, std::uint32_t pid,
                  std::string server_prefix = "core",
                  std::string span_name = "task");
 
-  /// Requests one server for `duration` seconds; `on_complete` fires when
-  /// the hold ends. May queue.
-  void acquire(double duration, Simulation::Callback on_complete);
+  /// Per-server speed multipliers (heterogeneous core classes): slot s
+  /// serves at speeds[s % size] x nominal rate, added slots continuing
+  /// the tiling. Build one with core_speed_schedule. Empty (the
+  /// default) means every server runs at 1.0.
+  void set_speeds(std::vector<double> speeds) { speeds_ = std::move(speeds); }
+  double speed(std::size_t slot) const noexcept {
+    return speeds_.empty() ? 1.0 : speeds_[slot % speeds_.size()];
+  }
+
+  /// Requests one server for `work` seconds of nominal service (the hold
+  /// lasts work / speed of the slot it lands on); `on_complete` fires
+  /// when the hold ends. May queue.
+  HoldId acquire(double work, Simulation::Callback on_complete);
+
+  /// Withdraws a hold without firing its on_complete. A queued hold
+  /// leaves the queue; a running one ends now — its unserved remainder
+  /// is refunded from busy_time() and its server is released as if the
+  /// hold had finished (a pending removal retires it, otherwise it takes
+  /// the next queued hold). Returns false for a handle that is no longer
+  /// queued or running.
+  bool cancel(HoldId id);
+
+  /// The placement of a running hold, also while its own completion
+  /// callback runs; nullopt while it is queued or once it has ended.
+  std::optional<Placement> running(HoldId id) const;
 
   /// Elastic scaling (the paper's Sec.-6 future-work item: dynamically
   /// grow/shrink the resource pool). Added servers immediately start
   /// draining the queue; removals take effect lazily (drain semantics)
   /// as busy servers finish their current hold — a finishing server
-  /// tagged for removal retires even when the queue is non-empty.
-  /// Removal requests beyond the current pool size are dropped: the
-  /// pool never owes phantom departures, so a later add_servers() call
-  /// always grows it for real.
+  /// tagged for removal retires even when the queue is non-empty. Idle
+  /// servers leave first, highest-numbered first. Removal requests
+  /// beyond the current pool size are dropped: the pool never owes
+  /// phantom departures, so a later add_servers() call always grows it
+  /// for real.
   void add_servers(std::size_t count);
   void remove_servers(std::size_t count);
 
   /// Kill-style removal: idle servers leave immediately; beyond that,
-  /// the most recently started holds are preempted — their task
-  /// restarts from scratch at the back of the queue (the partial
-  /// service is lost) and the server leaves now. Returns the number of
-  /// holds preempted. A preempted hold's recorded ServiceInterval is
-  /// truncated at the kill time; its tracer span (already emitted at
-  /// start) keeps the planned duration.
+  /// the most recently started holds are preempted — each restarts from
+  /// scratch at the back of the queue under the same handle (the
+  /// partial service is lost) and its server leaves now. Returns the
+  /// number of holds preempted. A preempted hold's recorded
+  /// ServiceInterval is truncated at the kill time; its tracer span
+  /// (already emitted at start) keeps the planned duration.
   std::size_t kill_servers(std::size_t count);
 
-  std::size_t free_servers() const noexcept { return free_; }
+  std::size_t free_servers() const noexcept { return free_slots_.size(); }
   std::size_t queued() const noexcept { return pending_.size(); }
+  /// Holds currently on a server (including servers tagged to leave).
+  std::size_t busy() const noexcept { return inflight_.size(); }
   /// Current pool size: idle plus busy servers, minus those already
   /// tagged to leave when their hold finishes.
   std::size_t servers() const noexcept {
-    return free_ + inflight_.size() + completing_ - to_remove_;
+    return free_slots_.size() + inflight_.size() + (finishing_ ? 1 : 0) -
+           to_remove_;
   }
   /// Total busy time accumulated across servers (for utilization).
   double busy_time() const noexcept { return busy_time_; }
 
  private:
   static constexpr std::size_t kNpos = ~std::size_t{0};
-  struct Pending {
-    double duration;
-    Simulation::Callback on_complete;
-  };
-  /// One server's current hold, kept addressable so kill_servers can
-  /// preempt it before its completion event fires.
+  static constexpr std::uint64_t kQueued = ~std::uint64_t{0};
+  /// One request, queued or on a server.
   struct Hold {
-    double start_s = 0.0;
-    double duration = 0.0;
+    double work = 0.0;
     Simulation::Callback on_complete;
-    std::size_t slot = 0;
-    bool traced = false;
+    std::uint64_t run = kQueued;  ///< inflight_ key while running
+    Placement at;
+    double duration = 0.0;
     std::size_t trace_index = kNpos;
   };
-  void start(double duration, Simulation::Callback on_complete);
-  void finish(std::uint64_t id);
-  /// Claims the lowest free tracer slot, registering a fresh track when
-  /// every known slot is busy (lazy growth for add_servers).
-  std::size_t take_slot();
-  void release_slot(std::size_t slot) { free_slots_.insert(slot); }
+  /// The hold whose completion callback is running: its server still
+  /// counts as removable and running() still answers for it.
+  struct Finishing {
+    HoldId id = 0;
+    Placement at;
+  };
+  void dispatch();
+  void start(HoldId id);
+  void finish(std::uint64_t run);
+  /// Takes a running hold off its server: refunds the unserved
+  /// remainder and truncates its recorded interval at now.
+  void stop(Hold& hold);
+  /// Returns a server to the pool: a pending removal retires it,
+  /// otherwise it serves the queue.
+  void release(std::size_t slot);
+  /// Retires up to `count` idle servers, highest-numbered first.
+  std::size_t retire_idle(std::size_t count);
+  /// The trace track of `slot`, registering tracks up to it on demand.
+  trace::Track track_for(std::size_t slot);
 
   Simulation* simulation_;
-  std::size_t free_;
+  std::unordered_map<HoldId, Hold> holds_;  ///< every queued/running hold
+  HoldId next_id_ = 0;
+  std::deque<HoldId> pending_;  ///< FIFO queue
+  std::uint64_t next_run_ = 0;
+  std::map<std::uint64_t, HoldId> inflight_;  ///< key order = start order
+  std::set<std::size_t> free_slots_;          ///< idle servers
+  std::size_t next_slot_ = 0;  ///< number of the next added server
   std::size_t to_remove_ = 0;  ///< lazy removals pending
-  std::deque<Pending> pending_;
-  std::uint64_t next_hold_ = 0;
-  std::map<std::uint64_t, Hold> inflight_;  ///< key order = start order
-  /// 1 while a finishing server runs its completion callback: it is
-  /// momentarily outside inflight_ but must still count as removable.
-  std::size_t completing_ = 0;
+  std::optional<Finishing> finishing_;
+  std::vector<double> speeds_;
   double busy_time_ = 0.0;
   std::vector<ServiceInterval>* trace_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
@@ -160,7 +213,6 @@ class Resource {
   std::string slot_prefix_ = "core";
   std::string span_name_ = "task";
   std::vector<trace::Track> slot_tracks_;  ///< index = slot
-  std::set<std::size_t> free_slots_;       ///< slots not currently held
 };
 
 /// Alpha-beta network cost model plus collective algorithms.

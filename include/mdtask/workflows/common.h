@@ -68,20 +68,6 @@ struct RunMetrics {
   double wall_seconds = 0.0;
 };
 
-/// Knobs for closed-loop elasticity on a live engine run — the
-/// policy-driven alternative to a fixed MembershipPlan schedule.
-struct AdaptiveConfig {
-  bool enabled = false;
-  autoscale::TargetUtilizationPolicy::Config utilization;
-  autoscale::StragglerSpeculationPolicy::Config speculation;
-  bool scaling_enabled = true;
-  bool speculation_enabled = true;
-  /// Wall seconds between control ticks.
-  double tick_interval_s = 0.05;
-  /// Completed-task duration window fed to the policies.
-  std::size_t metrics_capacity = 1024;
-};
-
 /// The infrastructure every workflow runner carries. PsaRunConfig,
 /// LfRunConfig and repex::RepexConfig derive from it; the pointer
 /// members are borrowed and must outlive the run.
@@ -103,15 +89,15 @@ struct EngineOptions {
   /// Optional membership schedule (mdtask/fault/membership.h): an
   /// ElasticDriver applies its join/leave events to the live engine
   /// while the run executes, each join after the plan's join_warmup_s.
-  /// MPI ignores it — the rigid baseline cannot resize; use the DES
-  /// layer (simulate_task_wave) to model its shrink-restart cost.
+  /// MPI ignores it — the rigid baseline cannot resize; the DES replay
+  /// (autoscale::simulate_task_wave) models its shrink-restart cost.
   const fault::MembershipPlan* membership_plan = nullptr;
   /// Closed-loop elasticity (mdtask/autoscale): when enabled, an
   /// AdaptiveDriver observes the live engine and resizes / speculates
   /// by policy instead of a fixed schedule. Composes with
   /// membership_plan (the plan plays churn, the controller reacts).
   /// On MPI the controller only records rigid vetoes.
-  AdaptiveConfig adaptive;
+  autoscale::AdaptiveConfig adaptive;
 };
 
 /// Applies a seeded MembershipPlan to a live engine while a workflow
@@ -150,7 +136,7 @@ class AdaptiveDriver {
   /// `window` is the same MetricsWindow handed to the engine's config
   /// (completed-task durations) and must outlive the driver; `log`
   /// (optional) receives AutoscaleRecords.
-  AdaptiveDriver(const AdaptiveConfig& config,
+  AdaptiveDriver(const autoscale::AdaptiveConfig& config,
                  autoscale::EngineAdapter adapter,
                  autoscale::MetricsWindow* window,
                  fault::RecoveryLog* log = nullptr);
@@ -165,8 +151,6 @@ class AdaptiveDriver {
   }
 
  private:
-  autoscale::TargetUtilizationPolicy utilization_policy_;
-  autoscale::StragglerSpeculationPolicy speculation_policy_;
   std::function<void(autoscale::MetricsWindow&)> observe_;
   autoscale::MetricsWindow* window_ = nullptr;
   std::unique_ptr<autoscale::AutoscaleController> controller_;

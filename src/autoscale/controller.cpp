@@ -2,6 +2,19 @@
 
 namespace mdtask::autoscale {
 
+AutoscaleController::AutoscaleController(const AdaptiveConfig& config,
+                                         EngineActions actions,
+                                         MetricsWindow* window,
+                                         fault::RecoveryLog* log)
+    : actions_(std::move(actions)),
+      window_(window),
+      log_(log),
+      utilization_(config.utilization),
+      speculation_(config.speculation) {
+  if (config.scaling_enabled) policies_.push_back(&utilization_);
+  if (config.speculation_enabled) policies_.push_back(&speculation_);
+}
+
 void AutoscaleController::record(fault::AutoscaleAction action,
                                  std::size_t count, std::size_t pool,
                                  std::size_t queue_depth, double now_s) {

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "mdtask/common/rng.h"
-#include "mdtask/fault/injector.h"
 
 namespace mdtask::fault {
 
@@ -56,184 +54,6 @@ PlanResolution resolve_plan(const FaultPlan& plan, EngineId engine,
     }
   }
   return resolution;
-}
-
-SimFaultOutcome simulate_task_wave(std::size_t cores,
-                                   const std::vector<double>& durations,
-                                   const FaultPlan& plan, EngineId engine,
-                                   RecoveryLog* log,
-                                   const MembershipPlan* membership,
-                                   std::vector<PoolSample>* pool_timeline) {
-  SimFaultOutcome outcome;
-  sim::Simulation simulation;
-  sim::Resource pool(simulation, cores);
-  const FaultInjector injector(plan, engine);
-  // Last task-completion time: with membership events the makespan must
-  // not be inflated by a schedule entry firing after the work drained.
-  double last_done = 0.0;
-  const auto done = [&] { last_done = simulation.now(); };
-
-  std::function<void(std::uint64_t, int)> run_attempt =
-      [&](std::uint64_t task, int attempt) {
-        const double nominal = durations[task];
-        const FaultSpec spec = injector.decide(task, attempt);
-        switch (spec.kind) {
-          case FaultKind::kNone:
-            pool.acquire(nominal, done);
-            return;
-          case FaultKind::kStraggler: {
-            ++outcome.faults_injected;
-            const double actual = nominal * spec.factor + spec.delay_s;
-            if (!plan.speculation.enabled) {
-              pool.acquire(actual, done);
-              return;
-            }
-            // Same model as the seed's speculation study: the original
-            // copy holds its core until the winner finishes; the backup
-            // launches at the detection threshold and needs one nominal
-            // duration (the loser is killed at the winner's completion).
-            const double detect =
-                nominal * plan.speculation.threshold_factor;
-            if (detect >= actual) {
-              // The straggler finishes before it would be detected: a
-              // backup copy could never win, so none is launched.
-              pool.acquire(actual, done);
-              return;
-            }
-            const double completion = std::min(actual, detect + nominal);
-            ++outcome.speculative_copies;
-            if (log != nullptr) {
-              log->record({engine, task, attempt, FaultKind::kStraggler,
-                           RecoveryAction::kSpeculativeCopy, 0.0,
-                           simulation.now() * 1e6});
-            }
-            pool.acquire(completion, done);
-            simulation.after(detect, [&pool, &done, completion, detect] {
-              pool.acquire(std::max(0.0, completion - detect), done);
-            });
-            return;
-          }
-          case FaultKind::kFilesystemStall:
-            // A stall slows the task, it does not fail it: no recovery
-            // decision, just added virtual time.
-            ++outcome.faults_injected;
-            pool.acquire(nominal + spec.delay_s, done);
-            return;
-          default:
-            break;
-        }
-        // Failing kinds. A partition fails at dispatch; crashes and OOM
-        // kills burn half the attempt before the loss is noticed.
-        ++outcome.faults_injected;
-        const FaultKind kind = spec.kind;
-        const double repair = std::max(0.0, spec.delay_s);
-        const double burned =
-            kind == FaultKind::kNetworkPartition ? 0.0 : 0.5 * nominal;
-        pool.acquire(burned, [&, task, attempt, kind, repair] {
-          const RecoveryAction action =
-              recovery_action(engine, kind, attempt, plan.retry);
-          const double backoff =
-              backoff_for_attempt(plan.retry, attempt + 1);
-          if (log != nullptr) {
-            log->record({engine, task, attempt, kind, action, backoff,
-                         simulation.now() * 1e6});
-          }
-          if (kind == FaultKind::kNodeCrash) {
-            // The node's core leaves the pool for the repair window.
-            pool.remove_servers(1);
-            simulation.after(repair, [&pool] { pool.add_servers(1); });
-          }
-          if (action == RecoveryAction::kGiveUp) {
-            outcome.completed = false;
-            if (outcome.failure.empty()) {
-              outcome.failure = "task " + std::to_string(task) +
-                                " failed after " +
-                                std::to_string(attempt + 1) + " attempts (" +
-                                fault::to_string(kind) + ")";
-            }
-            return;
-          }
-          ++outcome.retries;
-          simulation.after(backoff, [&run_attempt, task, attempt] {
-            run_attempt(task, attempt + 1);
-          });
-        });
-      };
-
-  for (std::uint64_t task = 0; task < durations.size(); ++task) {
-    run_attempt(task, 0);
-  }
-
-  // Elastic membership: one simulation event per schedule entry,
-  // applied with the engine's departure semantics. Scheduled after the
-  // task wave so that at equal timestamps a membership event fires
-  // before same-time task completions scheduled later — matching the
-  // event order of the replaced simulate_elastic_makespan stub.
-  const auto sample_pool = [&] {
-    if (pool_timeline != nullptr) {
-      pool_timeline->push_back({simulation.now(), pool.servers()});
-    }
-  };
-  const auto record_membership = [&](MembershipKind kind, std::size_t seq,
-                                     std::size_t count,
-                                     std::size_t preempted) {
-    if (log != nullptr) {
-      log->record_membership({engine, kind, seq, count, pool.servers(),
-                              preempted, simulation.now() * 1e6});
-    }
-    sample_pool();
-  };
-  if (membership != nullptr && !membership->empty()) {
-    if (pool_timeline != nullptr) pool_timeline->push_back({0.0, cores});
-    const DeparturePolicy departure =
-        departure_for(engine, membership->departure);
-    for (std::size_t i = 0; i < membership->schedule.size(); ++i) {
-      const MembershipEvent ev = membership->schedule[i];
-      simulation.after(ev.at_s, [&, ev, i, departure] {
-        if (ev.kind == MembershipKind::kNodeJoin) {
-          ++outcome.joins;
-          if (engine == EngineId::kMpi) {
-            // Rigid baseline: a static world cannot absorb new ranks
-            // mid-run. The event is logged with the pool unchanged.
-            record_membership(ev.kind, i, ev.count, 0);
-            return;
-          }
-          if (membership->join_warmup_s > 0.0) {
-            simulation.after(membership->join_warmup_s, [&, ev, i] {
-              pool.add_servers(ev.count);
-              record_membership(ev.kind, i, ev.count, 0);
-            });
-          } else {
-            pool.add_servers(ev.count);
-            record_membership(ev.kind, i, ev.count, 0);
-          }
-          return;
-        }
-        ++outcome.leaves;
-        std::size_t preempted = 0;
-        if (departure == DeparturePolicy::kKill) {
-          // Spark loses the running tasks of a decommissioned executor
-          // (lineage recomputes them); rigid MPI loses them to a
-          // checkpoint-restart. Either way the preempted attempts
-          // restart from scratch.
-          preempted = pool.kill_servers(ev.count);
-          outcome.preempted += preempted;
-        } else {
-          pool.remove_servers(ev.count);
-        }
-        record_membership(ev.kind, i, ev.count, preempted);
-      });
-    }
-  }
-
-  const double drained_at = simulation.run();
-  // Without membership events the makespan is the drain time (the
-  // seed's published numbers); with them, the last task completion.
-  outcome.makespan_s = (membership != nullptr && !membership->empty())
-                           ? last_done
-                           : drained_at;
-  outcome.final_pool = pool.servers();
-  return outcome;
 }
 
 CheckpointSweepPoint simulate_checkpointed_job(double work_s,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "mdtask/common/rng.h"
+#include "mdtask/autoscale/task_wave.h"
 #include "mdtask/fault/sim_faults.h"
 
 namespace mdtask::perf {
@@ -451,18 +452,17 @@ double simulate_straggler_makespan(const sim::ClusterSpec& cluster,
                                    std::size_t n_tasks, double task_s,
                                    double straggler_fraction,
                                    double straggler_factor,
-                                   const SpeculationPolicy& policy,
+                                   const fault::SpeculationConfig& policy,
                                    std::uint64_t seed) {
-  // The replay runs through mdtask::fault: each straggling task is a
-  // scheduled FaultSpec and the mitigation knob is the plan's
+  // The replay runs through the task-wave DES: each straggling task is
+  // a scheduled FaultSpec and the mitigation knob is the plan's
   // SpeculationConfig, so this bench exercises the same machinery as
   // the engine runtimes. The straggler-selection stream is split off
   // the published constant by golden-gamma multiples of the seed delta:
   // the default seed reproduces the published bench CSVs exactly.
   fault::FaultPlan plan;
   plan.seed = seed;
-  plan.speculation.enabled = policy.enabled;
-  plan.speculation.threshold_factor = policy.threshold_factor;
+  plan.speculation = policy;
   std::uint64_t rng_state =
       0x2545f4914f6cdd1dULL +
       (seed - fault::FaultPlan{}.seed) * 0x9e3779b97f4a7c15ULL;
@@ -476,8 +476,8 @@ double simulate_straggler_makespan(const sim::ClusterSpec& cluster,
     }
   }
   const std::vector<double> durations(n_tasks, task_s);
-  return fault::simulate_task_wave(cluster.total_cores(), durations, plan,
-                                   fault::EngineId::kSpark)
+  return autoscale::simulate_task_wave(cluster.total_cores(), durations,
+                                       plan, fault::EngineId::kSpark)
       .makespan_s;
 }
 
@@ -485,7 +485,7 @@ double simulate_elastic_makespan(std::size_t n_tasks, double task_s,
                                  std::size_t initial_cores,
                                  std::size_t added_cores, double grow_at_s) {
   // The single-grow-event scenario expressed as a MembershipPlan and
-  // replayed through the fault layer's membership machinery; event
+  // replayed through the task-wave DES's membership machinery; event
   // ordering matches the original inline simulation, so the published
   // future_elastic numbers are unchanged.
   fault::MembershipPlan membership;
@@ -494,10 +494,10 @@ double simulate_elastic_makespan(std::size_t n_tasks, double task_s,
         {fault::MembershipKind::kNodeJoin, grow_at_s, added_cores});
   }
   const std::vector<double> durations(n_tasks, task_s);
-  return fault::simulate_task_wave(initial_cores, durations,
-                                   fault::FaultPlan{},
-                                   fault::EngineId::kSpark, nullptr,
-                                   membership.empty() ? nullptr : &membership)
+  return autoscale::simulate_task_wave(initial_cores, durations,
+                                       fault::FaultPlan{},
+                                       fault::EngineId::kSpark, nullptr,
+                                       &membership)
       .makespan_s;
 }
 

@@ -26,6 +26,11 @@ double Simulation::run() {
   return now_;
 }
 
+Resource::Resource(Simulation& simulation, std::size_t servers)
+    : simulation_(&simulation), next_slot_(servers) {
+  for (std::size_t s = 0; s < servers; ++s) free_slots_.insert(s);
+}
+
 void Resource::set_trace(trace::Tracer* tracer, std::uint32_t pid,
                          std::string server_prefix, std::string span_name) {
   tracer_ = tracer;
@@ -34,144 +39,168 @@ void Resource::set_trace(trace::Tracer* tracer, std::uint32_t pid,
   slot_prefix_ = std::move(server_prefix);
   span_name_ = std::move(span_name);
   slot_tracks_.clear();
-  free_slots_.clear();
-  // Register the currently idle servers up front so tid order matches
-  // server order even before the first acquire.
-  for (std::size_t s = 0; s < free_; ++s) {
-    slot_tracks_.push_back(
-        tracer->thread(trace_pid_, slot_prefix_ + "-" + std::to_string(s)));
-    free_slots_.insert(s);
-  }
+  // Register the idle servers up front so tid order matches server
+  // order even before the first acquire.
+  if (!free_slots_.empty()) track_for(*free_slots_.rbegin());
 }
 
-std::size_t Resource::take_slot() {
-  if (!free_slots_.empty()) {
-    const std::size_t slot = *free_slots_.begin();
-    free_slots_.erase(free_slots_.begin());
-    return slot;
+trace::Track Resource::track_for(std::size_t slot) {
+  while (slot_tracks_.size() <= slot) {
+    slot_tracks_.push_back(tracer_->thread(
+        trace_pid_,
+        slot_prefix_ + "-" + std::to_string(slot_tracks_.size())));
   }
-  const std::size_t slot = slot_tracks_.size();
-  slot_tracks_.push_back(tracer_->thread(
-      trace_pid_, slot_prefix_ + "-" + std::to_string(slot)));
-  return slot;
+  return slot_tracks_[slot];
 }
 
-void Resource::acquire(double duration, Simulation::Callback on_complete) {
-  if (free_ > 0) {
-    --free_;
-    start(duration, std::move(on_complete));
-  } else {
-    pending_.push_back({duration, std::move(on_complete)});
-  }
-}
-
-void Resource::start(double duration, Simulation::Callback on_complete) {
-  busy_time_ += duration;
-  Hold hold;
-  hold.start_s = simulation_->now();
-  hold.duration = duration;
+Resource::HoldId Resource::acquire(double work,
+                                   Simulation::Callback on_complete) {
+  const HoldId id = next_id_++;
+  Hold& hold = holds_[id];
+  hold.work = work;
   hold.on_complete = std::move(on_complete);
+  pending_.push_back(id);
+  dispatch();
+  return id;
+}
+
+void Resource::dispatch() {
+  while (!free_slots_.empty() && !pending_.empty()) {
+    const HoldId id = pending_.front();
+    pending_.pop_front();
+    start(id);
+  }
+}
+
+void Resource::start(HoldId id) {
+  Hold& hold = holds_.at(id);
+  hold.at = {simulation_->now(), *free_slots_.begin()};
+  free_slots_.erase(free_slots_.begin());
+  hold.duration = hold.work / speed(hold.at.slot);
+  busy_time_ += hold.duration;
   if (trace_) {
     hold.trace_index = trace_->size();
-    trace_->push_back({hold.start_s, hold.start_s + duration});
+    trace_->push_back({hold.at.start_s, hold.at.start_s + hold.duration});
   }
   // The DES knows the full interval at start time, so the span is
   // recorded immediately with virtual timestamps — this is what makes
   // simulated traces deterministic (no wall clock involved).
   if (tracer_ != nullptr) {
-    hold.slot = take_slot();
-    hold.traced = true;
-    tracer_->complete(slot_tracks_[hold.slot], span_name_, "task",
-                      hold.start_s * 1e6, duration * 1e6);
+    tracer_->complete(track_for(hold.at.slot), span_name_, "task",
+                      hold.at.start_s * 1e6, hold.duration * 1e6);
   }
-  const std::uint64_t id = next_hold_++;
-  inflight_.emplace(id, std::move(hold));
-  simulation_->after(duration, [this, id] { finish(id); });
+  hold.run = next_run_++;
+  inflight_.emplace(hold.run, id);
+  simulation_->after(hold.duration,
+                     [this, run = hold.run] { finish(run); });
 }
 
-void Resource::finish(std::uint64_t id) {
-  auto it = inflight_.find(id);
-  if (it == inflight_.end()) return;  // preempted: the server already left
-  Hold hold = std::move(it->second);
+void Resource::finish(std::uint64_t run) {
+  const auto it = inflight_.find(run);
+  if (it == inflight_.end()) return;  // preempted or cancelled: gone
+  const HoldId id = it->second;
   inflight_.erase(it);
+  auto node = holds_.extract(id);
   // The server still exists while its completion callback runs — a
   // remove_servers() issued from inside the callback (the DES
   // node-crash path) must be able to claim it.
-  ++completing_;
-  hold.on_complete();
-  --completing_;
+  finishing_ = Finishing{id, node.mapped().at};
+  node.mapped().on_complete();
+  finishing_.reset();
+  release(node.mapped().at.slot);
+}
+
+void Resource::stop(Hold& hold) {
+  const double now = simulation_->now();
+  busy_time_ -= std::max(0.0, hold.at.start_s + hold.duration - now);
+  if (hold.trace_index != kNpos && trace_ != nullptr &&
+      hold.trace_index < trace_->size()) {
+    (*trace_)[hold.trace_index].end = now;
+  }
+  inflight_.erase(hold.run);
+  hold.run = kQueued;
+}
+
+void Resource::release(std::size_t slot) {
   if (to_remove_ > 0) {
     --to_remove_;  // this server leaves the pool instead of recycling
-    return;        // its trace slot retires with it
+    return;
   }
-  if (hold.traced && tracer_ != nullptr) release_slot(hold.slot);
-  if (!pending_.empty()) {
-    Pending next = std::move(pending_.front());
-    pending_.pop_front();
-    start(next.duration, std::move(next.on_complete));
-  } else {
-    ++free_;
+  free_slots_.insert(slot);
+  dispatch();
+}
+
+bool Resource::cancel(HoldId id) {
+  const auto it = holds_.find(id);
+  if (it == holds_.end()) return false;
+  if (it->second.run == kQueued) {
+    pending_.erase(std::find(pending_.begin(), pending_.end(), id));
+    holds_.erase(it);
+    return true;
   }
+  stop(it->second);
+  const std::size_t slot = it->second.at.slot;
+  holds_.erase(it);
+  release(slot);
+  return true;
+}
+
+std::optional<Resource::Placement> Resource::running(HoldId id) const {
+  if (finishing_ && finishing_->id == id) return finishing_->at;
+  const auto it = holds_.find(id);
+  if (it == holds_.end() || it->second.run == kQueued) return std::nullopt;
+  return it->second.at;
+}
+
+std::size_t Resource::retire_idle(std::size_t count) {
+  const std::size_t idle = std::min(count, free_slots_.size());
+  for (std::size_t n = 0; n < idle; ++n) {
+    free_slots_.erase(std::prev(free_slots_.end()));
+  }
+  return idle;
 }
 
 void Resource::add_servers(std::size_t count) {
   // Cancel pending removals first, then grow for real.
   const std::size_t cancelled = std::min(count, to_remove_);
   to_remove_ -= cancelled;
-  count -= cancelled;
-  while (count > 0) {
-    --count;
-    if (!pending_.empty()) {
-      Pending next = std::move(pending_.front());
-      pending_.pop_front();
-      start(next.duration, std::move(next.on_complete));
-    } else {
-      ++free_;
-    }
+  for (count -= cancelled; count > 0; --count) {
+    free_slots_.insert(next_slot_++);
   }
+  dispatch();
 }
 
 void Resource::remove_servers(std::size_t count) {
   // Idle servers leave immediately; busy ones leave when they finish.
-  const std::size_t idle = std::min(count, free_);
-  free_ -= idle;
+  count -= retire_idle(count);
   // Clamp the lazy removals to servers that actually exist: busy holds
   // not already tagged, plus one momentarily running its completion
   // callback. Excess requests are dropped — the pool cannot go below
   // empty — so a later add_servers() grows the pool for real instead of
   // cancelling phantom departures.
-  const std::size_t busy = inflight_.size() + completing_;
+  const std::size_t busy = inflight_.size() + (finishing_ ? 1 : 0);
   const std::size_t removable = busy > to_remove_ ? busy - to_remove_ : 0;
-  to_remove_ += std::min(count - idle, removable);
+  to_remove_ += std::min(count, removable);
 }
 
 std::size_t Resource::kill_servers(std::size_t count) {
   // Idle servers leave immediately, exactly like remove_servers.
-  const std::size_t idle = std::min(count, free_);
-  free_ -= idle;
-  count -= idle;
+  count -= retire_idle(count);
   std::size_t preempted = 0;
   // Beyond that, the youngest holds are preempted (a deterministic
   // choice): the unserved remainder of each hold is refunded from
-  // busy_time_, the task's attempt restarts from scratch at the back of
-  // the queue, and the server leaves now. The hold's scheduled
-  // completion event finds it gone and does nothing.
-  while (count > 0 && !inflight_.empty()) {
-    auto it = std::prev(inflight_.end());
-    Hold hold = std::move(it->second);
-    inflight_.erase(it);
-    const double now = simulation_->now();
-    busy_time_ -= std::max(0.0, hold.start_s + hold.duration - now);
-    if (hold.trace_index != kNpos && trace_ != nullptr &&
-        hold.trace_index < trace_->size()) {
-      (*trace_)[hold.trace_index].end = now;
-    }
-    pending_.push_back({hold.duration, std::move(hold.on_complete)});
+  // busy_time_, the hold restarts from scratch at the back of the
+  // queue, and the server leaves now. The hold's scheduled completion
+  // event finds it gone and does nothing.
+  for (; count > 0 && !inflight_.empty(); --count) {
+    const HoldId id = std::prev(inflight_.end())->second;
+    stop(holds_.at(id));
+    pending_.push_back(id);
     ++preempted;
-    --count;
   }
   // Pending lazy removals cannot outnumber the remaining busy servers.
-  to_remove_ = std::min(to_remove_, inflight_.size() + completing_);
+  to_remove_ =
+      std::min(to_remove_, inflight_.size() + (finishing_ ? 1 : 0));
   return preempted;
 }
 

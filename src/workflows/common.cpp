@@ -97,20 +97,14 @@ ElasticDriver::~ElasticDriver() {
   if (thread_.joinable()) thread_.join();
 }
 
-AdaptiveDriver::AdaptiveDriver(const AdaptiveConfig& config,
+AdaptiveDriver::AdaptiveDriver(const autoscale::AdaptiveConfig& config,
                                autoscale::EngineAdapter adapter,
                                autoscale::MetricsWindow* window,
                                fault::RecoveryLog* log)
-    : utilization_policy_(config.utilization),
-      speculation_policy_(config.speculation),
-      observe_(std::move(adapter.observe)),
-      window_(window) {
+    : observe_(std::move(adapter.observe)), window_(window) {
   if (!config.enabled || window_ == nullptr) return;
-  std::vector<autoscale::Policy*> policies;
-  if (config.scaling_enabled) policies.push_back(&utilization_policy_);
-  if (config.speculation_enabled) policies.push_back(&speculation_policy_);
   controller_ = std::make_unique<autoscale::AutoscaleController>(
-      std::move(adapter.actions), std::move(policies), window_, log);
+      config, std::move(adapter.actions), window_, log);
   const double tick_s = std::max(config.tick_interval_s, 1e-4);
   thread_ = std::thread([this, tick_s] {
     const auto start = std::chrono::steady_clock::now();
@@ -144,8 +138,7 @@ AdaptiveDriver::~AdaptiveDriver() {
 template <typename Engine>
 EngineSession<Engine>::EngineSession(const EngineOptions& options,
                                      const EngineExtras& extras)
-    : window_(options.adaptive.metrics_capacity),
-      engine_(engine_config<Engine>(
+    : engine_(engine_config<Engine>(
           options, extras, options.adaptive.enabled ? &window_ : nullptr)) {
   if (options.tracer != nullptr) engine_.enable_tracing(*options.tracer);
   // Plan leaves depart by the plan's policy; the controller's own
@@ -180,7 +173,7 @@ mpi::SpmdReport run_mpi_job(const EngineOptions& options, int ranks,
                             const mpi::RecoverableSpmdBody& body) {
   // Rigid world: the controller can only record vetoed resize
   // decisions, reproducing the paper's inelastic-MPI baseline.
-  autoscale::MetricsWindow window(options.adaptive.metrics_capacity);
+  autoscale::MetricsWindow window;
   AdaptiveDriver adaptive(options.adaptive,
                           autoscale::mpi_adapter(
                               static_cast<std::size_t>(ranks)),

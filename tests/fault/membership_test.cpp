@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "mdtask/autoscale/task_wave.h"
 #include "mdtask/fault/membership.h"
 #include "mdtask/fault/recovery.h"
 #include "mdtask/fault/sim_faults.h"
@@ -152,11 +153,11 @@ TEST(ElasticWaveTest, MidRunJoinShortensTheMakespan) {
   const auto tasks = uniform_tasks(256, 1.0);
   const FaultPlan no_faults;
   const double fixed =
-      fault::simulate_task_wave(32, tasks, no_faults, EngineId::kSpark)
+      autoscale::simulate_task_wave(32, tasks, no_faults, EngineId::kSpark)
           .makespan_s;
   MembershipPlan membership;
   membership.schedule.push_back({MembershipKind::kNodeJoin, 2.0, 32});
-  const auto grown = fault::simulate_task_wave(
+  const auto grown = autoscale::simulate_task_wave(
       32, tasks, no_faults, EngineId::kSpark, nullptr, &membership);
   EXPECT_EQ(grown.joins, 1u);
   EXPECT_LT(grown.makespan_s, fixed);
@@ -167,11 +168,11 @@ TEST(ElasticWaveTest, LeaveHeavyScheduleLengthensTheMakespan) {
   const auto tasks = uniform_tasks(256, 1.0);
   const FaultPlan no_faults;
   const double fixed =
-      fault::simulate_task_wave(32, tasks, no_faults, EngineId::kDask)
+      autoscale::simulate_task_wave(32, tasks, no_faults, EngineId::kDask)
           .makespan_s;
   MembershipPlan membership;
   membership.schedule.push_back({MembershipKind::kNodeLeave, 2.0, 16});
-  const auto shrunk = fault::simulate_task_wave(
+  const auto shrunk = autoscale::simulate_task_wave(
       32, tasks, no_faults, EngineId::kDask, nullptr, &membership);
   EXPECT_EQ(shrunk.leaves, 1u);
   EXPECT_GT(shrunk.makespan_s, fixed);
@@ -182,13 +183,13 @@ TEST(ElasticWaveTest, JoinHeavyMpiStaysRigid) {
   const auto tasks = uniform_tasks(128, 1.0);
   const FaultPlan no_faults;
   const double fixed =
-      fault::simulate_task_wave(32, tasks, no_faults, EngineId::kMpi)
+      autoscale::simulate_task_wave(32, tasks, no_faults, EngineId::kMpi)
           .makespan_s;
   MembershipPlan membership;
   membership.schedule.push_back({MembershipKind::kNodeJoin, 1.0, 32});
   membership.schedule.push_back({MembershipKind::kNodeJoin, 2.0, 32});
   RecoveryLog log;
-  const auto outcome = fault::simulate_task_wave(
+  const auto outcome = autoscale::simulate_task_wave(
       32, tasks, no_faults, EngineId::kMpi, &log, &membership);
   // Joins are logged but the rigid pool never grows.
   EXPECT_EQ(outcome.joins, 2u);
@@ -203,11 +204,11 @@ TEST(ElasticWaveTest, KillLeavesPreemptButDrainLeavesDoNot) {
   MembershipPlan membership;
   membership.schedule.push_back({MembershipKind::kNodeLeave, 1.5, 8});
   // Spark's default departure is kill: mid-flight holds are preempted.
-  const auto spark = fault::simulate_task_wave(
+  const auto spark = autoscale::simulate_task_wave(
       32, tasks, no_faults, EngineId::kSpark, nullptr, &membership);
   EXPECT_GT(spark.preempted, 0u);
   // Dask drains: in-flight holds finish, nothing preempted.
-  const auto dask = fault::simulate_task_wave(
+  const auto dask = autoscale::simulate_task_wave(
       32, tasks, no_faults, EngineId::kDask, nullptr, &membership);
   EXPECT_EQ(dask.preempted, 0u);
   EXPECT_EQ(spark.final_pool, dask.final_pool);
@@ -220,9 +221,9 @@ TEST(ElasticWaveTest, JoinWarmupDelaysTheCapacity) {
   warm.schedule.push_back({MembershipKind::kNodeJoin, 1.0, 32});
   MembershipPlan cold = warm;
   cold.join_warmup_s = 2.0;
-  const auto fast = fault::simulate_task_wave(
+  const auto fast = autoscale::simulate_task_wave(
       32, tasks, no_faults, EngineId::kDask, nullptr, &warm);
-  const auto slow = fault::simulate_task_wave(
+  const auto slow = autoscale::simulate_task_wave(
       32, tasks, no_faults, EngineId::kDask, nullptr, &cold);
   EXPECT_LE(fast.makespan_s, slow.makespan_s);
   EXPECT_EQ(slow.final_pool, 64u);
@@ -235,7 +236,7 @@ TEST(ElasticWaveTest, ChurnScheduleKeepsWaveCompleting) {
   plan.rates.worker_oom = 0.02;
   for (const EngineId engine : kEngines) {
     const auto membership = fault::churn_plan(42, engine, 3, 3, 20.0);
-    const auto outcome = fault::simulate_task_wave(
+    const auto outcome = autoscale::simulate_task_wave(
         16, tasks, plan, engine, nullptr, &membership);
     EXPECT_TRUE(outcome.completed) << fault::to_string(engine);
     EXPECT_EQ(outcome.joins + outcome.leaves, membership.schedule.size())
@@ -264,7 +265,7 @@ TEST(ElasticWaveTest, RepeatedRunsAreByteIdenticalPerEngine) {
       RecoveryLog log;
       log.attach_tracer(&tracer,
                         tracer.thread(tracer.process("wave"), "driver"));
-      const auto outcome = fault::simulate_task_wave(
+      const auto outcome = autoscale::simulate_task_wave(
           16, tasks, plan, engine, &log, &membership);
       canonical[run] = log.canonical();
       makespan[run] = outcome.makespan_s;
@@ -285,8 +286,8 @@ TEST(ElasticWaveTest, PoolTimelineTracksEveryMembershipEvent) {
   MembershipPlan membership;
   membership.schedule.push_back({MembershipKind::kNodeJoin, 1.0, 8});
   membership.schedule.push_back({MembershipKind::kNodeLeave, 2.0, 4});
-  std::vector<fault::PoolSample> timeline;
-  const auto outcome = fault::simulate_task_wave(
+  std::vector<autoscale::PoolSample> timeline;
+  const auto outcome = autoscale::simulate_task_wave(
       32, tasks, no_faults, EngineId::kDask, nullptr, &membership,
       &timeline);
   ASSERT_EQ(timeline.size(), 3u);  // initial + join + leave

@@ -1,11 +1,16 @@
 // resolve_plan (the feasibility oracle behind the Fig. 7 failure cells)
-// and simulate_task_wave (the virtual-time replay with recovery).
+// and the fault side of autoscale::simulate_task_wave (the virtual-time
+// replay with recovery).
 #include <gtest/gtest.h>
 
+#include "mdtask/autoscale/task_wave.h"
 #include "mdtask/fault/sim_faults.h"
 
 namespace mdtask::fault {
 namespace {
+
+using autoscale::simulate_task_wave;
+using autoscale::TaskWaveOutcome;
 
 TEST(ResolvePlanTest, EmptyPlanSurvivesWithNoFaults) {
   const PlanResolution res = resolve_plan(FaultPlan{}, EngineId::kSpark);
@@ -63,7 +68,7 @@ TEST(ResolvePlanTest, RecordsDecisionsIntoLog) {
 
 TEST(SimulateTaskWaveTest, FaultFreeWaveMatchesIdealMakespan) {
   // 8 x 1 s tasks on 4 cores: two full waves.
-  const SimFaultOutcome out = simulate_task_wave(
+  const TaskWaveOutcome out = simulate_task_wave(
       4, std::vector<double>(8, 1.0), FaultPlan{}, EngineId::kSpark);
   EXPECT_TRUE(out.completed);
   EXPECT_DOUBLE_EQ(out.makespan_s, 2.0);
@@ -74,7 +79,7 @@ TEST(SimulateTaskWaveTest, StragglerStretchesTheTail) {
   FaultPlan plan;
   plan.schedule.push_back(
       {FaultKind::kStraggler, 0, FaultSpec::kEveryAttempt, 4.0, 0.0});
-  const SimFaultOutcome out = simulate_task_wave(
+  const TaskWaveOutcome out = simulate_task_wave(
       4, std::vector<double>(4, 1.0), plan, EngineId::kSpark);
   EXPECT_TRUE(out.completed);
   EXPECT_DOUBLE_EQ(out.makespan_s, 4.0);  // one task runs 4x
@@ -87,7 +92,7 @@ TEST(SimulateTaskWaveTest, SpeculationCapsTheStraggler) {
       {FaultKind::kStraggler, 0, FaultSpec::kEveryAttempt, 10.0, 0.0});
   plan.speculation.enabled = true;
   plan.speculation.threshold_factor = 1.5;
-  const SimFaultOutcome out = simulate_task_wave(
+  const TaskWaveOutcome out = simulate_task_wave(
       4, std::vector<double>(4, 1.0), plan, EngineId::kSpark);
   EXPECT_TRUE(out.completed);
   // Copy launches at 1.5 s and needs 1 s: done at 2.5 s, not 10 s.
@@ -98,7 +103,7 @@ TEST(SimulateTaskWaveTest, SpeculationCapsTheStraggler) {
 TEST(SimulateTaskWaveTest, FailStopFaultIsRetriedToCompletion) {
   FaultPlan plan;
   plan.schedule.push_back({FaultKind::kWorkerOomKill, 1, 0});
-  const SimFaultOutcome out = simulate_task_wave(
+  const TaskWaveOutcome out = simulate_task_wave(
       2, std::vector<double>(4, 1.0), plan, EngineId::kDask);
   EXPECT_TRUE(out.completed);
   EXPECT_EQ(out.faults_injected, 1u);
@@ -111,7 +116,7 @@ TEST(SimulateTaskWaveTest, UnrecoverableFaultFailsTheWave) {
   plan.schedule.push_back({FaultKind::kNodeCrash, 0,
                            FaultSpec::kEveryAttempt});
   plan.retry.max_attempts = 2;
-  const SimFaultOutcome out = simulate_task_wave(
+  const TaskWaveOutcome out = simulate_task_wave(
       2, std::vector<double>(2, 1.0), plan, EngineId::kMpi);
   EXPECT_FALSE(out.completed);
   EXPECT_NE(out.failure.find("node-crash"), std::string::npos);
@@ -127,9 +132,9 @@ TEST(SimulateTaskWaveTest, DeterministicPerSeed) {
   const std::vector<double> durations(256, 1.0);
   RecoveryLog log_a;
   RecoveryLog log_b;
-  const SimFaultOutcome a =
+  const TaskWaveOutcome a =
       simulate_task_wave(32, durations, plan, EngineId::kRp, &log_a);
-  const SimFaultOutcome b =
+  const TaskWaveOutcome b =
       simulate_task_wave(32, durations, plan, EngineId::kRp, &log_b);
   EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);
   EXPECT_EQ(a.faults_injected, b.faults_injected);
@@ -151,6 +156,68 @@ TEST(SimulateTaskWaveTest, DifferentSeedsChangeTheSchedule) {
   // The faulted task sets differ (canonical lines carry task ids), even
   // if the fault *counts* happen to coincide.
   EXPECT_NE(log_a.canonical(), log_b.canonical());
+}
+
+const EngineId kAllEngines[] = {EngineId::kSpark, EngineId::kDask,
+                                EngineId::kRp, EngineId::kMpi};
+
+TEST(SimulateTaskWaveTest, MakespanEndsAtTheLastTaskNotTheRepairTimer) {
+  // The crash's 5 s repair timer fires at 5.5 s, after the last task
+  // finished at 4 s: it must not stretch the makespan.
+  FaultPlan plan;
+  plan.schedule.push_back({FaultKind::kNodeCrash, 0, 0, 1.0, 5.0});
+  for (const EngineId engine : kAllEngines) {
+    const TaskWaveOutcome out = simulate_task_wave(
+        2, std::vector<double>(4, 1.0), plan, engine);
+    EXPECT_TRUE(out.completed) << to_string(engine);
+    EXPECT_EQ(out.retries, 1u) << to_string(engine);
+    EXPECT_DOUBLE_EQ(out.makespan_s, 4.0) << to_string(engine);
+  }
+}
+
+TEST(SimulateTaskWaveTest, LeavesNeverEmptyThePool) {
+  // A leave as large as the pool keeps one server, which runs every
+  // task: kill engines restart the three preempted tasks, drain
+  // engines let the four in-flight tasks finish first.
+  MembershipPlan membership;
+  membership.schedule.push_back({MembershipKind::kNodeLeave, 0.5, 4});
+  for (const EngineId engine : kAllEngines) {
+    const TaskWaveOutcome out =
+        simulate_task_wave(4, std::vector<double>(8, 1.0), FaultPlan{},
+                           engine, nullptr, &membership);
+    const bool kills =
+        departure_for(engine, DeparturePolicy::kEngineDefault) ==
+        DeparturePolicy::kKill;
+    EXPECT_TRUE(out.completed) << to_string(engine);
+    EXPECT_EQ(out.leaves, 1u) << to_string(engine);
+    EXPECT_EQ(out.final_pool, 1u) << to_string(engine);
+    EXPECT_EQ(out.preempted, kills ? 3u : 0u) << to_string(engine);
+    EXPECT_DOUBLE_EQ(out.makespan_s, kills ? 8.0 : 5.0) << to_string(engine);
+  }
+}
+
+TEST(SimulateTaskWaveTest, ZeroCoresRunOnOneServer) {
+  const TaskWaveOutcome out = simulate_task_wave(
+      0, std::vector<double>(8, 1.0), FaultPlan{}, EngineId::kDask);
+  EXPECT_TRUE(out.completed);
+  EXPECT_EQ(out.final_pool, 1u);
+  EXPECT_DOUBLE_EQ(out.makespan_s, 8.0);
+}
+
+TEST(SimulateTaskWaveTest, LeaveHeavyChurnNeverStrandsWork) {
+  // Five leaves against one join on a 4-server pool: without a floor
+  // most of these replays would end with an empty pool and unrun tasks.
+  const std::vector<double> durations(16, 1.0);
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    for (const EngineId engine : kAllEngines) {
+      const MembershipPlan membership = churn_plan(seed, engine, 1, 5, 4.0);
+      const TaskWaveOutcome out = simulate_task_wave(
+          4, durations, FaultPlan{}, engine, nullptr, &membership);
+      ASSERT_TRUE(out.completed) << to_string(engine) << " seed " << seed;
+      ASSERT_GE(out.final_pool, 1u) << to_string(engine) << " seed " << seed;
+      ASSERT_GE(out.makespan_s, 4.0) << to_string(engine) << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -328,10 +328,10 @@ TEST(LeafletShapeTest, Approach3ShufflesLessThanApproach2) {
 TEST(SpeculationTest, MitigatesStragglersUnderHeavyTail) {
   const auto cluster = wrangler_cores(64);
   const double plain = simulate_straggler_makespan(
-      cluster, 1024, 1.0, 0.05, 10.0, SpeculationPolicy{});
+      cluster, 1024, 1.0, 0.05, 10.0, fault::SpeculationConfig{});
   const double mitigated = simulate_straggler_makespan(
       cluster, 1024, 1.0, 0.05, 10.0,
-      SpeculationPolicy{.enabled = true, .threshold_factor = 1.5});
+      fault::SpeculationConfig{.enabled = true, .threshold_factor = 1.5});
   EXPECT_LT(mitigated, plain);
   // With 5% of tasks 10x longer, speculation should reclaim most of the
   // straggler tail: the speculative copy finishes at 2.5x nominal.
@@ -341,20 +341,20 @@ TEST(SpeculationTest, MitigatesStragglersUnderHeavyTail) {
 TEST(SpeculationTest, NoOpWithoutStragglers) {
   const auto cluster = wrangler_cores(32);
   const double plain = simulate_straggler_makespan(
-      cluster, 256, 1.0, 0.0, 10.0, SpeculationPolicy{});
+      cluster, 256, 1.0, 0.0, 10.0, fault::SpeculationConfig{});
   const double speculated = simulate_straggler_makespan(
-      cluster, 256, 1.0, 0.0, 10.0, SpeculationPolicy{.enabled = true});
+      cluster, 256, 1.0, 0.0, 10.0, fault::SpeculationConfig{.enabled = true});
   EXPECT_DOUBLE_EQ(plain, speculated);
 }
 
 TEST(SpeculationTest, EmptyWaveHasZeroMakespan) {
   const auto cluster = wrangler_cores(16);
   EXPECT_DOUBLE_EQ(simulate_straggler_makespan(cluster, 0, 1.0, 0.05, 10.0,
-                                               SpeculationPolicy{}),
+                                               fault::SpeculationConfig{}),
                    0.0);
   EXPECT_DOUBLE_EQ(
       simulate_straggler_makespan(cluster, 0, 1.0, 0.05, 10.0,
-                                  SpeculationPolicy{.enabled = true}),
+                                  fault::SpeculationConfig{.enabled = true}),
       0.0);
 }
 
@@ -364,10 +364,10 @@ TEST(SpeculationTest, EveryTaskAStragglerStillGainsNothingOrHelps) {
   // the full 10x tail, so speculation may help but must never hurt.
   const auto cluster = wrangler_cores(64);
   const double plain = simulate_straggler_makespan(
-      cluster, 256, 1.0, 1.0, 10.0, SpeculationPolicy{});
+      cluster, 256, 1.0, 1.0, 10.0, fault::SpeculationConfig{});
   const double speculative = simulate_straggler_makespan(
       cluster, 256, 1.0, 1.0, 10.0,
-      SpeculationPolicy{.enabled = true, .threshold_factor = 1.5});
+      fault::SpeculationConfig{.enabled = true, .threshold_factor = 1.5});
   EXPECT_GT(plain, 0.0);
   EXPECT_GT(speculative, 0.0);
   EXPECT_LE(speculative, plain);
@@ -376,10 +376,10 @@ TEST(SpeculationTest, EveryTaskAStragglerStillGainsNothingOrHelps) {
 TEST(SpeculationTest, DisabledPolicyMatchesTheDefault) {
   const auto cluster = wrangler_cores(64);
   const double implicit = simulate_straggler_makespan(
-      cluster, 512, 1.0, 0.05, 10.0, SpeculationPolicy{});
+      cluster, 512, 1.0, 0.05, 10.0, fault::SpeculationConfig{});
   const double expl = simulate_straggler_makespan(
       cluster, 512, 1.0, 0.05, 10.0,
-      SpeculationPolicy{.enabled = false, .threshold_factor = 99.0});
+      fault::SpeculationConfig{.enabled = false, .threshold_factor = 99.0});
   EXPECT_DOUBLE_EQ(implicit, expl);
 }
 
@@ -389,10 +389,10 @@ TEST(SpeculationTest, UnreachableThresholdDegeneratesToPlain) {
   // makespan rather than paying for useless copies.
   const auto cluster = wrangler_cores(64);
   const double plain = simulate_straggler_makespan(
-      cluster, 512, 1.0, 0.05, 10.0, SpeculationPolicy{});
+      cluster, 512, 1.0, 0.05, 10.0, fault::SpeculationConfig{});
   const double lofty = simulate_straggler_makespan(
       cluster, 512, 1.0, 0.05, 10.0,
-      SpeculationPolicy{.enabled = true, .threshold_factor = 1000.0});
+      fault::SpeculationConfig{.enabled = true, .threshold_factor = 1000.0});
   EXPECT_DOUBLE_EQ(lofty, plain);
 }
 

@@ -195,6 +195,52 @@ TEST(ElasticResourceTest, AddCancelsPendingRemoval) {
   EXPECT_DOUBLE_EQ(simulation.run(), 20.0);  // server stays, 2 x 10 s
 }
 
+TEST(ResourceHoldTest, CancelWithdrawsQueuedAndRunningHolds) {
+  Simulation simulation;
+  Resource cores(simulation, 1);
+  int fired = 0;
+  const auto first = cores.acquire(10.0, [&] { ++fired; });
+  const auto second = cores.acquire(10.0, [&] { ++fired; });
+  cores.acquire(10.0, [&] { ++fired; });
+  EXPECT_TRUE(cores.cancel(second));  // queued: leaves the queue
+  EXPECT_EQ(cores.queued(), 1u);
+  simulation.after(4.0, [&] {
+    EXPECT_TRUE(cores.cancel(first));  // running: the server moves on now
+    EXPECT_FALSE(cores.cancel(first));
+  });
+  EXPECT_DOUBLE_EQ(simulation.run(), 14.0);
+  EXPECT_EQ(fired, 1);
+  EXPECT_DOUBLE_EQ(cores.busy_time(), 14.0);  // the cancelled 6 s refunded
+}
+
+TEST(ResourceHoldTest, RunningReportsPlacementUntilTheCallbackReturns) {
+  Simulation simulation;
+  Resource cores(simulation, 2);
+  cores.acquire(1.0, [] {});
+  Resource::HoldId id = 0;
+  bool seen_in_callback = false;
+  id = cores.acquire(2.0, [&] {
+    const auto at = cores.running(id);
+    seen_in_callback = at.has_value() && at->slot == 1 && at->start_s == 0.0;
+  });
+  EXPECT_EQ(cores.running(id)->slot, 1u);
+  simulation.run();
+  EXPECT_TRUE(seen_in_callback);
+  EXPECT_FALSE(cores.running(id).has_value());
+}
+
+TEST(ResourceHoldTest, SlotSpeedsScaleHoldDurations) {
+  Simulation simulation;
+  Resource cores(simulation, 2);
+  cores.set_speeds({1.0, 0.5});
+  std::vector<double> done;
+  for (int i = 0; i < 2; ++i) {
+    cores.acquire(1.0, [&] { done.push_back(simulation.now()); });
+  }
+  simulation.run();
+  EXPECT_EQ(done, (std::vector<double>{1.0, 2.0}));  // slot 1 is half speed
+}
+
 TEST(TraceTest, ResourceRecordsServiceIntervals) {
   Simulation simulation;
   Resource cores(simulation, 2);
