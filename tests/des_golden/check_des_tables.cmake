@@ -1,30 +1,40 @@
-# Golden check of the virtual-time DES tables: runs bench_future_work
-# and bench_utilization in a work directory, once with default flags
-# and once with `--adaptive --churn 3`, and compares every committed
+# Golden check of the virtual-time DES tables: runs the DES benches in
+# a work directory under three flag sets and compares every committed
 # CSV stem under GOLDEN_DIR/<flag set>/ byte for byte with the fresh
-# bench_results/ copy. Stems that depend on wall time or host
-# calibration (future_speculation_live, utilization) are not committed,
-# so they are not compared.
+# bench_results/ copy:
 #
-#   cmake -DFUTURE_WORK=<exe> -DUTILIZATION=<exe> -DGOLDEN_DIR=<dir>
-#         -DWORK_DIR=<dir> -P check_des_tables.cmake
-foreach(var FUTURE_WORK UTILIZATION GOLDEN_DIR WORK_DIR)
+#   default          bench_future_work, bench_utilization, bench_service
+#   adaptive_churn3  bench_future_work, bench_utilization (--adaptive --churn 3)
+#   chaos            bench_service --chaos
+#
+# Stems that depend on wall time or host calibration
+# (future_speculation_live, utilization) are not committed, so they are
+# not compared.
+#
+#   cmake -DFUTURE_WORK=<exe> -DUTILIZATION=<exe> -DSERVICE=<exe>
+#         -DGOLDEN_DIR=<dir> -DWORK_DIR=<dir> -P check_des_tables.cmake
+foreach(var FUTURE_WORK UTILIZATION SERVICE GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_des_tables: -D${var}=... is required")
   endif()
 endforeach()
 
 set(failures "")
-foreach(flag_set default adaptive_churn3)
+foreach(flag_set default adaptive_churn3 chaos)
   if(flag_set STREQUAL "adaptive_churn3")
     set(flags --adaptive --churn 3)
+    set(benches "${FUTURE_WORK}" "${UTILIZATION}")
+  elseif(flag_set STREQUAL "chaos")
+    set(flags --chaos)
+    set(benches "${SERVICE}")
   else()
     set(flags "")
+    set(benches "${FUTURE_WORK}" "${UTILIZATION}" "${SERVICE}")
   endif()
   set(run_dir "${WORK_DIR}/${flag_set}")
   file(REMOVE_RECURSE "${run_dir}")
   file(MAKE_DIRECTORY "${run_dir}")
-  foreach(bench "${FUTURE_WORK}" "${UTILIZATION}")
+  foreach(bench IN LISTS benches)
     execute_process(COMMAND "${bench}" ${flags}
       WORKING_DIRECTORY "${run_dir}"
       RESULT_VARIABLE rc
