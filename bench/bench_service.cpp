@@ -20,7 +20,7 @@
 //
 // --chaos adds the reliability study: the same diurnal schedule with
 // seeded fail/slow/hang chaos at the executor boundary, reliability
-// layer off vs on (deadlines + retry + hedging + brownout). The chaos
+// layer off vs on (deadlines + retry + brownout). The chaos
 // kernels ("service_chaos") are written to the JSON only under
 // --chaos, so the published default BENCH_service.json is untouched.
 #include <cstring>
@@ -248,8 +248,7 @@ int main(int argc, char** argv) {
   if (chaos) {
     Table chaos_table(
         "Chaos study (diurnal schedule; executor chaos fail 8% / slow "
-        "15% / hang 5%; reliability = deadlines + retry + hedging + "
-        "brownout)");
+        "15% / hang 5%; reliability = deadlines + retry + brownout)");
     chaos_table.set_header({"reliability", "class", "requests",
                             "completed", "failed", "expired", "shed",
                             "p95_s", "slo"});
@@ -264,7 +263,6 @@ int main(int argc, char** argv) {
       if (reliable) {
         config.service.reliability.deadline.enabled = true;
         config.service.reliability.retry.enabled = true;
-        config.service.reliability.hedge.enabled = true;
         config.service.reliability.brownout.enabled = true;
       }
       const ServiceSimReport report = simulate_service(config);
@@ -284,13 +282,11 @@ int main(int argc, char** argv) {
                            "slo_x1e9", out.slo_attainment * 1e9});
       }
       std::printf(
-          "  reliability %s: retries=%llu hedges=%llu (wins=%llu) "
-          "chaos_failures=%llu chaos_delays=%llu stale_served=%llu "
+          "  reliability %s: retries=%llu chaos_failures=%llu "
+          "chaos_delays=%llu stale_served=%llu "
           "max_deadline_overrun_s=%.6f\n",
           reliable ? "on " : "off",
           static_cast<unsigned long long>(report.retries),
-          static_cast<unsigned long long>(report.hedges),
-          static_cast<unsigned long long>(report.hedge_wins),
           static_cast<unsigned long long>(report.chaos_failures),
           static_cast<unsigned long long>(report.chaos_delays),
           static_cast<unsigned long long>(report.stale_served),

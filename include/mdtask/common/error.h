@@ -24,7 +24,6 @@ enum class ErrorCode {
   kUnavailable,        ///< e.g. simulated database unreachable
   kOverloaded,         ///< service admission control shed the request
   kDeadlineExceeded,   ///< the request's completion deadline passed
-  kCircuitOpen,        ///< a tripped circuit breaker rejected the request
   kCancelled,
   kInternal,
 };

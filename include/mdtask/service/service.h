@@ -1,14 +1,17 @@
 // The live multi-tenant serving front end (docs/SERVICE.md).
 //
-// AnalysisService composes the serving-layer pieces around the
-// execution substrate the rest of the library already provides:
+// AnalysisService is the wall-clock driver of the serving pipeline
+// (pipeline.h): every decision — admission, fair share, cache, batching,
+// deadlines, retry, brownout, chaos — is the ServicePipeline's, and the
+// simulate_service DES twin runs the same one. The driver owns only the
+// timing and the threads:
 //
-//   submit() -> AdmissionController (shed or reserve)
-//            -> FairShareScheduler  (weighted DRR across classes)
-//   dispatcher thread
-//            -> ResultCache         (hit / join in-flight / own)
-//            -> Batcher             (coalesce same store+family)
-//            -> ThreadPool          (run the engine executor)
+//   submit()           -> pipeline arrive, under the service mutex
+//   dispatcher thread  -> observe brownout pressure, route everything
+//                         queued, flush due batches, post jobs
+//   ThreadPool worker  -> the attempt loop around the executor, with
+//                         real chaos delays and retry backoff sleeps
+//   timer thread       -> reap overdue requests (deadlines on only)
 //
 // The executor callback is the engine boundary: it receives one
 // EngineJob and returns one ResultPayload per request in the job, so
@@ -17,17 +20,8 @@
 // resolve through futures of CachedResult; a shed request fails fast
 // with ErrorCode::kOverloaded, a failed engine job fails every request
 // it carried (and every in-flight joiner) without poisoning the cache.
-//
-// The request reliability layer (reliability.h, docs/SERVICE.md) wraps
-// this pipeline when enabled: deadlines reap overdue futures with
-// kDeadlineExceeded, the executor boundary retries with backoff and
-// hedges slow jobs, per-(class, family) circuit breakers reject with
-// kCircuitOpen, a DegradationController sheds/shrinks/serves-stale
-// under pressure, and a seeded ChaosInjector drives fail/slow/hang at
-// the executor boundary for chaos testing.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -40,29 +34,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "mdtask/autoscale/metrics.h"
 #include "mdtask/common/error.h"
 #include "mdtask/common/thread_pool.h"
 #include "mdtask/fault/recovery.h"
-#include "mdtask/service/admission.h"
-#include "mdtask/service/batcher.h"
-#include "mdtask/service/fair_share.h"
-#include "mdtask/service/reliability.h"
-#include "mdtask/service/request.h"
-#include "mdtask/service/result_cache.h"
+#include "mdtask/service/pipeline.h"
 
 namespace mdtask::service {
-
-struct ServiceConfig {
-  AdmissionConfig admission;
-  FairShareConfig fair_share;
-  CacheConfig cache;
-  BatchConfig batch;
-  /// All reliability mechanisms default OFF: a default-constructed
-  /// service behaves exactly as the pre-reliability pipeline.
-  ReliabilityConfig reliability;
-  ChaosConfig chaos;
-};
 
 class AnalysisService {
  public:
@@ -117,133 +94,72 @@ class AnalysisService {
   /// same canonical lines for the same chaos seed.
   void set_recovery_log(fault::RecoveryLog* log);
 
-  struct Stats {
+  /// The pipeline's counters (the DES report carries the same names)
+  /// plus the ledger, cache and brownout state.
+  struct Stats : PipelineCounters {
     AdmissionController::Stats admission;
     ResultCache::Stats cache;
-    CircuitBreakerBank::Stats breaker;
-    std::uint64_t engine_jobs = 0;  ///< jobs dispatched (first attempts)
-    std::uint64_t completed = 0;    ///< requests resolved (ok or error)
-    std::uint64_t rejected = 0;     ///< shed at admission (kOverloaded)
-    // Reliability outcomes, counted SEPARATELY from admission sheds.
+    /// Requests resolved: classes' completed + failed + deadline_expired.
+    std::uint64_t completed = 0;
+    std::uint64_t rejected = 0;          ///< shed at admission (kOverloaded)
     std::uint64_t deadline_expired = 0;  ///< failed kDeadlineExceeded
-    std::uint64_t circuit_rejected = 0;  ///< rejected kCircuitOpen
     std::uint64_t brownout_shed = 0;     ///< best-effort shed by brownout
-    std::uint64_t stale_served = 0;      ///< brownout stale cache answers
-    std::uint64_t retries = 0;           ///< executor re-invocations
-    std::uint64_t hedges = 0;            ///< hedged duplicates launched
-    std::uint64_t hedge_wins = 0;        ///< hedges that resolved first
-    std::uint64_t chaos_failures = 0;    ///< chaos-failed attempts
-    std::uint64_t chaos_delays = 0;      ///< chaos slow/hang attempts
     BrownoutLevel brownout_level = BrownoutLevel::kNormal;
   };
 
   Stats stats() const;
 
-  const ServiceConfig& config() const noexcept { return config_; }
+  const ServiceConfig& config() const noexcept {
+    return pipeline_.config();
+  }
 
  private:
-  struct Pending {
-    std::promise<CachedResult> promise;
-    AnalysisRequest request;
-  };
-  using PendingPtr = std::shared_ptr<Pending>;
   /// A resolved promise and its value, completed outside the lock.
   struct Completion {
-    PendingPtr pending;
+    std::promise<CachedResult> promise;
     CachedResult result;
   };
 
-  /// One dispatched engine job, shared between the primary runner, an
-  /// optional hedge runner and the timer thread. `resolved` is the
-  /// first-completion-wins gate: exactly one runner applies its result.
-  struct JobState {
-    EngineJob job;
-    std::uint64_t chaos_id = 0;   ///< chaos identity (chaos_job_id)
-    double dispatched_at_s = 0.0;
-    double hedge_at_s = 0.0;      ///< hedge launch time (0 = no hedge)
-    bool hedged = false;          ///< hedge launched (timer, under mu_)
-    std::atomic<bool> resolved{false};
-  };
-  using JobPtr = std::shared_ptr<JobState>;
-
   double now_s() const;
   void dispatcher_loop();
-  /// Deadline reaper + hedge launcher (started only when the deadline
-  /// or hedge mechanism is enabled).
+  /// Deadline reaper (started only when deadlines are enabled).
   void timer_loop();
-  /// Routes one scheduled request through cache and batcher. Appends
-  /// immediate resolutions (cache hits) to `completions` and full
-  /// batches to `jobs`.
-  void route(AnalysisRequest request, std::vector<Completion>* completions,
-             std::vector<EngineJob>* jobs);
   void dispatch_job(EngineJob job);
-  void run_job(const JobPtr& state, bool is_hedge);
-  /// The chaos-wrapped, retry-bounded executor invocation loop.
-  Result<std::vector<ResultPayload>> run_attempts(const JobPtr& state,
-                                                  bool is_hedge);
-  /// Resolves `pending` with `result`; releases its admission slot and
-  /// records the breaker outcome. Appends to `completions` for
-  /// promise-setting outside mu_.
-  void finish(PendingPtr pending, CachedResult result,
-              std::vector<Completion>* completions);
-  static void complete_all(std::vector<Completion> completions);
+  void run_job(const std::shared_ptr<DispatchedJob>& job);
+  /// The attempt loop around the executor: chaos delays and retry
+  /// backoff are real sleeps, every decision is the pipeline's.
+  Result<std::vector<ResultPayload>> run_attempts(const DispatchedJob& job);
+  /// Takes the promises of `resolved` (mu_ held) and wakes drain()
+  /// waiters once nothing is outstanding.
+  std::vector<Completion> settle(std::vector<Resolution>& resolved);
+  static void fulfil(std::vector<Completion> completions);
 
-  ServiceConfig config_;
   ThreadPool& pool_;
   Executor executor_;
-  AdmissionController admission_;
-  FairShareScheduler scheduler_;
-  ResultCache cache_;
-  Batcher batcher_;
-  ChaosInjector chaos_;
-  CircuitBreakerBank breakers_;
-  DegradationController degradation_;
-  /// Windowed engine-job latencies; the hedge threshold reads its p95.
-  autoscale::MetricsWindow job_latency_;
-
   std::chrono::steady_clock::time_point epoch_;
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< guards everything below
+  ServicePipeline pipeline_;
   std::condition_variable cv_;        ///< dispatcher wakeups
-  std::condition_variable drain_cv_;  ///< outstanding_/active_runners_ -> 0
+  std::condition_variable drain_cv_;  ///< outstanding/active_runners_ -> 0
   std::condition_variable timer_cv_;  ///< timer-thread wakeups
   bool signal_ = false;        ///< work arrived since last look
-  bool timer_signal_ = false;  ///< new deadline/hedge work for the timer
+  bool timer_signal_ = false;  ///< new deadlines for the timer
   bool stopping_ = false;
-  std::size_t outstanding_ = 0;  ///< admitted, not yet resolved
-  std::size_t draining_ = 0;     ///< active drain() calls
-  /// Pool callbacks in flight (primary + hedge runners): the destructor
-  /// waits for them so no runner outlives the service.
+  std::size_t draining_ = 0;   ///< active drain() calls
+  /// Pool callbacks in flight: the destructor waits for them so no
+  /// runner outlives the service.
   std::size_t active_runners_ = 0;
-  std::unordered_map<std::uint64_t, PendingPtr> pending_by_id_;
-  std::unordered_map<RequestKey, std::vector<PendingPtr>, RequestKeyHash>
-      joiners_;
-  /// Unresolved dispatched jobs the timer may hedge, by job id.
-  std::unordered_map<std::uint64_t, JobPtr> inflight_jobs_;
+  std::uint64_t next_ticket_ = 0;
+  std::unordered_map<std::uint64_t, std::promise<CachedResult>> promises_;
   /// Ingest registry: store path -> last-seen fingerprint, so a
   /// re-ingest under a changed fingerprint auto-invalidates the old
   /// one's cached answers (ingest_store).
   std::unordered_map<std::string, std::uint64_t> ingested_;
-  /// Atomic: runners read it lock-free; RecoveryLog locks internally.
-  std::atomic<fault::RecoveryLog*> recovery_log_{nullptr};
-
-  std::atomic<std::uint64_t> next_ticket_{0};
-  std::atomic<std::uint64_t> engine_jobs_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> deadline_expired_{0};
-  std::atomic<std::uint64_t> circuit_rejected_{0};
-  std::atomic<std::uint64_t> brownout_shed_{0};
-  std::atomic<std::uint64_t> stale_served_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> hedges_{0};
-  std::atomic<std::uint64_t> hedge_wins_{0};
-  std::atomic<std::uint64_t> chaos_failures_{0};
-  std::atomic<std::uint64_t> chaos_delays_{0};
 
   /// Last members: threads start against a fully-constructed object.
   std::thread dispatcher_;
-  std::thread timer_;  ///< joinable only when deadlines/hedging enabled
+  std::thread timer_;  ///< joinable only when deadlines are enabled
 };
 
 }  // namespace mdtask::service

@@ -1,21 +1,22 @@
 // DES replay of the serving layer (docs/SERVICE.md).
 //
-// simulate_service() replays a seeded traffic schedule (traffic.h)
-// through the REAL serving components — AdmissionController,
-// FairShareScheduler, ResultCache, Batcher — against a sim::Resource
-// engine pool in virtual time. Engine jobs cost a base latency plus a
-// per-megabyte streaming term (one store pass amortized across the
-// batch, so coalescing pays); cache hits answer without touching the
-// pool. Optionally the autoscale TargetUtilizationPolicy closes the
-// loop on the pool, scaling it with the diurnal/bursty demand.
+// simulate_service() is the virtual-time driver of the serving
+// pipeline (pipeline.h): it replays a seeded traffic schedule
+// (traffic.h) through the SAME ServicePipeline the live AnalysisService
+// runs, against a sim::Resource engine pool. Engine jobs cost a base
+// latency plus a per-megabyte streaming term (one store pass amortized
+// across the batch, so coalescing pays); cache hits answer without
+// touching the pool. Optionally the autoscale TargetUtilizationPolicy
+// closes the loop on the pool, scaling it with the diurnal/bursty
+// demand.
 //
-// The reliability layer is mirrored in virtual time when enabled in
-// config.service: deadline reapers fire as DES events, the executor
-// boundary retries with virtual backoff and hedges at k x p95, the
-// SAME CircuitBreakerBank / DegradationController / ChaosInjector
-// classes run on the virtual clock, and chaos verdicts are keyed by
-// chaos_job_id — so the live service and this twin agree byte for
-// byte on every injected fault for the same seed.
+// The driver keeps only the timing: brownout pressure is observed at
+// each arrival, the scheduler is pulled only while free servers
+// outnumber open batches, deadline reapers fire as DES events and retry
+// backoff waits in virtual time. Every decision — admission, routing,
+// deadline strips, chaos verdicts, retries, resolutions — is the
+// pipeline's, so the live service and this twin agree byte for byte on
+// every injected fault for the same seed.
 //
 // The report carries per-tenant-class latency percentiles and SLO
 // attainment — the tables bench_service prints — plus a canonical
@@ -31,7 +32,7 @@
 
 #include "mdtask/autoscale/policy.h"
 #include "mdtask/fault/recovery.h"
-#include "mdtask/service/service.h"
+#include "mdtask/service/pipeline.h"
 #include "mdtask/service/traffic.h"
 #include "mdtask/trace/tracer.h"
 
@@ -44,8 +45,8 @@ struct SloTargets {
 
 struct ServiceSimConfig {
   TrafficConfig traffic;
-  /// Admission / fair-share / cache / batch knobs (the live-service
-  /// struct reused; its executor plays no role here).
+  /// Pipeline knobs: admission, fair share, cache, batching,
+  /// reliability and chaos (the live service takes the same struct).
   ServiceConfig service;
   /// Initial engine pool width (servers = concurrent engine jobs).
   std::size_t servers = 8;
@@ -74,26 +75,15 @@ struct ServiceSimConfig {
   std::size_t top_tenants = 0;
 };
 
-/// Outcome for one tenant class.
-struct ClassOutcome {
-  std::uint64_t requests = 0;    ///< arrivals
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;    ///< shed at admission
-  std::uint64_t cache_hits = 0;
-  std::uint64_t dedup_joins = 0; ///< joined an in-flight computation
-  std::uint64_t completed = 0;
-  // Reliability outcomes (all zero with the mechanisms disabled).
-  std::uint64_t deadline_expired = 0;  ///< reaped kDeadlineExceeded
-  std::uint64_t circuit_rejected = 0;  ///< rejected kCircuitOpen
-  std::uint64_t brownout_shed = 0;     ///< best-effort shed by brownout
-  std::uint64_t failed = 0;            ///< engine failure surfaced
+/// Outcome for one tenant class: the pipeline's counters plus latency.
+struct ClassOutcome : ClassCounters {
   double p50_s = 0.0;  ///< completion latency percentiles (arrival ->
   double p95_s = 0.0;  ///< resolution, nearest-rank)
   double p99_s = 0.0;
   double max_s = 0.0;
   /// Completions within the class SLO over every judged request
-  /// (completed + rejected + deadline_expired + circuit_rejected +
-  /// brownout_shed + failed): any shed/miss/failure counts against.
+  /// (completed + rejected + deadline_expired + brownout_shed +
+  /// failed): any shed/miss/failure counts against.
   double slo_attainment = 0.0;
 };
 
@@ -111,6 +101,9 @@ struct TenantOutcome {
   double slo_attainment = 0.0;
 };
 
+/// The totals below carry the names of the pipeline's counters
+/// (PipelineCounters, ClassCounters), which the live service's Stats
+/// report too.
 struct ServiceSimReport {
   std::array<ClassOutcome, kTenantClasses> classes;
   std::uint64_t requests = 0;
@@ -119,7 +112,7 @@ struct ServiceSimReport {
   std::uint64_t completed = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t dedup_joins = 0;
-  std::uint64_t engine_jobs = 0;       ///< pool acquisitions
+  std::uint64_t engine_jobs = 0;       ///< jobs dispatched
   std::uint64_t batched_requests = 0;  ///< requests carried by jobs
   std::size_t initial_servers = 0;
   std::size_t peak_servers = 0;
@@ -128,12 +121,9 @@ struct ServiceSimReport {
   std::uint64_t scale_downs = 0;
   // Reliability totals (all zero with the mechanisms disabled).
   std::uint64_t deadline_expired = 0;
-  std::uint64_t circuit_rejected = 0;
   std::uint64_t brownout_shed = 0;
   std::uint64_t stale_served = 0;
   std::uint64_t retries = 0;
-  std::uint64_t hedges = 0;
-  std::uint64_t hedge_wins = 0;
   std::uint64_t chaos_failures = 0;
   std::uint64_t chaos_delays = 0;
   /// Largest (resolution time - deadline) over requests carrying one:

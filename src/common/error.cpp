@@ -12,7 +12,6 @@ const char* to_string(ErrorCode code) noexcept {
     case ErrorCode::kUnavailable: return "kUnavailable";
     case ErrorCode::kOverloaded: return "kOverloaded";
     case ErrorCode::kDeadlineExceeded: return "kDeadlineExceeded";
-    case ErrorCode::kCircuitOpen: return "kCircuitOpen";
     case ErrorCode::kCancelled: return "kCancelled";
     case ErrorCode::kInternal: return "kInternal";
   }

@@ -1,6 +1,7 @@
 #include "mdtask/service/reliability.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "mdtask/common/hash.h"
 
@@ -11,147 +12,6 @@ double deadline_budget_s(const DeadlineConfig& config,
   if (!config.enabled) return 0.0;
   if (request.deadline_s > 0.0) return request.deadline_s;
   return config.for_class(request.tenant_class);
-}
-
-std::optional<double> hedge_delay_s(
-    const HedgeConfig& config,
-    const autoscale::MetricsSnapshot& snapshot) noexcept {
-  if (!config.enabled) return std::nullopt;
-  if (snapshot.completed < config.min_samples) return std::nullopt;
-  if (snapshot.p95_s <= 0.0) return std::nullopt;
-  return std::max(config.min_delay_s,
-                  config.latency_factor * snapshot.p95_s);
-}
-
-const char* to_string(BreakerState state) noexcept {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "?";
-}
-
-void CircuitBreakerBank::trip(Cell& cell, double now_s) {
-  cell.state = BreakerState::kOpen;
-  cell.open_until_s = now_s + config_.cooldown_s;
-  cell.probes_inflight = 0;
-  cell.probe_successes = 0;
-  // The window restarts from scratch after a trip: stale pre-trip
-  // failures must not re-trip a freshly healed cell.
-  cell.ring.fill(0);
-  cell.next = 0;
-  cell.count = 0;
-  cell.failures = 0;
-  ++stats_.trips;
-}
-
-void CircuitBreakerBank::push_outcome(Cell& cell, bool ok) {
-  const std::size_t window = std::min(config_.window, cell.ring.size());
-  if (window == 0) return;
-  if (cell.count == window) {
-    cell.failures -= cell.ring[cell.next];
-  } else {
-    ++cell.count;
-  }
-  cell.ring[cell.next] = ok ? 0 : 1;
-  cell.failures += cell.ring[cell.next];
-  cell.next = (cell.next + 1) % window;
-}
-
-bool CircuitBreakerBank::allow(TenantClass tenant_class,
-                               AnalysisFamily family, double now_s) {
-  if (!config_.enabled) return true;
-  std::lock_guard lk(mu_);
-  Cell& cell = cells_[index(tenant_class, family)];
-  if (cell.state == BreakerState::kOpen) {
-    if (now_s < cell.open_until_s) {
-      ++stats_.rejections;
-      return false;
-    }
-    cell.state = BreakerState::kHalfOpen;
-    cell.probes_inflight = 0;
-    cell.probe_successes = 0;
-  }
-  if (cell.state == BreakerState::kHalfOpen) {
-    if (cell.probes_inflight >= config_.half_open_probes) {
-      ++stats_.rejections;
-      return false;
-    }
-    ++cell.probes_inflight;
-    ++stats_.probes;
-    return true;
-  }
-  return true;
-}
-
-void CircuitBreakerBank::record(TenantClass tenant_class,
-                                AnalysisFamily family, bool ok,
-                                double now_s) {
-  if (!config_.enabled) return;
-  std::lock_guard lk(mu_);
-  Cell& cell = cells_[index(tenant_class, family)];
-  switch (cell.state) {
-    case BreakerState::kClosed: {
-      push_outcome(cell, ok);
-      const std::size_t window = std::min(config_.window, cell.ring.size());
-      if (cell.count >= std::min(config_.min_samples, window) &&
-          cell.count > 0 &&
-          static_cast<double>(cell.failures) >=
-              config_.failure_threshold * static_cast<double>(cell.count)) {
-        trip(cell, now_s);
-      }
-      break;
-    }
-    case BreakerState::kHalfOpen: {
-      if (cell.probes_inflight > 0) --cell.probes_inflight;
-      if (!ok) {
-        trip(cell, now_s);
-        break;
-      }
-      ++cell.probe_successes;
-      if (cell.probe_successes >= config_.half_open_probes) {
-        cell.state = BreakerState::kClosed;
-        cell.probes_inflight = 0;
-        cell.probe_successes = 0;
-        ++stats_.closes;
-      }
-      break;
-    }
-    case BreakerState::kOpen:
-      // A straggling outcome from before the trip: the post-trip window
-      // starts clean, so it is dropped.
-      break;
-  }
-}
-
-BreakerState CircuitBreakerBank::state(TenantClass tenant_class,
-                                       AnalysisFamily family,
-                                       double now_s) const {
-  if (!config_.enabled) return BreakerState::kClosed;
-  std::lock_guard lk(mu_);
-  const Cell& cell = cells_[index(tenant_class, family)];
-  if (cell.state == BreakerState::kOpen && now_s >= cell.open_until_s) {
-    return BreakerState::kHalfOpen;
-  }
-  return cell.state;
-}
-
-std::size_t CircuitBreakerBank::open_cells(double now_s) const {
-  if (!config_.enabled) return 0;
-  std::lock_guard lk(mu_);
-  std::size_t open = 0;
-  for (const Cell& cell : cells_) {
-    if (cell.state == BreakerState::kOpen && now_s < cell.open_until_s) {
-      ++open;
-    }
-  }
-  return open;
-}
-
-CircuitBreakerBank::Stats CircuitBreakerBank::stats() const {
-  std::lock_guard lk(mu_);
-  return stats_;
 }
 
 const char* to_string(BrownoutLevel level) noexcept {
@@ -175,21 +35,15 @@ std::size_t DegradationController::enter_depth(
   return 0;
 }
 
-BrownoutLevel DegradationController::update(std::size_t queue_depth,
-                                            std::size_t open_breaker_cells) {
+BrownoutLevel DegradationController::update(std::size_t queue_depth) {
   if (!config_.enabled) return BrownoutLevel::kNormal;
   std::lock_guard lk(mu_);
-  // Target from queue depth alone, breaker pressure as a floor.
   BrownoutLevel target = BrownoutLevel::kNormal;
   if (queue_depth >= config_.stale_depth) {
     target = BrownoutLevel::kServeStale;
   } else if (queue_depth >= config_.shrink_depth) {
     target = BrownoutLevel::kShrinkBatch;
   } else if (queue_depth >= config_.shed_depth) {
-    target = BrownoutLevel::kShedBestEffort;
-  }
-  if (config_.breaker_escalates && open_breaker_cells > 0 &&
-      target < BrownoutLevel::kShedBestEffort) {
     target = BrownoutLevel::kShedBestEffort;
   }
   if (target > level_) {
@@ -200,10 +54,7 @@ BrownoutLevel DegradationController::update(std::size_t queue_depth,
     // the hysteresis fraction of the current level's entry threshold.
     const double exit_at = config_.exit_fraction *
                            static_cast<double>(enter_depth(level_));
-    const bool breaker_holds =
-        config_.breaker_escalates && open_breaker_cells > 0 &&
-        level_ == BrownoutLevel::kShedBestEffort;
-    if (!breaker_holds && static_cast<double>(queue_depth) <= exit_at) {
+    if (static_cast<double>(queue_depth) <= exit_at) {
       level_ = static_cast<BrownoutLevel>(
           static_cast<std::uint8_t>(level_) - 1);
       ++stats_.recoveries;
@@ -223,13 +74,19 @@ DegradationController::Stats DegradationController::stats() const {
 }
 
 std::uint64_t chaos_job_id(const EngineJob& job) noexcept {
-  std::uint64_t acc = 0;
+  std::vector<std::uint64_t> keys;
+  keys.reserve(job.requests.size());
   for (const AnalysisRequest& request : job.requests) {
-    RequestKey key;
-    key.store = request.store_fingerprint;
-    key.family = static_cast<std::uint8_t>(request.family);
-    key.params = canonical_params_hash(request.params);
-    acc ^= hash_mix(RequestKeyHash{}(key));
+    keys.push_back(RequestKeyHash{}(request_key(request)));
+  }
+  // Sorted, equal keys are adjacent: the k-th repeat of a key (k > 0)
+  // folds k into its term, so duplicate keys never cancel in the XOR.
+  std::sort(keys.begin(), keys.end());
+  std::uint64_t acc = 0;
+  std::uint64_t repeat = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    repeat = (i > 0 && keys[i] == keys[i - 1]) ? repeat + 1 : 0;
+    acc ^= hash_mix(repeat == 0 ? keys[i] : hash_combine(keys[i], repeat));
   }
   return hash_combine(acc, job.requests.size());
 }

@@ -1,7 +1,6 @@
 #include "mdtask/service/service.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -10,34 +9,24 @@ namespace mdtask::service {
 
 namespace {
 
-bool needs_timer(const ServiceConfig& config) noexcept {
-  return config.reliability.deadline.enabled ||
-         config.reliability.hedge.enabled;
-}
-
-Error deadline_error(const char* stage) {
-  return Error(ErrorCode::kDeadlineExceeded, stage);
+void sleep_s(double seconds) {
+  if (seconds > 0.0) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  }
 }
 
 }  // namespace
 
 AnalysisService::AnalysisService(ServiceConfig config, ThreadPool& pool,
                                  Executor executor)
-    : config_(config),
-      pool_(pool),
+    : pool_(pool),
       executor_(std::move(executor)),
-      admission_(config.admission),
-      scheduler_(config.fair_share),
-      cache_(config.cache),
-      batcher_(config.batch),
-      chaos_(config.chaos),
-      breakers_(config.reliability.breaker),
-      degradation_(config.reliability.brownout),
-      job_latency_(256),
       epoch_(std::chrono::steady_clock::now()),
+      pipeline_(config),
       dispatcher_([this] { dispatcher_loop(); }),
-      timer_(needs_timer(config_) ? std::thread([this] { timer_loop(); })
-                                  : std::thread()) {}
+      timer_(config.reliability.deadline.enabled
+                 ? std::thread([this] { timer_loop(); })
+                 : std::thread()) {}
 
 AnalysisService::~AnalysisService() {
   {
@@ -51,11 +40,11 @@ AnalysisService::~AnalysisService() {
   if (timer_.joinable()) timer_.join();
   // The dispatcher flushed every batch before exiting; jobs may still
   // be running on the pool. Wait until every request resolved AND every
-  // runner (primary or hedge, winner or loser) left run_job — a loser
-  // must never touch a dead service.
+  // runner left run_job: no runner may touch a dead service.
   std::unique_lock lk(mu_);
-  drain_cv_.wait(lk,
-                 [this] { return outstanding_ == 0 && active_runners_ == 0; });
+  drain_cv_.wait(lk, [this] {
+    return pipeline_.outstanding() == 0 && active_runners_ == 0;
+  });
 }
 
 double AnalysisService::now_s() const {
@@ -65,450 +54,190 @@ double AnalysisService::now_s() const {
 }
 
 std::future<CachedResult> AnalysisService::submit(AnalysisRequest request) {
-  request.id = next_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const ReliabilityConfig& rel = config_.reliability;
-  // Brownout L1, cheapest first: best-effort traffic is shed before it
-  // reserves anything.
-  if (rel.brownout.enabled &&
-      request.tenant_class == TenantClass::kBestEffort &&
-      degradation_.level() >= BrownoutLevel::kShedBestEffort) {
-    brownout_shed_.fetch_add(1, std::memory_order_relaxed);
-    std::promise<CachedResult> shed;
-    shed.set_value(CachedResult(Error(
-        ErrorCode::kOverloaded, "brownout: shedding best-effort traffic")));
-    return shed.get_future();
-  }
-  const Status admitted = admission_.admit(request);
-  if (!admitted.ok()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    std::promise<CachedResult> shed;
-    shed.set_value(CachedResult(admitted.error()));
-    return shed.get_future();
-  }
-  // Breaker AFTER admission: every allow() is balanced by exactly one
-  // record() in finish(), because every admitted request finishes once.
-  if (!breakers_.allow(request.tenant_class, request.family, now_s())) {
-    admission_.release(request);
-    circuit_rejected_.fetch_add(1, std::memory_order_relaxed);
-    std::promise<CachedResult> open;
-    open.set_value(CachedResult(
-        Error(ErrorCode::kCircuitOpen,
-              std::string("circuit open for ") +
-                  to_string(request.tenant_class) + "/" +
-                  to_string(request.family))));
-    return open.get_future();
-  }
-  // The submitted deadline_s is a RELATIVE budget; it becomes an
-  // ABSOLUTE service-clock deadline here, at admission.
-  if (const double budget = deadline_budget_s(rel.deadline, request);
-      budget > 0.0) {
-    request.deadline_s = now_s() + budget;
-  } else {
-    request.deadline_s = 0.0;
-  }
-  auto pending = std::make_shared<Pending>();
-  pending->request = request;
-  std::future<CachedResult> fut = pending->promise.get_future();
+  std::promise<CachedResult> promise;
+  std::future<CachedResult> future = promise.get_future();
   {
     std::lock_guard lk(mu_);
+    request.id = ++next_ticket_;
+    const std::uint64_t id = request.id;
     if (stopping_) {
-      admission_.release(request);
-      breakers_.record(request.tenant_class, request.family, false, now_s());
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      pending->promise.set_value(CachedResult(
+      promise.set_value(CachedResult(
           Error(ErrorCode::kUnavailable, "service is shutting down")));
-      return fut;
+      return future;
     }
-    pending_by_id_[request.id] = std::move(pending);
-    ++outstanding_;
-  }
-  scheduler_.push(std::move(request));
-  // signal_ is raised AFTER the push: a dispatcher that consumed an
-  // earlier signal and found the scheduler still empty re-checks once
-  // this one lands, so the wakeup cannot be lost.
-  {
-    std::lock_guard lk(mu_);
+    const Arrival arrival = pipeline_.arrive(std::move(request), now_s());
+    if (!arrival.status.ok()) {
+      promise.set_value(CachedResult(arrival.status.error()));
+      return future;
+    }
+    promises_.emplace(id, std::move(promise));
     signal_ = true;
-    if (rel.deadline.enabled) timer_signal_ = true;
+    timer_signal_ = true;
   }
   cv_.notify_one();
-  if (rel.deadline.enabled) timer_cv_.notify_one();
-  return fut;
+  timer_cv_.notify_one();
+  return future;
 }
 
-void AnalysisService::finish(PendingPtr pending, CachedResult result,
-                             std::vector<Completion>* completions) {
-  admission_.release(pending->request);
-  breakers_.record(pending->request.tenant_class, pending->request.family,
-                   result.ok(), now_s());
-  pending_by_id_.erase(pending->request.id);
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  if (outstanding_ > 0) --outstanding_;
-  completions->push_back(Completion{std::move(pending), std::move(result)});
-}
-
-void AnalysisService::complete_all(std::vector<Completion> completions) {
-  for (Completion& c : completions) {
-    c.pending->promise.set_value(std::move(c.result));
+std::vector<AnalysisService::Completion> AnalysisService::settle(
+    std::vector<Resolution>& resolved) {
+  std::vector<Completion> completions;
+  completions.reserve(resolved.size());
+  for (Resolution& r : resolved) {
+    const auto it = promises_.find(r.request.id);
+    completions.push_back(
+        Completion{std::move(it->second), std::move(r.result)});
+    promises_.erase(it);
   }
+  // Notify while holding mu_: the drain()/destructor waiter cannot
+  // leave its wait (and destroy drain_cv_) before this thread releases
+  // the lock, so the notify never touches a dying object.
+  if (!resolved.empty() && pipeline_.outstanding() == 0) {
+    drain_cv_.notify_all();
+  }
+  resolved.clear();
+  return completions;
 }
 
-void AnalysisService::route(AnalysisRequest request,
-                            std::vector<Completion>* completions,
-                            std::vector<EngineJob>* jobs) {
-  const RequestKey key = request_key(request);
-  std::lock_guard lk(mu_);
-  const auto it = pending_by_id_.find(request.id);
-  if (it == pending_by_id_.end()) return;  // already resolved (reaped)
-  PendingPtr pending = it->second;
-  const ResultCache::Lookup lookup = cache_.lookup_or_join(key);
-  switch (lookup.outcome) {
-    case ResultCache::Outcome::kHit:
-      finish(std::move(pending), lookup.future.get(), completions);
-      return;
-    case ResultCache::Outcome::kJoined:
-      joiners_[key].push_back(std::move(pending));
-      return;
-    case ResultCache::Outcome::kMiss:
-      // Brownout L3: answer from a stale same-analysis entry instead of
-      // computing. The just-created in-flight slot is resolved with an
-      // error so the key stays uncached and unpoisoned — no joiner can
-      // exist yet, every cache access runs under mu_.
-      if (config_.reliability.brownout.enabled &&
-          degradation_.level() >= BrownoutLevel::kServeStale) {
-        if (auto stale = cache_.lookup_stale(key)) {
-          cache_.fulfill(key,
-                         CachedResult(Error(
-                             ErrorCode::kUnavailable,
-                             "brownout: stale-served, compute cancelled")));
-          stale_served_.fetch_add(1, std::memory_order_relaxed);
-          finish(std::move(pending), CachedResult(std::move(stale)),
-                 completions);
-          return;
-        }
-      }
-      if (auto job = batcher_.add(std::move(request), now_s())) {
-        jobs->push_back(std::move(*job));
-      }
-      return;
+void AnalysisService::fulfil(std::vector<Completion> completions) {
+  for (Completion& c : completions) {
+    c.promise.set_value(std::move(c.result));
   }
 }
 
 void AnalysisService::dispatch_job(EngineJob job) {
-  const ReliabilityConfig& rel = config_.reliability;
+  std::shared_ptr<DispatchedJob> dispatched;
   std::vector<Completion> expirations;
-  if (rel.deadline.enabled) {
-    // Fail-fast strip: a member that is overdue (or whose owner the
-    // reaper already resolved) and that nobody joined never reaches the
-    // executor; its in-flight cache slot resolves with the deadline
-    // error so later lookups get a fresh miss.
-    std::lock_guard lk(mu_);
-    const double now = now_s();
-    auto& members = job.requests;
-    for (auto it = members.begin(); it != members.end();) {
-      const RequestKey key = request_key(*it);
-      const auto owner = pending_by_id_.find(it->id);
-      const bool owner_alive = owner != pending_by_id_.end();
-      const bool expired = it->deadline_s > 0.0 && now >= it->deadline_s;
-      if ((owner_alive && !expired) || joiners_.contains(key)) {
-        ++it;
-        continue;
-      }
-      cache_.fulfill(key, CachedResult(
-                              deadline_error("deadline passed in batch")));
-      if (owner_alive) {
-        deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-        finish(owner->second,
-               CachedResult(deadline_error("deadline passed in batch")),
-               &expirations);
-      }
-      it = members.erase(it);
-    }
-    if (outstanding_ == 0 && !expirations.empty()) drain_cv_.notify_all();
-  }
-  complete_all(std::move(expirations));
-  if (job.requests.empty()) return;
-
-  engine_jobs_.fetch_add(1, std::memory_order_relaxed);
-  auto state = std::make_shared<JobState>();
-  state->job = std::move(job);
-  state->chaos_id =
-      chaos_.enabled() ? chaos_job_id(state->job) : state->job.job_id;
-  state->dispatched_at_s = now_s();
   {
     std::lock_guard lk(mu_);
-    if (rel.hedge.enabled) {
-      if (const auto delay = hedge_delay_s(
-              rel.hedge, job_latency_.snapshot(state->dispatched_at_s))) {
-        state->hedge_at_s = state->dispatched_at_s + *delay;
-        inflight_jobs_[state->job.job_id] = state;
-        timer_signal_ = true;
-      }
+    std::vector<Resolution> resolved;
+    std::optional<DispatchedJob> run =
+        pipeline_.dispatch(std::move(job), now_s(), &resolved);
+    expirations = settle(resolved);
+    if (run) {
+      dispatched = std::make_shared<DispatchedJob>(std::move(*run));
+      ++active_runners_;
     }
-    ++active_runners_;
   }
-  if (state->hedge_at_s > 0.0) timer_cv_.notify_one();
-  pool_.post_shared([this, state] { run_job(state, /*is_hedge=*/false); });
+  fulfil(std::move(expirations));
+  if (dispatched) {
+    pool_.post_shared([this, dispatched] { run_job(dispatched); });
+  }
 }
 
 Result<std::vector<ResultPayload>> AnalysisService::run_attempts(
-    const JobPtr& state, bool is_hedge) {
-  const ReliabilityConfig& rel = config_.reliability;
-  const EngineJob& job = state->job;
-  fault::RetryPolicy policy = rel.retry.policy;
-  if (!rel.retry.enabled) policy.max_attempts = 1;
-  const int attempts = std::max(1, policy.max_attempts);
-  const int base = is_hedge ? kHedgeAttemptBase : 0;
-  Result<std::vector<ResultPayload>> result =
-      Error(ErrorCode::kInternal, "no attempt ran");
-  for (int i = 0; i < attempts; ++i) {
-    if (job.deadline_s > 0.0 && now_s() >= job.deadline_s) {
-      return deadline_error("job deadline passed before attempt");
-    }
-    if (i > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      const double backoff = fault::backoff_for_attempt(policy, i);
-      if (backoff > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      }
-      // First-completion-wins: a loser whose sibling already resolved
-      // the job stops burning executor capacity on retries.
-      if (state->resolved.load(std::memory_order_relaxed)) {
-        return Error(ErrorCode::kCancelled, "job resolved by sibling runner");
-      }
-    }
-    const ChaosOutcome chaos = chaos_.decide(state->chaos_id, base + i);
-    if (chaos.delay_s > 0.0) {
-      chaos_delays_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(chaos.delay_s));
-    }
-    if (chaos.fails()) {
-      chaos_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (fault::RecoveryLog* log =
-              recovery_log_.load(std::memory_order_acquire);
-          log != nullptr) {
-        fault::RecoveryEvent event;
-        event.engine = fault::EngineId::kService;
-        event.task_id = state->chaos_id;
-        event.attempt = base + i;
-        event.fault = chaos.kind;
-        // The action reflects this runner's budget position `i`; the
-        // DES twin computes the identical line for the same seed.
-        event.action = fault::recovery_action(fault::EngineId::kService,
-                                              chaos.kind, i, policy);
-        event.backoff_s = fault::backoff_for_attempt(policy, i + 1);
-        event.ts_us = now_s() * 1e6;
-        log->record(event);
-      }
-      result = Error(ErrorCode::kUnavailable, "chaos: injected fault")
-                   .with_task({"service", state->chaos_id, base + i,
-                               fault::to_string(chaos.kind)});
-      continue;
-    }
-    result = executor_(job);
+    const DispatchedJob& job) {
+  for (int attempt = 0;; ++attempt) {
+    Result<ChaosOutcome> verdict = [&] {
+      std::lock_guard lk(mu_);
+      return pipeline_.begin_attempt(job, attempt, now_s());
+    }();
+    if (!verdict.ok()) return verdict.error();
+    const ChaosOutcome chaos = verdict.value();
+    sleep_s(chaos.delay_s);
+    Result<std::vector<ResultPayload>> result =
+        chaos.fails()
+            ? Result<std::vector<ResultPayload>>(
+                  Error(ErrorCode::kUnavailable, "chaos: injected fault")
+                      .with_task({"service", job.chaos_id, attempt,
+                                  fault::to_string(chaos.kind)}))
+            : executor_(job.job);
     if (result.ok()) return result;
+    const std::optional<double> backoff = [&] {
+      std::lock_guard lk(mu_);
+      return pipeline_.retry_after(job, attempt, chaos, now_s());
+    }();
+    if (!backoff) return result;
+    sleep_s(*backoff);
   }
-  return result;
 }
 
-void AnalysisService::run_job(const JobPtr& state, bool is_hedge) {
-  const EngineJob& job = state->job;
-  Result<std::vector<ResultPayload>> result = run_attempts(state, is_hedge);
-  if (result.ok() && result.value().size() != job.requests.size()) {
-    result = Error(ErrorCode::kInternal,
-                   "executor returned " +
-                       std::to_string(result.value().size()) +
-                       " payloads for " +
-                       std::to_string(job.requests.size()) + " requests");
-  }
-  // First completion wins; the loser's result is dropped untouched.
-  const bool winner = !state->resolved.exchange(true);
-  if (winner) {
-    job_latency_.record_task_duration(now_s() - state->dispatched_at_s);
-    if (is_hedge) hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-  }
+void AnalysisService::run_job(const std::shared_ptr<DispatchedJob>& job) {
+  Result<std::vector<ResultPayload>> result = run_attempts(*job);
   std::vector<Completion> completions;
   {
     std::lock_guard lk(mu_);
-    if (winner) {
-      inflight_jobs_.erase(job.job_id);
-      for (std::size_t i = 0; i < job.requests.size(); ++i) {
-        const AnalysisRequest& request = job.requests[i];
-        const RequestKey key = request_key(request);
-        CachedResult outcome =
-            result.ok()
-                ? CachedResult(std::make_shared<const ResultPayload>(
-                      std::move(result.value()[i])))
-                : CachedResult(result.error());
-        // Fulfill BEFORE draining joiners, both under mu_: a concurrent
-        // route() either joined before (drained here) or looks up after
-        // (sees the cached entry / a fresh miss on error).
-        cache_.fulfill(key, outcome);
-        const auto owner = pending_by_id_.find(request.id);
-        if (owner != pending_by_id_.end()) {
-          finish(owner->second, outcome, &completions);
-        }
-        const auto joined = joiners_.find(key);
-        if (joined != joiners_.end()) {
-          std::vector<PendingPtr> waiters = std::move(joined->second);
-          joiners_.erase(joined);
-          for (PendingPtr& waiter : waiters) {
-            finish(std::move(waiter), outcome, &completions);
-          }
-        }
-      }
-    }
-    if (active_runners_ > 0) --active_runners_;
-    // Notify while holding mu_: the drain()/destructor waiter cannot
-    // leave its wait (and destroy drain_cv_) before this thread
-    // releases the lock, so the notify never touches a dying object.
-    if (outstanding_ == 0 || active_runners_ == 0) drain_cv_.notify_all();
+    std::vector<Resolution> resolved;
+    pipeline_.complete(*job, std::move(result), &resolved);
+    completions = settle(resolved);
+    if (--active_runners_ == 0) drain_cv_.notify_all();
   }
-  complete_all(std::move(completions));
+  fulfil(std::move(completions));
 }
 
 void AnalysisService::timer_loop() {
-  constexpr double kForever = std::numeric_limits<double>::infinity();
   std::unique_lock lk(mu_);
-  for (;;) {
-    if (stopping_) return;
-    const double now = now_s();
-    double next_wake = kForever;
-    std::vector<Completion> expirations;
-    std::vector<JobPtr> to_hedge;
-    if (config_.reliability.deadline.enabled) {
-      // Reap every overdue future NOW: a pending request never blocks
-      // past its deadline, wherever it sits (scheduler queue, open
-      // batch, joiner list, running job).
-      for (auto it = pending_by_id_.begin(); it != pending_by_id_.end();) {
-        PendingPtr pending = it->second;
-        ++it;  // advance first: finish() erases this entry
-        const double deadline = pending->request.deadline_s;
-        if (deadline <= 0.0) continue;
-        if (now < deadline) {
-          next_wake = std::min(next_wake, deadline);
-          continue;
-        }
-        const RequestKey key = request_key(pending->request);
-        const auto joined = joiners_.find(key);
-        if (joined != joiners_.end()) {
-          // A reaped joiner must leave the joiner list, or the owning
-          // job would resolve (and double-complete) it later.
-          auto& waiters = joined->second;
-          waiters.erase(
-              std::remove_if(waiters.begin(), waiters.end(),
-                             [&](const PendingPtr& p) {
-                               return p->request.id == pending->request.id;
-                             }),
-              waiters.end());
-          if (waiters.empty()) joiners_.erase(joined);
-        }
-        deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-        finish(std::move(pending),
-               CachedResult(deadline_error("deadline exceeded")),
-               &expirations);
-      }
-      if (outstanding_ == 0 && !expirations.empty()) {
-        drain_cv_.notify_all();
-      }
-    }
-    if (config_.reliability.hedge.enabled) {
-      for (auto& [id, state] : inflight_jobs_) {
-        if (state->hedged || state->hedge_at_s <= 0.0 ||
-            state->resolved.load(std::memory_order_relaxed)) {
-          continue;
-        }
-        if (now < state->hedge_at_s) {
-          next_wake = std::min(next_wake, state->hedge_at_s);
-          continue;
-        }
-        state->hedged = true;
-        hedges_.fetch_add(1, std::memory_order_relaxed);
-        ++active_runners_;
-        to_hedge.push_back(state);
-      }
-    }
+  while (!stopping_) {
+    // Reap every overdue future NOW: a pending request never blocks
+    // past its deadline, wherever it sits (scheduler queue, open batch,
+    // joiner list, running job).
+    std::vector<Resolution> resolved;
+    const std::optional<double> next =
+        pipeline_.reap_overdue(now_s(), &resolved);
+    std::vector<Completion> expirations = settle(resolved);
     lk.unlock();
-    for (const JobPtr& state : to_hedge) {
-      pool_.post_shared([this, state] { run_job(state, /*is_hedge=*/true); });
-    }
-    complete_all(std::move(expirations));
+    fulfil(std::move(expirations));
     lk.lock();
-    if (stopping_) return;
-    if (timer_signal_) {
-      timer_signal_ = false;  // new work arrived while unlocked: rescan
-      continue;
-    }
-    if (next_wake == kForever) {
-      timer_cv_.wait(lk, [this] { return timer_signal_ || stopping_; });
+    const auto woken = [this] { return timer_signal_ || stopping_; };
+    if (next) {
+      timer_cv_.wait_for(
+          lk, std::chrono::duration<double>(std::max(0.0, *next - now_s())),
+          woken);
     } else {
-      const double wait_s = std::max(0.0, next_wake - now_s());
-      timer_cv_.wait_for(lk, std::chrono::duration<double>(wait_s),
-                         [this] { return timer_signal_ || stopping_; });
+      timer_cv_.wait(lk, woken);
     }
     timer_signal_ = false;
   }
 }
 
 void AnalysisService::dispatcher_loop() {
-  const ReliabilityConfig& rel = config_.reliability;
   for (;;) {
-    if (rel.brownout.enabled) {
-      std::size_t pressure = 0;
-      {
-        std::lock_guard lk(mu_);
-        pressure = outstanding_;
-      }
-      degradation_.update(pressure, breakers_.open_cells(now_s()));
-    }
     std::vector<Completion> completions;
     std::vector<EngineJob> jobs;
-    AnalysisRequest request;
-    while (scheduler_.pop(&request)) {
-      route(std::move(request), &completions, &jobs);
-    }
-    for (EngineJob& job : batcher_.due(now_s())) {
-      jobs.push_back(std::move(job));
-    }
     bool exit_after_flush = false;
-    bool flush_now = false;
     {
       std::lock_guard lk(mu_);
-      const bool idle = scheduler_.queued() == 0;
-      exit_after_flush = stopping_ && idle;
-      // While a drain() is waiting, every pass force-flushes open
-      // batches: nothing may sit out a delay window. Brownout L2 does
-      // the same under pressure — the delay window shrinks to zero.
-      flush_now = idle && (stopping_ || draining_ > 0);
-    }
-    if (!flush_now && rel.brownout.enabled &&
-        degradation_.level() >= BrownoutLevel::kShrinkBatch) {
-      flush_now = true;
-    }
-    if (flush_now) {
-      for (EngineJob& job : batcher_.flush_all()) {
+      const double now = now_s();
+      pipeline_.observe_pressure();
+      // Everything queued is routed in this pass, so fair share orders
+      // only what one pass sees (docs/SERVICE.md, "One pipeline, two
+      // clocks").
+      std::vector<Resolution> resolved;
+      while (std::optional<Routed> routed =
+                 pipeline_.route_next(now, &resolved)) {
+        if (routed->job) jobs.push_back(std::move(*routed->job));
+      }
+      completions = settle(resolved);
+      for (EngineJob& job : pipeline_.due_batches(now)) {
         jobs.push_back(std::move(job));
       }
+      // While a drain() is waiting or the service stops, every pass
+      // force-flushes open batches: nothing may sit out a delay window.
+      // Brownout level 2 does the same under pressure.
+      exit_after_flush = stopping_;
+      if (stopping_ || draining_ > 0 || pipeline_.shrinking()) {
+        for (EngineJob& job : pipeline_.flush_batches()) {
+          jobs.push_back(std::move(job));
+        }
+      }
     }
-    const bool completed_any = !completions.empty();
-    complete_all(std::move(completions));
+    fulfil(std::move(completions));
     for (EngineJob& job : jobs) dispatch_job(std::move(job));
-    if (completed_any) drain_cv_.notify_all();
-    if (exit_after_flush && scheduler_.queued() == 0) return;
+    // A submit after stopping_ is refused, so nothing can still queue.
+    if (exit_after_flush) return;
 
     std::unique_lock lk(mu_);
-    if (signal_ || stopping_ || scheduler_.queued() > 0) {
+    if (signal_ || stopping_ || pipeline_.scheduler().queued() > 0) {
       signal_ = false;
       continue;
     }
-    const auto deadline = batcher_.next_deadline();
-    if (deadline.has_value()) {
-      const double wait_s = std::max(0.0, *deadline - now_s());
-      cv_.wait_for(lk, std::chrono::duration<double>(wait_s),
-                   [this] { return signal_ || stopping_; });
+    const auto wake = [this] { return signal_ || stopping_; };
+    if (const auto deadline = pipeline_.batcher().next_deadline()) {
+      cv_.wait_for(
+          lk, std::chrono::duration<double>(std::max(0.0, *deadline - now_s())),
+          wake);
     } else {
-      cv_.wait(lk, [this] { return signal_ || stopping_; });
+      cv_.wait(lk, wake);
     }
     signal_ = false;
   }
@@ -518,20 +247,17 @@ void AnalysisService::drain() {
   // The dispatcher does the flushing (it may still hold requests that
   // have not reached the batcher yet); draining_ > 0 makes it flush
   // open batches on every pass until everything resolved.
-  {
-    std::lock_guard lk(mu_);
-    ++draining_;
-    signal_ = true;
-  }
-  cv_.notify_all();
   std::unique_lock lk(mu_);
-  drain_cv_.wait(lk, [this] { return outstanding_ == 0; });
+  ++draining_;
+  signal_ = true;
+  cv_.notify_all();
+  drain_cv_.wait(lk, [this] { return pipeline_.outstanding() == 0; });
   --draining_;
 }
 
 std::size_t AnalysisService::invalidate_store(std::uint64_t fingerprint) {
   std::lock_guard lk(mu_);
-  return cache_.invalidate_store(fingerprint);
+  return pipeline_.invalidate_store(fingerprint);
 }
 
 std::size_t AnalysisService::ingest_store(const std::string& path,
@@ -541,7 +267,7 @@ std::size_t AnalysisService::ingest_store(const std::string& path,
   if (inserted || it->second == fingerprint) return 0;
   const std::uint64_t stale = it->second;
   it->second = fingerprint;
-  return cache_.invalidate_store(stale);
+  return pipeline_.invalidate_store(stale);
 }
 
 std::size_t AnalysisService::ingest_store(
@@ -550,27 +276,22 @@ std::size_t AnalysisService::ingest_store(
 }
 
 void AnalysisService::set_recovery_log(fault::RecoveryLog* log) {
-  recovery_log_.store(log, std::memory_order_release);
+  std::lock_guard lk(mu_);
+  pipeline_.set_recovery_log(log);
 }
 
 AnalysisService::Stats AnalysisService::stats() const {
+  std::lock_guard lk(mu_);
   Stats out;
-  out.admission = admission_.stats();
-  out.cache = cache_.stats();
-  out.breaker = breakers_.stats();
-  out.engine_jobs = engine_jobs_.load(std::memory_order_relaxed);
-  out.completed = completed_.load(std::memory_order_relaxed);
-  out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
-  out.circuit_rejected = circuit_rejected_.load(std::memory_order_relaxed);
-  out.brownout_shed = brownout_shed_.load(std::memory_order_relaxed);
-  out.stale_served = stale_served_.load(std::memory_order_relaxed);
-  out.retries = retries_.load(std::memory_order_relaxed);
-  out.hedges = hedges_.load(std::memory_order_relaxed);
-  out.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
-  out.chaos_failures = chaos_failures_.load(std::memory_order_relaxed);
-  out.chaos_delays = chaos_delays_.load(std::memory_order_relaxed);
-  out.brownout_level = degradation_.level();
+  static_cast<PipelineCounters&>(out) = pipeline_.counters();
+  out.admission = pipeline_.admission().stats();
+  out.cache = pipeline_.cache().stats();
+  out.rejected = out.total(&ClassCounters::rejected);
+  out.deadline_expired = out.total(&ClassCounters::deadline_expired);
+  out.brownout_shed = out.total(&ClassCounters::brownout_shed);
+  out.completed = out.total(&ClassCounters::completed) +
+                  out.total(&ClassCounters::failed) + out.deadline_expired;
+  out.brownout_level = pipeline_.brownout_level();
   return out;
 }
 

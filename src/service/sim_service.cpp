@@ -5,11 +5,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "mdtask/autoscale/metrics.h"
-#include "mdtask/service/reliability.h"
 #include "mdtask/sim/simulation.h"
 
 namespace mdtask::service {
@@ -34,16 +33,6 @@ struct TenantTrack {
   std::vector<double> latencies;
 };
 
-/// One dispatched job shared by its primary attempt chain, an optional
-/// hedge chain and the deadline machinery (the DES JobState twin).
-struct SimJob {
-  EngineJob job;
-  std::uint64_t chaos_id = 0;
-  double dispatched_at_s = 0.0;
-  bool resolved = false;  ///< first-completion-wins gate
-  bool hedged = false;
-};
-
 }  // namespace
 
 ServiceSimReport simulate_service(const ServiceSimConfig& config) {
@@ -65,29 +54,12 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
         config.tracer->thread(config.trace_pid, "frontend");
   }
 
-  const ReliabilityConfig& rel = config.service.reliability;
-  fault::RetryPolicy retry_policy = rel.retry.policy;
-  if (!rel.retry.enabled) retry_policy.max_attempts = 1;
-  const int max_attempts = std::max(1, retry_policy.max_attempts);
-
-  AdmissionController admission(config.service.admission);
-  FairShareScheduler scheduler(config.service.fair_share);
-  ResultCache cache(config.service.cache);
-  Batcher batcher(config.service.batch);
-  ChaosInjector chaos(config.service.chaos);
-  CircuitBreakerBank breakers(rel.breaker);
-  DegradationController degradation(rel.brownout);
+  ServicePipeline core(config.service);
+  core.set_recovery_log(config.recovery_log);
   autoscale::MetricsWindow metrics;
-  /// Job-latency window feeding the hedge threshold (the live twin of
-  /// AnalysisService::job_latency_).
-  autoscale::MetricsWindow job_latency(256);
   autoscale::TargetUtilizationPolicy policy(config.autoscale);
 
   std::array<std::vector<double>, kTenantClasses> latencies;
-  std::unordered_map<std::uint64_t, double> arrival_of;
-  std::unordered_map<RequestKey, std::vector<AnalysisRequest>,
-                     RequestKeyHash>
-      joiners;
   /// std::map: the final top-N selection iterates in deterministic
   /// tenant-id order before sorting by volume.
   std::map<std::uint64_t, TenantTrack> tenants;
@@ -107,54 +79,38 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
     return &track;
   };
 
-  auto note_overrun = [&](const AnalysisRequest& request, double now) {
-    if (request.deadline_s > 0.0 && now > request.deadline_s) {
-      report.max_deadline_overrun_s = std::max(
-          report.max_deadline_overrun_s, now - request.deadline_s);
-    }
-  };
-
-  /// Resolves one admitted request (success or engine failure). No-op
-  /// when the deadline reaper already resolved it — resolution is
-  /// idempotent by arrival_of membership.
-  auto resolve_request = [&](const AnalysisRequest& request, double now,
-                             bool ok) {
-    const auto it = arrival_of.find(request.id);
-    if (it == arrival_of.end()) return;
-    const double latency = now - it->second;
-    arrival_of.erase(it);
-    const auto c = static_cast<std::size_t>(request.tenant_class);
-    note_overrun(request, now);
-    if (ok) {
-      latencies[c].push_back(latency);
-      ++report.classes[c].completed;
-      if (TenantTrack* track = tenant_track(request)) {
+  /// Records what the pipeline resolved at the current virtual time:
+  /// latency, tenant outcome, deadline overrun and reaper log lines.
+  std::vector<Resolution> resolved;
+  auto settle = [&] {
+    const double now = simulation.now();
+    for (const Resolution& r : resolved) {
+      const AnalysisRequest& request = r.request;
+      TenantTrack* track = tenant_track(request);
+      if (r.kind == Resolution::Kind::kExpired) {
+        if (track != nullptr) ++track->missed;
+        log_line("t=" + fmt_time(now) + " deadline id=" +
+                 std::to_string(request.id) + " class=" +
+                 to_string(request.tenant_class));
+        continue;
+      }
+      if (request.deadline_s > 0.0 && now > request.deadline_s) {
+        report.max_deadline_overrun_s = std::max(
+            report.max_deadline_overrun_s, now - request.deadline_s);
+      }
+      if (r.kind == Resolution::Kind::kFailed) {
+        if (track != nullptr) ++track->missed;
+        continue;
+      }
+      const double latency = now - r.arrival_s;
+      latencies[static_cast<std::size_t>(request.tenant_class)].push_back(
+          latency);
+      if (track != nullptr) {
         ++track->completed;
         track->latencies.push_back(latency);
       }
-    } else {
-      ++report.classes[c].failed;
-      if (TenantTrack* track = tenant_track(request)) ++track->missed;
     }
-    admission.release(request);
-    breakers.record(request.tenant_class, request.family, ok, now);
-  };
-
-  /// The deadline reaper's half: fails one overdue request with
-  /// kDeadlineExceeded accounting (live: timer_loop + finish).
-  auto reap_request = [&](const AnalysisRequest& request, double now) {
-    const auto it = arrival_of.find(request.id);
-    if (it == arrival_of.end()) return;
-    arrival_of.erase(it);
-    const auto c = static_cast<std::size_t>(request.tenant_class);
-    ++report.classes[c].deadline_expired;
-    ++report.deadline_expired;
-    if (TenantTrack* track = tenant_track(request)) ++track->missed;
-    admission.release(request);
-    breakers.record(request.tenant_class, request.family, false, now);
-    log_line("t=" + fmt_time(now) + " deadline id=" +
-             std::to_string(request.id) + " class=" +
-             to_string(request.tenant_class));
+    resolved.clear();
   };
 
   auto job_cost = [&config](const EngineJob& job) {
@@ -170,174 +126,92 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
 
   std::function<void()> pump;
   std::function<void(EngineJob)> dispatch;
-  std::function<void(std::shared_ptr<SimJob>, int, bool)> run_attempt;
+  std::function<void(std::shared_ptr<DispatchedJob>, int)> run_attempt;
 
-  /// Applies one finished job (first completion wins): fulfills every
-  /// member's cache slot, resolves owner and joiners, logs.
-  auto finish_job = [&](const std::shared_ptr<SimJob>& sim_job, double done,
-                        bool ok, bool is_hedge) {
-    if (sim_job->resolved) return;
-    sim_job->resolved = true;
-    if (is_hedge) ++report.hedge_wins;
-    job_latency.record_task_duration(done - sim_job->dispatched_at_s);
-    for (const AnalysisRequest& request : sim_job->job.requests) {
-      const RequestKey key = request_key(request);
-      if (ok) {
-        auto payload = std::make_shared<const ResultPayload>(ResultPayload{
-            {static_cast<double>(key.params % 1024)},
-            4096 + request.input_bytes / 256});
-        cache.fulfill(key, CachedResult(payload));
-      } else {
-        cache.fulfill(key, CachedResult(Error(ErrorCode::kUnavailable,
-                                              "engine job failed")));
-      }
-      resolve_request(request, done, ok);
-      const auto joined = joiners.find(key);
-      if (joined != joiners.end()) {
-        const std::vector<AnalysisRequest> waiters =
-            std::move(joined->second);
-        joiners.erase(joined);
-        for (const AnalysisRequest& waiter : waiters) {
-          resolve_request(waiter, done, ok);
-        }
-      }
-    }
-    if (ok) {
-      log_line("t=" + fmt_time(done) + " complete job=" +
-               std::to_string(sim_job->job.job_id) + " requests=" +
-               std::to_string(sim_job->job.requests.size()));
-    } else {
-      log_line("t=" + fmt_time(done) + " fail job=" +
-               std::to_string(sim_job->job.job_id) + " requests=" +
-               std::to_string(sim_job->job.requests.size()));
-    }
+  /// Completes one job with `result` and logs it.
+  auto finish_job = [&](const DispatchedJob& job,
+                        Result<std::vector<ResultPayload>> result) {
+    const bool ok = result.ok();
+    core.complete(job, std::move(result), &resolved);
+    settle();
+    log_line("t=" + fmt_time(simulation.now()) +
+             (ok ? " complete job=" : " fail job=") +
+             std::to_string(job.job.job_id) + " requests=" +
+             std::to_string(job.job.requests.size()));
   };
 
-  /// One executor attempt in virtual time: the chaos verdict, the pool
-  /// acquisition, and the retry continuation — the DES twin of
-  /// AnalysisService::run_attempts, attempt for attempt.
-  run_attempt = [&](std::shared_ptr<SimJob> sim_job, int i, bool is_hedge) {
-    const double now = simulation.now();
-    if (sim_job->resolved) return;  // sibling runner already won
-    if (sim_job->job.deadline_s > 0.0 && now >= sim_job->job.deadline_s) {
-      finish_job(sim_job, now, /*ok=*/false, is_hedge);
+  /// One executor attempt in virtual time: the pipeline's verdict, the
+  /// pool acquisition, and the retry continuation after the backoff.
+  run_attempt = [&](std::shared_ptr<DispatchedJob> job, int attempt) {
+    Result<ChaosOutcome> verdict =
+        core.begin_attempt(*job, attempt, simulation.now());
+    if (!verdict.ok()) {
+      finish_job(*job, verdict.error());
       pump();
       return;
     }
-    const int base = is_hedge ? kHedgeAttemptBase : 0;
-    const ChaosOutcome verdict = chaos.decide(sim_job->chaos_id, base + i);
-    double cost = job_cost(sim_job->job);
-    if (verdict.delay_s > 0.0) {
-      ++report.chaos_delays;
-      cost += verdict.delay_s;
-    }
-    pool.acquire(cost, [&, sim_job, i, is_hedge, base, verdict, cost] {
+    const double cost = job_cost(job->job) + verdict.value().delay_s;
+    pool.acquire(cost, [&, job, attempt, verdict = verdict.value(), cost] {
       const double done = simulation.now();
       metrics.record_task_duration(cost);
-      if (verdict.fails()) {
-        ++report.chaos_failures;
-        log_line("t=" + fmt_time(done) + " chaos-fail job=" +
-                 std::to_string(sim_job->job.job_id) + " attempt=" +
-                 std::to_string(base + i));
-        if (config.recovery_log != nullptr) {
-          fault::RecoveryEvent event;
-          event.engine = fault::EngineId::kService;
-          event.task_id = sim_job->chaos_id;
-          event.attempt = base + i;
-          event.fault = verdict.kind;
-          event.action = fault::recovery_action(
-              fault::EngineId::kService, verdict.kind, i, retry_policy);
-          event.backoff_s = fault::backoff_for_attempt(retry_policy, i + 1);
-          event.ts_us = done * 1e6;
-          config.recovery_log->record(event);
+      if (!verdict.fails()) {
+        std::vector<ResultPayload> answers;
+        for (const AnalysisRequest& request : job->job.requests) {
+          answers.push_back(ResultPayload{
+              {static_cast<double>(request_key(request).params % 1024)},
+              4096 + request.input_bytes / 256});
         }
-        if (i + 1 < max_attempts && !sim_job->resolved) {
-          ++report.retries;
-          const double backoff =
-              fault::backoff_for_attempt(retry_policy, i + 1);
-          simulation.after(backoff, [&, sim_job, i, is_hedge] {
-            run_attempt(sim_job, i + 1, is_hedge);
-          });
-        } else {
-          finish_job(sim_job, done, /*ok=*/false, is_hedge);
-        }
+        finish_job(*job, std::move(answers));
         pump();
         return;
       }
-      finish_job(sim_job, done, /*ok=*/true, is_hedge);
+      log_line("t=" + fmt_time(done) + " chaos-fail job=" +
+               std::to_string(job->job.job_id) + " attempt=" +
+               std::to_string(attempt));
+      if (const auto backoff =
+              core.retry_after(*job, attempt, verdict, done)) {
+        simulation.after(*backoff, [&, job, attempt] {
+          run_attempt(job, attempt + 1);
+        });
+      } else {
+        finish_job(*job, Error(ErrorCode::kUnavailable,
+                               "chaos: injected fault"));
+      }
       pump();
     });
   };
 
   dispatch = [&](EngineJob job) {
     const double now = simulation.now();
-    if (rel.deadline.enabled) {
-      // Fail-fast strip (live dispatch_job twin): a member that is
-      // overdue or already reaped, and that nobody joined, never
-      // reaches the pool; its in-flight cache slot resolves so later
-      // lookups get a fresh miss.
-      auto& members = job.requests;
-      for (auto it = members.begin(); it != members.end();) {
-        const RequestKey key = request_key(*it);
-        const bool owner_alive = arrival_of.contains(it->id);
-        const bool expired =
-            it->deadline_s > 0.0 && now >= it->deadline_s;
-        if ((owner_alive && !expired) || joiners.contains(key)) {
-          ++it;
-          continue;
-        }
-        cache.fulfill(key, CachedResult(Error(
-                               ErrorCode::kDeadlineExceeded,
-                               "deadline passed in batch")));
-        if (owner_alive) reap_request(*it, now);
-        it = members.erase(it);
-      }
-      if (members.empty()) return;
-    }
-    ++report.engine_jobs;
-    report.batched_requests += job.requests.size();
+    std::optional<DispatchedJob> dispatched =
+        core.dispatch(std::move(job), now, &resolved);
+    settle();
+    if (!dispatched) return;
+    const EngineJob& run = dispatched->job;
     log_line("t=" + fmt_time(now) + " dispatch job=" +
-             std::to_string(job.job_id) + " family=" +
-             to_string(job.family) + " requests=" +
-             std::to_string(job.requests.size()) + " bytes=" +
-             std::to_string(job.total_bytes()));
+             std::to_string(run.job_id) + " family=" +
+             to_string(run.family) + " requests=" +
+             std::to_string(run.requests.size()) + " bytes=" +
+             std::to_string(run.total_bytes()));
     if (config.tracer != nullptr) {
       config.tracer->counter(frontend_track, "service:queue-depth",
                              now * 1e6,
-                             static_cast<double>(scheduler.queued()));
+                             static_cast<double>(core.scheduler().queued()));
     }
-    auto sim_job = std::make_shared<SimJob>();
-    sim_job->job = std::move(job);
-    sim_job->chaos_id = chaos.enabled() ? chaos_job_id(sim_job->job)
-                                        : sim_job->job.job_id;
-    sim_job->dispatched_at_s = now;
-    if (rel.hedge.enabled) {
-      if (const auto delay =
-              hedge_delay_s(rel.hedge, job_latency.snapshot(now))) {
-        simulation.at(now + *delay, [&, sim_job] {
-          if (sim_job->resolved || sim_job->hedged) return;
-          sim_job->hedged = true;
-          ++report.hedges;
-          log_line("t=" + fmt_time(simulation.now()) + " hedge job=" +
-                   std::to_string(sim_job->job.job_id));
-          run_attempt(sim_job, 0, /*is_hedge=*/true);
-        });
-      }
-    }
-    run_attempt(std::move(sim_job), 0, /*is_hedge=*/false);
+    run_attempt(std::make_shared<DispatchedJob>(std::move(*dispatched)), 0);
   };
 
   // Open batches flush when their delay window expires: every add that
   // leaves a batch open arms an event at the earliest deadline, and
-  // each flush re-arms for the next one. due() is idempotent, so the
-  // occasional duplicate event is harmless (and deterministic).
+  // each flush re-arms for the next one. due_batches() is idempotent, so
+  // the occasional duplicate event is harmless (and deterministic).
   std::function<void()> arm_flush;
   arm_flush = [&] {
-    const auto deadline = batcher.next_deadline();
+    const auto deadline = core.batcher().next_deadline();
     if (!deadline.has_value()) return;
     const double at = std::max(*deadline, simulation.now());
     simulation.at(at, [&] {
-      for (EngineJob& job : batcher.due(simulation.now())) {
+      for (EngineJob& job : core.due_batches(simulation.now())) {
         dispatch(std::move(job));
       }
       arm_flush();
@@ -345,52 +219,24 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
   };
 
   pump = [&] {
-    // Brownout L2: under pressure the delay window shrinks to nothing —
-    // every open batch flushes immediately (live dispatcher twin).
-    if (rel.brownout.enabled &&
-        degradation.level() >= BrownoutLevel::kShrinkBatch) {
-      for (EngineJob& job : batcher.flush_all()) {
-        dispatch(std::move(job));
-      }
+    if (core.shrinking()) {
+      for (EngineJob& job : core.flush_batches()) dispatch(std::move(job));
     }
-    AnalysisRequest request;
     // One free server is reserved per open batch (it will need one at
     // its deadline); the rest of the free capacity pulls from the
     // fair-share scheduler in DRR order.
-    while (pool.free_servers() > batcher.open_batches() &&
-           scheduler.pop(&request)) {
-      const double now = simulation.now();
-      const auto c = static_cast<std::size_t>(request.tenant_class);
-      const RequestKey key = request_key(request);
-      if (!arrival_of.contains(request.id)) continue;  // reaped in queue
-      const ResultCache::Lookup lookup = cache.lookup_or_join(key);
-      if (lookup.outcome == ResultCache::Outcome::kHit) {
-        ++report.classes[c].cache_hits;
-        resolve_request(request, now, /*ok=*/true);
-        continue;
+    while (pool.free_servers() > core.batcher().open_batches()) {
+      std::optional<Routed> routed =
+          core.route_next(simulation.now(), &resolved);
+      if (!routed) break;
+      if (routed->route == Route::kStale) {
+        log_line("t=" + fmt_time(simulation.now()) + " stale-serve id=" +
+                 std::to_string(resolved.back().request.id));
       }
-      if (lookup.outcome == ResultCache::Outcome::kJoined) {
-        ++report.classes[c].dedup_joins;
-        joiners[key].push_back(std::move(request));
-        continue;
-      }
-      // Brownout L3: answer the miss from a stale same-analysis entry;
-      // the fresh in-flight slot resolves uncached (live route twin).
-      if (rel.brownout.enabled &&
-          degradation.level() >= BrownoutLevel::kServeStale) {
-        if (auto stale = cache.lookup_stale(key)) {
-          cache.fulfill(key, CachedResult(Error(
-                                 ErrorCode::kUnavailable,
-                                 "brownout: stale-served")));
-          ++report.stale_served;
-          log_line("t=" + fmt_time(now) + " stale-serve id=" +
-                   std::to_string(request.id));
-          resolve_request(request, now, /*ok=*/true);
-          continue;
-        }
-      }
-      if (auto job = batcher.add(std::move(request), now)) {
-        dispatch(std::move(*job));
+      settle();
+      if (routed->route != Route::kBatched) continue;
+      if (routed->job) {
+        dispatch(std::move(*routed->job));
       } else {
         arm_flush();
       }
@@ -400,68 +246,34 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
   for (const TrafficEvent& event : traffic) {
     simulation.at(event.arrival_s, [&, event] {
       const double now = simulation.now();
-      AnalysisRequest request = event.request;
-      const auto c = static_cast<std::size_t>(request.tenant_class);
-      ++report.classes[c].requests;
-      if (TenantTrack* track = tenant_track(request)) ++track->requests;
-      // Brownout observation + L1: pressure is the admitted-unresolved
-      // backlog (the live dispatcher observes outstanding_).
-      if (rel.brownout.enabled) {
-        const BrownoutLevel level = degradation.update(
-            arrival_of.size(), breakers.open_cells(now));
-        if (level >= BrownoutLevel::kShedBestEffort &&
-            request.tenant_class == TenantClass::kBestEffort) {
-          ++report.classes[c].brownout_shed;
-          ++report.brownout_shed;
-          if (TenantTrack* track = tenant_track(request)) ++track->missed;
-          log_line("t=" + fmt_time(now) + " brownout-shed id=" +
-                   std::to_string(request.id));
-          return;
-        }
-      }
-      const Status admitted = admission.admit(request);
-      if (!admitted.ok()) {
-        ++report.classes[c].rejected;
-        if (TenantTrack* track = tenant_track(request)) ++track->missed;
-        log_line("t=" + fmt_time(now) + " reject id=" +
-                 std::to_string(request.id) + " class=" +
-                 to_string(request.tenant_class));
+      const AnalysisRequest& request = event.request;
+      TenantTrack* track = tenant_track(request);
+      if (track != nullptr) ++track->requests;
+      core.observe_pressure();
+      const Arrival arrival = core.arrive(request, now);
+      if (!arrival.status.ok()) {
+        if (track != nullptr) ++track->missed;
+        log_line("t=" + fmt_time(now) +
+                 (arrival.brownout
+                      ? " brownout-shed id=" + std::to_string(request.id)
+                      : " reject id=" + std::to_string(request.id) +
+                            " class=" + to_string(request.tenant_class)));
         return;
       }
-      // Breaker AFTER admission, releasing on rejection (live twin:
-      // every allow() is balanced by one record() at resolution).
-      if (!breakers.allow(request.tenant_class, request.family, now)) {
-        admission.release(request);
-        ++report.classes[c].circuit_rejected;
-        ++report.circuit_rejected;
-        if (TenantTrack* track = tenant_track(request)) ++track->missed;
-        log_line("t=" + fmt_time(now) + " circuit-open id=" +
-                 std::to_string(request.id) + " class=" +
-                 to_string(request.tenant_class));
-        return;
-      }
-      ++report.classes[c].admitted;
-      if (const double budget = deadline_budget_s(rel.deadline, request);
-          budget > 0.0) {
-        request.deadline_s = now + budget;
-        // The reaper: at the deadline the future fails NOW, wherever
-        // the request sits (queue, open batch, joiner list, running
-        // job) — resolution later is a harmless no-op.
-        const AnalysisRequest reaped = request;
-        simulation.at(request.deadline_s, [&, reaped] {
-          reap_request(reaped, simulation.now());
+      if (arrival.deadline_s > 0.0) {
+        // The reaper: at the deadline the request fails NOW, wherever
+        // it sits (queue, open batch, joiner list, running job).
+        simulation.at(arrival.deadline_s, [&, id = request.id] {
+          core.expire(id, &resolved);
+          settle();
         });
-      } else {
-        request.deadline_s = 0.0;
       }
-      arrival_of[request.id] = now;
       if (config.log_arrivals) {
         log_line("t=" + fmt_time(now) + " arrive id=" +
                  std::to_string(request.id) + " class=" +
                  to_string(request.tenant_class) + " tenant=" +
                  std::to_string(request.tenant));
       }
-      scheduler.push(std::move(request));
       pump();
     });
   }
@@ -472,8 +284,8 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
     const double now = simulation.now();
     const std::size_t size = pool.servers();
     const std::size_t free = std::min(size, pool.free_servers());
-    const std::size_t depth =
-        scheduler.queued() + pool.queued() + batcher.pending();
+    const std::size_t depth = core.scheduler().queued() + pool.queued() +
+                              core.batcher().pending();
     metrics.observe_pool(size, size - free, depth);
     const autoscale::Decision decision =
         policy.decide(metrics.snapshot(now));
@@ -500,9 +312,10 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
       config.tracer->counter(frontend_track, "service:queue-depth",
                              now * 1e6, static_cast<double>(depth));
     }
-    const bool work_left =
-        scheduler.queued() + pool.queued() + batcher.pending() > 0 ||
-        pool.free_servers() < pool.servers();
+    const bool work_left = core.scheduler().queued() + pool.queued() +
+                                   core.batcher().pending() >
+                               0 ||
+                           pool.free_servers() < pool.servers();
     if (now + tick_dt <= config.traffic.duration_s || work_left) {
       simulation.after(tick_dt, tick);
     }
@@ -513,8 +326,10 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
   report.final_servers = pool.servers();
   report.busy_time_s = pool.busy_time();
 
+  const PipelineCounters& counts = core.counters();
   for (std::size_t c = 0; c < kTenantClasses; ++c) {
     ClassOutcome& out = report.classes[c];
+    static_cast<ClassCounters&>(out) = counts.classes[c];
     std::vector<double>& lat = latencies[c];
     out.p50_s = autoscale::duration_percentile(lat, 50.0);
     out.p95_s = autoscale::duration_percentile(lat, 95.0);
@@ -525,19 +340,26 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
       if (l <= config.slo.latency_s[c]) ++within;
     }
     const std::uint64_t judged = out.completed + out.rejected +
-                                 out.deadline_expired +
-                                 out.circuit_rejected + out.brownout_shed +
+                                 out.deadline_expired + out.brownout_shed +
                                  out.failed;
     out.slo_attainment =
         judged == 0 ? 1.0
                     : static_cast<double>(within) /
                           static_cast<double>(judged);
-    report.admitted += out.admitted;
-    report.rejected += out.rejected;
-    report.completed += out.completed;
-    report.cache_hits += out.cache_hits;
-    report.dedup_joins += out.dedup_joins;
   }
+  report.admitted = counts.total(&ClassCounters::admitted);
+  report.rejected = counts.total(&ClassCounters::rejected);
+  report.completed = counts.total(&ClassCounters::completed);
+  report.cache_hits = counts.total(&ClassCounters::cache_hits);
+  report.dedup_joins = counts.total(&ClassCounters::dedup_joins);
+  report.deadline_expired = counts.total(&ClassCounters::deadline_expired);
+  report.brownout_shed = counts.total(&ClassCounters::brownout_shed);
+  report.engine_jobs = counts.engine_jobs;
+  report.batched_requests = counts.batched_requests;
+  report.stale_served = counts.stale_served;
+  report.retries = counts.retries;
+  report.chaos_failures = counts.chaos_failures;
+  report.chaos_delays = counts.chaos_delays;
 
   if (config.top_tenants > 0 && !tenants.empty()) {
     std::vector<std::pair<std::uint64_t, const TenantTrack*>> order;

@@ -17,13 +17,11 @@ TEST(ErrorTest, AllCodesHaveNames) {
 }
 
 TEST(ErrorTest, ReliabilityCodesAreDistinct) {
-  // The serving path reports deadline misses and breaker rejections
-  // separately from admission sheds; the names are load-bearing for
-  // per-class SLO accounting in bench_service.
+  // The serving path reports deadline misses separately from admission
+  // sheds; the names are load-bearing for per-class SLO accounting in
+  // bench_service.
   EXPECT_STREQ(to_string(ErrorCode::kDeadlineExceeded), "kDeadlineExceeded");
-  EXPECT_STREQ(to_string(ErrorCode::kCircuitOpen), "kCircuitOpen");
   EXPECT_NE(ErrorCode::kDeadlineExceeded, ErrorCode::kOverloaded);
-  EXPECT_NE(ErrorCode::kCircuitOpen, ErrorCode::kOverloaded);
 }
 
 TEST(ResultTest, HoldsValue) {

@@ -70,123 +70,6 @@ TEST(DeadlineTest, UnbatchedRequestKeepsItsOwnDeadline) {
 }
 
 // ---------------------------------------------------------------------------
-// Hedging
-
-TEST(HedgeTest, DelayRequiresSamplesAndSignal) {
-  HedgeConfig config;
-  autoscale::MetricsSnapshot snapshot;
-  snapshot.completed = 100;
-  snapshot.p95_s = 0.050;
-  // Disabled -> never.
-  EXPECT_FALSE(hedge_delay_s(config, snapshot).has_value());
-  config.enabled = true;
-  // Too few completions for a p95 signal.
-  snapshot.completed = config.min_samples - 1;
-  EXPECT_FALSE(hedge_delay_s(config, snapshot).has_value());
-  // No latency signal at all.
-  snapshot.completed = config.min_samples;
-  snapshot.p95_s = 0.0;
-  EXPECT_FALSE(hedge_delay_s(config, snapshot).has_value());
-}
-
-TEST(HedgeTest, DelayIsFactorTimesP95Floored) {
-  HedgeConfig config;
-  config.enabled = true;
-  config.latency_factor = 3.0;
-  config.min_delay_s = 0.010;
-  autoscale::MetricsSnapshot snapshot;
-  snapshot.completed = config.min_samples;
-  snapshot.p95_s = 0.050;
-  EXPECT_DOUBLE_EQ(hedge_delay_s(config, snapshot).value(), 0.150);
-  // The floor wins when the window p95 is tiny.
-  snapshot.p95_s = 0.001;
-  EXPECT_DOUBLE_EQ(hedge_delay_s(config, snapshot).value(), 0.010);
-}
-
-// ---------------------------------------------------------------------------
-// Circuit breakers
-
-BreakerConfig small_breaker() {
-  BreakerConfig config;
-  config.enabled = true;
-  config.window = 8;
-  config.min_samples = 4;
-  config.failure_threshold = 0.5;
-  config.cooldown_s = 1.0;
-  config.half_open_probes = 2;
-  return config;
-}
-
-TEST(BreakerTest, DisabledBankAlwaysAllows) {
-  CircuitBreakerBank bank;  // enabled = false
-  for (int i = 0; i < 100; ++i) {
-    bank.record(TenantClass::kBatch, AnalysisFamily::kRmsdSeries, false, 0.0);
-  }
-  EXPECT_TRUE(
-      bank.allow(TenantClass::kBatch, AnalysisFamily::kRmsdSeries, 0.0));
-  EXPECT_EQ(bank.open_cells(0.0), 0u);
-}
-
-TEST(BreakerTest, TripsOnFailureWindowAndRejectsDuringCooldown) {
-  CircuitBreakerBank bank(small_breaker());
-  const auto cls = TenantClass::kInteractive;
-  const auto fam = AnalysisFamily::kRmsdSeries;
-  for (int i = 0; i < 4; ++i) bank.record(cls, fam, false, 0.0);
-  EXPECT_EQ(bank.state(cls, fam, 0.0), BreakerState::kOpen);
-  EXPECT_FALSE(bank.allow(cls, fam, 0.5));
-  EXPECT_EQ(bank.open_cells(0.5), 1u);
-  // Other cells are unaffected: per-(class, family) isolation.
-  EXPECT_TRUE(bank.allow(cls, AnalysisFamily::kLeaflet, 0.5));
-  EXPECT_TRUE(bank.allow(TenantClass::kBatch, fam, 0.5));
-  const auto stats = bank.stats();
-  EXPECT_EQ(stats.trips, 1u);
-  EXPECT_EQ(stats.rejections, 1u);
-}
-
-TEST(BreakerTest, SuccessesBelowThresholdNeverTrip) {
-  CircuitBreakerBank bank(small_breaker());
-  const auto cls = TenantClass::kBatch;
-  const auto fam = AnalysisFamily::kLeaflet;
-  // 3 failures in a window of 8 with 5 successes: 3/8 < 0.5.
-  for (int i = 0; i < 5; ++i) bank.record(cls, fam, true, 0.0);
-  for (int i = 0; i < 3; ++i) bank.record(cls, fam, false, 0.0);
-  EXPECT_EQ(bank.state(cls, fam, 0.0), BreakerState::kClosed);
-  EXPECT_TRUE(bank.allow(cls, fam, 0.0));
-  EXPECT_EQ(bank.stats().trips, 0u);
-}
-
-TEST(BreakerTest, HalfOpenProbesHealTheCell) {
-  CircuitBreakerBank bank(small_breaker());
-  const auto cls = TenantClass::kBatch;
-  const auto fam = AnalysisFamily::kRmsdSeries;
-  for (int i = 0; i < 4; ++i) bank.record(cls, fam, false, 0.0);
-  // Past the cooldown the cell admits half_open_probes probes, no more.
-  EXPECT_TRUE(bank.allow(cls, fam, 1.5));
-  EXPECT_TRUE(bank.allow(cls, fam, 1.5));
-  EXPECT_FALSE(bank.allow(cls, fam, 1.5));
-  EXPECT_EQ(bank.state(cls, fam, 1.5), BreakerState::kHalfOpen);
-  bank.record(cls, fam, true, 1.6);
-  bank.record(cls, fam, true, 1.6);
-  EXPECT_EQ(bank.state(cls, fam, 1.6), BreakerState::kClosed);
-  EXPECT_TRUE(bank.allow(cls, fam, 1.6));
-  const auto stats = bank.stats();
-  EXPECT_EQ(stats.closes, 1u);
-  EXPECT_EQ(stats.probes, 2u);
-}
-
-TEST(BreakerTest, ProbeFailureReopensImmediately) {
-  CircuitBreakerBank bank(small_breaker());
-  const auto cls = TenantClass::kBestEffort;
-  const auto fam = AnalysisFamily::kPsa;
-  for (int i = 0; i < 4; ++i) bank.record(cls, fam, false, 0.0);
-  EXPECT_TRUE(bank.allow(cls, fam, 1.5));  // probe
-  bank.record(cls, fam, false, 1.6);
-  EXPECT_EQ(bank.state(cls, fam, 1.6), BreakerState::kOpen);
-  EXPECT_FALSE(bank.allow(cls, fam, 1.7));
-  EXPECT_EQ(bank.stats().trips, 2u);
-}
-
-// ---------------------------------------------------------------------------
 // Graceful degradation
 
 BrownoutConfig small_brownout() {
@@ -201,40 +84,31 @@ BrownoutConfig small_brownout() {
 
 TEST(BrownoutTest, LevelsFollowQueueDepth) {
   DegradationController controller(small_brownout());
-  EXPECT_EQ(controller.update(3, 0), BrownoutLevel::kNormal);
-  EXPECT_EQ(controller.update(4, 0), BrownoutLevel::kShedBestEffort);
-  EXPECT_EQ(controller.update(8, 0), BrownoutLevel::kShrinkBatch);
-  EXPECT_EQ(controller.update(16, 0), BrownoutLevel::kServeStale);
+  EXPECT_EQ(controller.update(3), BrownoutLevel::kNormal);
+  EXPECT_EQ(controller.update(4), BrownoutLevel::kShedBestEffort);
+  EXPECT_EQ(controller.update(8), BrownoutLevel::kShrinkBatch);
+  EXPECT_EQ(controller.update(16), BrownoutLevel::kServeStale);
   EXPECT_EQ(controller.stats().escalations, 3u);
 }
 
 TEST(BrownoutTest, ExitIsHystereticAndOneLevelPerStep) {
   DegradationController controller(small_brownout());
-  controller.update(16, 0);
+  controller.update(16);
   ASSERT_EQ(controller.level(), BrownoutLevel::kServeStale);
   // Depth just below the entry threshold is NOT enough to de-escalate.
-  EXPECT_EQ(controller.update(15, 0), BrownoutLevel::kServeStale);
-  EXPECT_EQ(controller.update(9, 0), BrownoutLevel::kServeStale);
+  EXPECT_EQ(controller.update(15), BrownoutLevel::kServeStale);
+  EXPECT_EQ(controller.update(9), BrownoutLevel::kServeStale);
   // At exit_fraction x stale_depth = 8 the controller steps down ONE
   // level per observation, never straight to normal.
-  EXPECT_EQ(controller.update(0, 0), BrownoutLevel::kShrinkBatch);
-  EXPECT_EQ(controller.update(0, 0), BrownoutLevel::kShedBestEffort);
-  EXPECT_EQ(controller.update(0, 0), BrownoutLevel::kNormal);
+  EXPECT_EQ(controller.update(0), BrownoutLevel::kShrinkBatch);
+  EXPECT_EQ(controller.update(0), BrownoutLevel::kShedBestEffort);
+  EXPECT_EQ(controller.update(0), BrownoutLevel::kNormal);
   EXPECT_EQ(controller.stats().recoveries, 3u);
-}
-
-TEST(BrownoutTest, OpenBreakerCellsForceShedding) {
-  DegradationController controller(small_brownout());
-  EXPECT_EQ(controller.update(0, 1), BrownoutLevel::kShedBestEffort);
-  // The breaker holds the level even at zero depth...
-  EXPECT_EQ(controller.update(0, 1), BrownoutLevel::kShedBestEffort);
-  // ...and releases it once every cell healed.
-  EXPECT_EQ(controller.update(0, 0), BrownoutLevel::kNormal);
 }
 
 TEST(BrownoutTest, DisabledControllerStaysNormal) {
   DegradationController controller;  // enabled = false
-  EXPECT_EQ(controller.update(1000, 5), BrownoutLevel::kNormal);
+  EXPECT_EQ(controller.update(1000), BrownoutLevel::kNormal);
 }
 
 // ---------------------------------------------------------------------------
@@ -260,6 +134,15 @@ TEST(ChaosTest, JobIdIsOrderIndependentAndContentAddressed) {
   EXPECT_EQ(ab, ba);  // live ticket order and job numbering never enter
   const std::uint64_t aa = chaos_job_id(make_job({a}, /*job_id=*/1));
   EXPECT_NE(ab, aa);
+  // Duplicate keys share a batch when the cache is off; they must not
+  // cancel out of the identity, so different duplicated keys differ.
+  const AnalysisRequest c = make_request(9, AnalysisFamily::kPsa, "3");
+  EXPECT_NE(chaos_job_id(make_job({a, a})), chaos_job_id(make_job({b, b})));
+  EXPECT_NE(chaos_job_id(make_job({a, a, c})),
+            chaos_job_id(make_job({b, b, c})));
+  EXPECT_NE(chaos_job_id(make_job({a, a})), chaos_job_id(make_job({a})));
+  EXPECT_EQ(chaos_job_id(make_job({a, c, a})),
+            chaos_job_id(make_job({c, a, a})));
 }
 
 TEST(ChaosTest, DisabledInjectorNeverFires) {
@@ -282,7 +165,7 @@ TEST(ChaosTest, VerdictsAreDeterministicPerSeed) {
   ChaosInjector second(config);
   bool any_fired = false;
   for (std::uint64_t id = 0; id < 256; ++id) {
-    for (int attempt : {0, 1, kHedgeAttemptBase}) {
+    for (int attempt : {0, 1, 2}) {
       const ChaosOutcome a = first.decide(id, attempt);
       const ChaosOutcome b = second.decide(id, attempt);
       EXPECT_EQ(a.kind, b.kind);
@@ -326,22 +209,6 @@ TEST(ChaosTest, SeverityMasksAndDelaysMatchConfig) {
   EXPECT_FALSE(dragged.fails());
   EXPECT_TRUE(dragged.fired());
   EXPECT_DOUBLE_EQ(dragged.delay_s, config.slow_s);
-}
-
-TEST(ChaosTest, HedgeAttemptsDrawIndependentVerdicts) {
-  ChaosConfig config;
-  config.enabled = true;
-  config.seed = 3;
-  config.fail_rate = 0.5;
-  ChaosInjector injector(config);
-  // Over many jobs the primary and hedge verdicts must disagree
-  // somewhere: the hedge attempt base decorrelates the draws.
-  bool any_difference = false;
-  for (std::uint64_t id = 0; id < 128 && !any_difference; ++id) {
-    any_difference = injector.decide(id, 0).fails() !=
-                     injector.decide(id, kHedgeAttemptBase).fails();
-  }
-  EXPECT_TRUE(any_difference);
 }
 
 // ---------------------------------------------------------------------------

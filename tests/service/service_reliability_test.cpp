@@ -1,7 +1,7 @@
 // Live-path tests of the request reliability layer: deadlines, retry,
-// hedging, circuit breakers, brownout and the chaos harness, plus the
-// live-vs-DES chaos determinism contract (same seed -> byte-identical
-// canonical RecoveryLog on both paths).
+// brownout and the chaos harness, plus the live-vs-DES chaos
+// determinism contract (same seed -> byte-identical canonical
+// RecoveryLog and equal outcome counts on both paths).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -147,91 +147,10 @@ TEST(ServiceReliabilityTest, ChaosFailureSurfacesTypedWhenRetryIsOff) {
   EXPECT_GE(service.stats().chaos_failures, 1u);
 }
 
-TEST(ServiceReliabilityTest, HedgesFireAndEveryFutureResolves) {
-  ServiceConfig config;
-  config.batch.enabled = false;
-  config.cache.enabled = false;  // every submit is its own job
-  config.reliability.hedge.enabled = true;
-  config.reliability.hedge.min_samples = 4;
-  config.reliability.hedge.latency_factor = 1.0;
-  config.reliability.hedge.min_delay_s = 0.001;
-  ThreadPool pool(4);
-  std::atomic<int> calls{0};
-  AnalysisService service(
-      config, pool,
-      [&calls](const EngineJob& job) -> Result<std::vector<ResultPayload>> {
-        // Warm-up jobs are fast; later jobs straggle long enough for
-        // the hedge timer to fire a duplicate.
-        if (calls.fetch_add(1) >= 4) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        }
-        return echo_executor(job);
-      });
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(
-        service.submit(make_request(1, static_cast<std::uint64_t>(i)))
-            .get()
-            .ok());
-  }
-  std::vector<std::future<CachedResult>> slow;
-  for (int i = 0; i < 4; ++i) {
-    slow.push_back(
-        service.submit(make_request(2, 100 + static_cast<std::uint64_t>(i))));
-  }
-  for (auto& future : slow) EXPECT_TRUE(future.get().ok());
-  service.drain();
-  const auto stats = service.stats();
-  EXPECT_GE(stats.hedges, 1u);
-  // First-completion-wins: hedges never double-resolve a future, and
-  // completed counts each request exactly once.
-  EXPECT_EQ(stats.completed, 8u);
-}
-
-TEST(ServiceReliabilityTest, OpenCircuitRejectsWithTypedError) {
-  ServiceConfig config;
-  config.batch.enabled = false;
-  config.cache.enabled = false;
-  config.reliability.breaker.enabled = true;
-  config.reliability.breaker.window = 8;
-  config.reliability.breaker.min_samples = 4;
-  config.reliability.breaker.failure_threshold = 0.5;
-  config.reliability.breaker.cooldown_s = 3600.0;  // stays open
-  ThreadPool pool(2);
-  AnalysisService service(
-      config, pool,
-      [](const EngineJob&) -> Result<std::vector<ResultPayload>> {
-        return Error(ErrorCode::kIoError, "store offline");
-      });
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    CachedResult result = service.submit(make_request(1, i)).get();
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.error().code(), ErrorCode::kIoError);
-  }
-  // Four windowed failures tripped the (batch, rmsd-series) cell.
-  CachedResult rejected = service.submit(make_request(1, 9)).get();
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.error().code(), ErrorCode::kCircuitOpen);
-  // Another family's cell is independent.
-  CachedResult other =
-      service.submit(make_request(1, 9, AnalysisFamily::kLeaflet)).get();
-  ASSERT_FALSE(other.ok());
-  EXPECT_EQ(other.error().code(), ErrorCode::kIoError);
-  service.drain();
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.circuit_rejected, 1u);
-  EXPECT_GE(stats.breaker.trips, 1u);
-  EXPECT_EQ(stats.rejected, 0u);  // kOverloaded sheds stay separate
-}
-
 TEST(ServiceReliabilityTest, DrainRacesSubmitWhileExecutorFails) {
   ServiceConfig config;
   config.batch.max_delay_s = 0.0005;
   config.cache.enabled = false;
-  config.reliability.breaker.enabled = true;
-  config.reliability.breaker.window = 16;
-  config.reliability.breaker.min_samples = 8;
-  config.reliability.breaker.failure_threshold = 0.3;
-  config.reliability.breaker.cooldown_s = 0.005;
   config.reliability.retry.enabled = true;
   config.reliability.retry.policy.max_attempts = 2;
   config.reliability.retry.policy.backoff_s = 0.0005;
@@ -261,13 +180,12 @@ TEST(ServiceReliabilityTest, DrainRacesSubmitWhileExecutorFails) {
                          /*stride=*/"1");
         request.params = {{"stride", std::to_string(i)}};
         const CachedResult result = service.submit(std::move(request)).get();
-        // Success, engine failure, circuit rejection and sheds are all
-        // legal outcomes here; what must hold is that EVERY future
-        // resolves while drain() races the submitters.
+        // Success, engine failure and sheds are all legal outcomes
+        // here; what must hold is that EVERY future resolves while
+        // drain() races the submitters.
         if (!result.ok()) {
           const ErrorCode code = result.error().code();
           ASSERT_TRUE(code == ErrorCode::kIoError ||
-                      code == ErrorCode::kCircuitOpen ||
                       code == ErrorCode::kOverloaded);
         }
         resolved.fetch_add(1);
@@ -282,7 +200,7 @@ TEST(ServiceReliabilityTest, DrainRacesSubmitWhileExecutorFails) {
   service.drain();
   EXPECT_EQ(resolved.load(), kThreads * kPerThread);
   const auto stats = service.stats();
-  EXPECT_EQ(stats.completed + stats.rejected + stats.circuit_rejected,
+  EXPECT_EQ(stats.completed + stats.rejected,
             static_cast<std::uint64_t>(kThreads * kPerThread));
 }
 
@@ -385,7 +303,7 @@ TEST(ServiceReliabilityTest, InvalidateStoreForcesRecomputation) {
 // Chaos determinism: live vs live, and live vs the DES twin
 
 /// The determinism preconditions: mechanisms that depend on wall-clock
-/// timing (batch windows, hedges, breakers, deadlines, brownout) off,
+/// timing (batch windows, deadlines, brownout) off,
 /// retry ON so multi-attempt verdict chains exercise the hash, cache
 /// off so both paths dispatch the identical job multiset.
 ServiceConfig chaos_determinism_config() {
@@ -452,6 +370,41 @@ TEST(ChaosDeterminismTest, LiveAndDesAgreeByteForByte) {
 
   ASSERT_FALSE(live.empty());
   EXPECT_EQ(live, des);
+}
+
+AnalysisService::Stats live_chaos_stats(const ServiceConfig& config) {
+  ThreadPool pool(4);
+  AnalysisService service(config, pool, echo_executor);
+  std::vector<std::future<CachedResult>> futures;
+  for (const TrafficEvent& event : generate_traffic(chaos_traffic())) {
+    futures.push_back(service.submit(event.request));
+  }
+  for (auto& future : futures) (void)future.get();
+  service.drain();
+  return service.stats();
+}
+
+TEST(ChaosDeterminismTest, LiveAndDesAgreeOnOutcomeCounts) {
+  const ServiceConfig config = chaos_determinism_config();
+  const AnalysisService::Stats live = live_chaos_stats(config);
+
+  ServiceSimConfig sim;
+  sim.traffic = chaos_traffic();
+  sim.service = config;
+  const ServiceSimReport des = simulate_service(sim);
+
+  // Both drivers run one pipeline: the same requests complete and fail
+  // per class, through the same jobs, retries and chaos failures.
+  for (std::size_t c = 0; c < kTenantClasses; ++c) {
+    const char* name = to_string(static_cast<TenantClass>(c));
+    EXPECT_EQ(live.classes[c].completed, des.classes[c].completed) << name;
+    EXPECT_EQ(live.classes[c].failed, des.classes[c].failed) << name;
+  }
+  EXPECT_GT(des.chaos_failures, 0u);
+  EXPECT_GT(des.retries, 0u);
+  EXPECT_EQ(live.engine_jobs, des.engine_jobs);
+  EXPECT_EQ(live.retries, des.retries);
+  EXPECT_EQ(live.chaos_failures, des.chaos_failures);
 }
 
 }  // namespace

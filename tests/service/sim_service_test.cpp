@@ -194,7 +194,6 @@ ServiceSimConfig chaos_config(bool reliable) {
   if (reliable) {
     config.service.reliability.deadline.enabled = true;
     config.service.reliability.retry.enabled = true;
-    config.service.reliability.hedge.enabled = true;
     config.service.reliability.brownout.enabled = true;
   }
   return config;
@@ -241,7 +240,7 @@ TEST(SimServiceReliabilityTest, EveryRequestIsAccountedForUnderChaos) {
   std::uint64_t accounted = 0;
   for (const ClassOutcome& out : report.classes) {
     accounted += out.completed + out.rejected + out.deadline_expired +
-                 out.circuit_rejected + out.brownout_shed + out.failed;
+                 out.brownout_shed + out.failed;
     EXPECT_GE(out.slo_attainment, 0.0);
     EXPECT_LE(out.slo_attainment, 1.0);
   }
