@@ -80,7 +80,28 @@ ComponentLabels merge_partial_components(
 /// Joins two partial summaries into one (the pairwise reduce operation of
 /// approaches 3-4 when the merge runs as a tree inside the framework
 /// rather than at the driver). Associative and commutative.
+///
+/// Precondition: each summary is sorted by vertex, its vertices are
+/// unique, and every root is an entry of its own summary.
+/// partial_components and this merge always return such summaries; input
+/// that breaks the precondition throws std::invalid_argument.
+///
+/// One walk over the two sorted lists builds their union, a union-find
+/// over union positions joins each entry to its root's entry (found by
+/// binary search, once per run of equal roots), and the output is emitted
+/// in vertex order: linear in |a| + |b| up to those searches, with no
+/// hashing and no sort.
 PartialComponents merge_partials_pairwise(const PartialComponents& a,
+                                          const PartialComponents& b);
+
+/// The paper's summary merge: each (vertex, root) entry of both summaries
+/// becomes the edge vertex--root and partial_components reruns over them,
+/// hashing every vertex and sorting. It returns what
+/// merge_partials_pairwise returns on summaries that meet that merge's
+/// precondition. Kept as the DES cost model (perf::calibrate_kernels
+/// times it for `merge_vertex`) and as the reference the linear merge is
+/// tested against.
+PartialComponents merge_partials_by_edges(const PartialComponents& a,
                                           const PartialComponents& b);
 
 /// Expands a (fully merged) partial summary into global labels;

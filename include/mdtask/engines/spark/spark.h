@@ -7,7 +7,10 @@
 //  * Wide dependencies (reduceByKey/groupByKey) cut stage boundaries:
 //    the parent stage runs to completion (a barrier), its output is hash
 //    partitioned and "written" for the shuffle, then the child stage runs.
-//  * Actions (collect/reduce/count) trigger execution.
+//  * Actions (collect/reduce/tree_reduce/count) trigger execution.
+//    tree_reduce runs Spark's treeReduce shape: each partition folds
+//    inside its own stage, one shuffle stage folds groups of partitions,
+//    and the driver folds what is left.
 //  * Broadcast variables ship one read-only copy per executor; the engine
 //    accounts the bytes moved.
 //  * cache() pins computed partitions for reuse across actions.
@@ -26,6 +29,7 @@
 #include <optional>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mdtask/autoscale/metrics.h"
@@ -105,6 +109,38 @@ struct RddNode : RddBase {
 template <typename T>
 std::vector<T> materialize_node(SparkContext& ctx, RddNode<T>& node,
                                 std::size_t partition);
+
+/// Left fold of `values` in order with `f`: one value, or none when
+/// `values` is empty.
+template <typename T, typename F>
+std::vector<T> fold_values(std::vector<T> values, const F& f) {
+  if (values.empty()) return {};
+  T acc = std::move(values.front());
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    acc = f(std::move(acc), std::move(values[i]));
+  }
+  std::vector<T> out;
+  out.push_back(std::move(acc));
+  return out;
+}
+
+/// Bytes one record moves through a shuffle: byte_size() for a type
+/// that owns heap data and reports it, sizeof otherwise.
+template <typename T>
+std::uint64_t record_bytes(const T& x) {
+  if constexpr (requires { x.byte_size(); }) {
+    return x.byte_size();
+  } else {
+    return sizeof(T);
+  }
+}
+
+/// A keyed record: the pair's own bytes, with the value's payload in
+/// place of the value when it reports one (POD pairs count sizeof).
+template <typename K, typename V>
+std::uint64_t record_bytes(const std::pair<K, V>& kv) {
+  return sizeof(kv) - sizeof(V) + record_bytes(kv.second);
+}
 
 }  // namespace detail
 
@@ -412,18 +448,29 @@ class RDD {
     return out;
   }
 
-  /// Tree-reduces all elements with `f`; empty RDD returns
-  /// default-constructed T (callers guard as in Spark).
+  /// Collects every element to the driver and folds them there with
+  /// `f`, in partition order; an empty RDD returns default-constructed T
+  /// (callers guard as in Spark).
   template <typename F>
   T reduce(F f) const {
-    auto all = collect();
-    if (all.empty()) return T{};
-    T acc = std::move(all.front());
-    for (std::size_t i = 1; i < all.size(); ++i) {
-      acc = f(std::move(acc), std::move(all[i]));
-    }
-    return acc;
+    auto folded = detail::fold_values(collect(), f);
+    return folded.empty() ? T{} : std::move(folded.front());
   }
+
+  /// Reduces all elements with the associative `f` as a tree, in the
+  /// shape of Spark's treeReduce at its default depth 2: each partition
+  /// folds inside this RDD's stage; with scale = max(ceil(sqrt(n)), 2),
+  /// when n > scale + ceil(n / scale) one shuffle stage folds the n
+  /// partial values into n / scale buckets (Spark's depth-2 loop never
+  /// runs a second level: n / scale <= sqrt(n) <= scale); the driver
+  /// folds the rest. Buckets are contiguous partition ranges and every
+  /// fold runs in partition order, so the result is the left fold in
+  /// partition order. The level is an ordinary stage (its own span,
+  /// fault injection, lineage re-execution and speculation) and counts
+  /// its shuffled values' bytes. An empty RDD returns default-constructed
+  /// T, as reduce does.
+  template <typename F>
+  T tree_reduce(F f) const;
 
   std::size_t count() const {
     if (node_->prepare) node_->prepare();
@@ -729,7 +776,67 @@ std::vector<T> materialize_node(SparkContext& ctx, RddNode<T>& node,
   return data;
 }
 
+/// A shuffle child of `parent` with `buckets` partitions: the stage
+/// boundary of reduce_by_key, repartition and tree_reduce's level. Its
+/// prepare runs the parent's stage, moves each record to bucket
+/// `route(source partition, record index, record)` (the index counts the
+/// stage's records in partition order) and adds the records and their
+/// bytes to the shuffle metrics; its compute applies `reduce` to the
+/// partition's bucket. `reduce` only reads the bucket, so a re-executed
+/// or speculative task finds it intact.
+template <typename T, typename Route, typename Reduce>
+std::shared_ptr<RddNode<T>> shuffle_node(SparkContext& ctx,
+                                         std::shared_ptr<RddNode<T>> parent,
+                                         std::size_t buckets, Route route,
+                                         Reduce reduce) {
+  auto child = std::make_shared<RddNode<T>>();
+  child->partitions = buckets;
+  auto shuffle = std::make_shared<std::vector<std::vector<T>>>();
+  SparkContext* ctx_ptr = &ctx;
+  child->prepare = [ctx_ptr, parent, shuffle, buckets, route] {
+    if (parent->prepare) parent->prepare();
+    auto map_outputs = ctx_ptr->run_stage(*parent);
+    shuffle->assign(buckets, {});
+    std::uint64_t bytes = 0, records = 0;
+    for (std::size_t source = 0; source < map_outputs.size(); ++source) {
+      for (T& x : map_outputs[source]) {
+        bytes += record_bytes(x);
+        (*shuffle)[route(source, records, x)].push_back(std::move(x));
+        records += 1;
+      }
+    }
+    ctx_ptr->metrics().shuffle_bytes += bytes;
+    ctx_ptr->metrics().shuffle_records += records;
+  };
+  child->compute = [shuffle, reduce](TaskContext& tc) {
+    return reduce(std::as_const((*shuffle)[tc.partition()]));
+  };
+  return child;
+}
+
 }  // namespace detail
+
+template <typename T>
+template <typename F>
+T RDD<T>::tree_reduce(F f) const {
+  auto folded = map_partitions([f](TaskContext&, std::vector<T>& xs) {
+    return detail::fold_values(std::move(xs), f);
+  });
+  const std::size_t n = folded.partitions();
+  std::size_t scale = 2;
+  while (scale * scale < n) ++scale;
+  if (n <= scale + (n + scale - 1) / scale) return folded.reduce(f);
+  const std::size_t buckets = n / scale;
+  auto level = detail::shuffle_node(
+      *ctx_, folded.node(), buckets,
+      [n, buckets](std::size_t source, std::size_t, const T&) {
+        return source * buckets / n;
+      },
+      [f](const std::vector<T>& bucket) {
+        return detail::fold_values(bucket, f);
+      });
+  return RDD<T>(ctx_, std::move(level)).reduce(f);
+}
 
 /// Narrow transformation (free function): lazily concatenates two RDDs'
 /// partitions (Spark's union — no shuffle, partition counts add).
@@ -801,47 +908,26 @@ template <typename K, typename V, typename F>
 RDD<std::pair<K, V>> reduce_by_key(const RDD<std::pair<K, V>>& rdd, F f,
                                    std::size_t num_partitions) {
   num_partitions = std::max<std::size_t>(1, num_partitions);
-  SparkContext& ctx = rdd.context();
-  auto parent = rdd.node();
-  auto child = std::make_shared<detail::RddNode<std::pair<K, V>>>();
-  child->partitions = num_partitions;
-
-  // Shuffle storage shared between prepare (map side) and compute
-  // (reduce side).
-  auto shuffle =
-      std::make_shared<std::vector<std::vector<std::pair<K, V>>>>();
-  auto* ctx_ptr = &ctx;
-  child->prepare = [ctx_ptr, parent, shuffle, num_partitions]() {
-    if (parent->prepare) parent->prepare();
-    auto map_outputs = ctx_ptr->run_stage(*parent);
-    shuffle->assign(num_partitions, {});
-    std::uint64_t bytes = 0, records = 0;
-    for (auto& part : map_outputs) {
-      for (auto& kv : part) {
-        const std::size_t bucket =
-            std::hash<K>{}(kv.first) % num_partitions;
-        bytes += sizeof(kv);
-        records += 1;
-        (*shuffle)[bucket].push_back(std::move(kv));
-      }
-    }
-    ctx_ptr->metrics().shuffle_bytes += bytes;
-    ctx_ptr->metrics().shuffle_records += records;
-  };
-  child->compute = [shuffle, f](TaskContext& tc) {
-    std::vector<std::pair<K, V>> out;
-    auto& bucket = (*shuffle)[tc.partition()];
-    // Hash-merge within the reduce partition.
-    std::unordered_map<K, V> merged;
-    for (auto& kv : bucket) {
-      auto [it, inserted] = merged.try_emplace(kv.first, kv.second);
-      if (!inserted) it->second = f(std::move(it->second), kv.second);
-    }
-    out.reserve(merged.size());
-    for (auto& kv : merged) out.emplace_back(kv.first, std::move(kv.second));
-    return out;
-  };
-  return RDD<std::pair<K, V>>(&ctx, std::move(child));
+  auto child = detail::shuffle_node(
+      rdd.context(), rdd.node(), num_partitions,
+      [num_partitions](std::size_t, std::size_t, const std::pair<K, V>& kv) {
+        return std::hash<K>{}(kv.first) % num_partitions;
+      },
+      [f](const std::vector<std::pair<K, V>>& bucket) {
+        // Hash-merge within the reduce partition.
+        std::unordered_map<K, V> merged;
+        for (const auto& kv : bucket) {
+          auto [it, inserted] = merged.try_emplace(kv.first, kv.second);
+          if (!inserted) it->second = f(std::move(it->second), kv.second);
+        }
+        std::vector<std::pair<K, V>> out;
+        out.reserve(merged.size());
+        for (auto& kv : merged) {
+          out.emplace_back(kv.first, std::move(kv.second));
+        }
+        return out;
+      });
+  return RDD<std::pair<K, V>>(&rdd.context(), std::move(child));
 }
 
 /// Wide transformation: redistributes elements round-robin into
@@ -851,33 +937,13 @@ RDD<std::pair<K, V>> reduce_by_key(const RDD<std::pair<K, V>>& rdd, F f,
 template <typename T>
 RDD<T> repartition(const RDD<T>& rdd, std::size_t num_partitions) {
   num_partitions = std::max<std::size_t>(1, num_partitions);
-  SparkContext& ctx = rdd.context();
-  auto parent = rdd.node();
-  auto child = std::make_shared<detail::RddNode<T>>();
-  child->partitions = num_partitions;
-  auto shuffle = std::make_shared<std::vector<std::vector<T>>>();
-  auto* ctx_ptr = &ctx;
-  child->prepare = [ctx_ptr, parent, shuffle, num_partitions] {
-    if (parent->prepare) parent->prepare();
-    auto map_outputs = ctx_ptr->run_stage(*parent);
-    shuffle->assign(num_partitions, {});
-    std::uint64_t bytes = 0, records = 0;
-    std::size_t cursor = 0;
-    for (auto& part : map_outputs) {
-      for (T& x : part) {
-        bytes += sizeof(T);
-        records += 1;
-        (*shuffle)[cursor % num_partitions].push_back(std::move(x));
-        ++cursor;
-      }
-    }
-    ctx_ptr->metrics().shuffle_bytes += bytes;
-    ctx_ptr->metrics().shuffle_records += records;
-  };
-  child->compute = [shuffle](TaskContext& tc) {
-    return std::move((*shuffle)[tc.partition()]);
-  };
-  return RDD<T>(&ctx, std::move(child));
+  auto child = detail::shuffle_node(
+      rdd.context(), rdd.node(), num_partitions,
+      [num_partitions](std::size_t, std::size_t index, const T&) {
+        return index % num_partitions;
+      },
+      [](const std::vector<T>& bucket) { return bucket; });
+  return RDD<T>(&rdd.context(), std::move(child));
 }
 
 /// Wide transformation: inner join of two pair RDDs on key (Spark's

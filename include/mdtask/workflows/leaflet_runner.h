@@ -41,9 +41,6 @@ struct LfRunConfig : EngineOptions {
   /// Approaches 1-3 reserve their cdist block against it; approach 4's
   /// BallTree footprint is far smaller (the paper's Sec. 4.3.4 point).
   std::uint64_t task_memory_limit = 0;
-  /// Approaches 3-4: merge partial components inside the framework as a
-  /// tree reduce (true) or gather-and-merge at the driver (false).
-  bool tree_reduce = true;
 };
 
 struct LfRunResult {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace mdtask::analysis {
 
@@ -141,7 +143,88 @@ ComponentLabels merge_partial_components(
   return labels;
 }
 
+namespace {
+
+void require_sorted_unique(std::span<const VertexRoot> s) {
+  const auto bad = std::adjacent_find(
+      s.begin(), s.end(), [](const VertexRoot& x, const VertexRoot& y) {
+        return x.vertex >= y.vertex;
+      });
+  if (bad != s.end()) {
+    throw std::invalid_argument(
+        "merge_partials_pairwise: summary not sorted by unique vertex");
+  }
+}
+
+/// Unites every entry of summary `s` with its root's entry, over the
+/// union positions `pos` of its entries. The root's entry is found by
+/// binary search, reused across a run of equal roots.
+void unite_with_roots(std::span<const VertexRoot> s,
+                      std::span<const std::uint32_t> pos, UnionFind& uf) {
+  std::size_t root_at = 0;
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    const std::uint32_t root = s[k].root;
+    if (k == 0 || root != s[k - 1].root) {
+      const auto it = std::lower_bound(
+          s.begin(), s.end(), root,
+          [](const VertexRoot& x, std::uint32_t v) { return x.vertex < v; });
+      if (it == s.end() || it->vertex != root) {
+        throw std::invalid_argument(
+            "merge_partials_pairwise: root " + std::to_string(root) +
+            " has no entry of its own");
+      }
+      root_at = static_cast<std::size_t>(it - s.begin());
+    }
+    uf.unite(pos[k], pos[root_at]);
+  }
+}
+
+}  // namespace
+
 PartialComponents merge_partials_pairwise(const PartialComponents& a,
+                                          const PartialComponents& b) {
+  const std::span<const VertexRoot> as = a.vertex_root;
+  const std::span<const VertexRoot> bs = b.vertex_root;
+  require_sorted_unique(as);
+  require_sorted_unique(bs);
+
+  // The union's sorted vertex list, and each entry's position in it.
+  std::vector<std::uint32_t> verts;
+  verts.reserve(as.size() + bs.size());
+  std::vector<std::uint32_t> pos_a(as.size());
+  std::vector<std::uint32_t> pos_b(bs.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < as.size() || j < bs.size()) {
+    const bool take_a =
+        j == bs.size() || (i < as.size() && as[i].vertex <= bs[j].vertex);
+    const bool take_b =
+        i == as.size() || (j < bs.size() && bs[j].vertex <= as[i].vertex);
+    const auto at = static_cast<std::uint32_t>(verts.size());
+    verts.push_back(take_a ? as[i].vertex : bs[j].vertex);
+    if (take_a) pos_a[i++] = at;
+    if (take_b) pos_b[j++] = at;
+  }
+
+  UnionFind uf(verts.size());
+  unite_with_roots(as, pos_a, uf);
+  unite_with_roots(bs, pos_b, uf);
+
+  // Positions ascend with vertex ids, so the first position met in each
+  // set is its smallest: the set's min-id root.
+  constexpr std::uint32_t kUnseen = 0xffffffffu;
+  std::vector<std::uint32_t> first(verts.size(), kUnseen);
+  PartialComponents out;
+  out.vertex_root.resize(verts.size());
+  for (std::uint32_t p = 0; p < verts.size(); ++p) {
+    std::uint32_t& min_pos = first[uf.find(p)];
+    if (min_pos == kUnseen) min_pos = p;
+    out.vertex_root[p] = {verts[p], verts[min_pos]};
+  }
+  return out;
+}
+
+PartialComponents merge_partials_by_edges(const PartialComponents& a,
                                           const PartialComponents& b) {
   // Treat each (vertex, root) entry as an edge vertex--root and rerun the
   // compressed union-find over the union. Associativity follows from

@@ -277,28 +277,12 @@ Result<LfRunResult> run_spark(int approach, std::span<const Vec3> atoms,
             }
             return out;
           });
-      if (config.tree_reduce) {
-        // Key every summary to one bucket and merge in a real shuffle
-        // (the paper's reduce phase; shuffle volume = summary bytes).
-        auto keyed = parts_rdd.map([](const PartialComponents& p) {
-          return std::make_pair(0, p);
-        });
-        auto merged = reduce_by_key(
-            keyed,
-            [](PartialComponents a, const PartialComponents& b) {
-              return analysis::merge_partials_pairwise(a, b);
-            },
-            1);
-        auto final_parts = merged.collect();
-        result = final_parts.empty()
-                     ? finish_from_partials(n_atoms, {})
-                     : finish_from_partials(
-                           n_atoms, std::span<const PartialComponents>(
-                                        &final_parts[0].second, 1));
-      } else {
-        auto parts = parts_rdd.collect();
-        result = finish_from_partials(n_atoms, parts);
-      }
+      // The paper's reduce phase as a tree of summary merges inside the
+      // framework (shuffle volume = summary bytes).
+      const PartialComponents merged =
+          parts_rdd.tree_reduce(analysis::merge_partials_pairwise);
+      result = finish_from_partials(
+          n_atoms, std::span<const PartialComponents>(&merged, 1));
     } else {
       auto edges =
           base.map_partitions(
@@ -365,31 +349,20 @@ Result<LfRunResult> run_dask(int approach, std::span<const Vec3> atoms,
           return part;
         }));
       }
-      if (config.tree_reduce) {
-        // Pairwise merge tasks inside the graph (no barrier).
-        std::vector<dask::Future<PartialComponents>> layer =
-            std::move(futures);
-        while (layer.size() > 1) {
-          std::vector<dask::Future<PartialComponents>> next;
-          for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
-            next.push_back(client.submit(
-                [](const PartialComponents& a, const PartialComponents& b) {
-                  return analysis::merge_partials_pairwise(a, b);
-                },
-                layer[i], layer[i + 1]));
-          }
-          if (layer.size() % 2 == 1) next.push_back(layer.back());
-          layer = std::move(next);
+      // Pairwise merge tasks inside the graph (no barrier).
+      std::vector<dask::Future<PartialComponents>> layer = std::move(futures);
+      while (layer.size() > 1) {
+        std::vector<dask::Future<PartialComponents>> next;
+        for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
+          next.push_back(client.submit(analysis::merge_partials_pairwise,
+                                       layer[i], layer[i + 1]));
         }
-        const PartialComponents& merged = layer.front().get();
-        result = finish_from_partials(
-            n_atoms, std::span<const PartialComponents>(&merged, 1));
-      } else {
-        std::vector<PartialComponents> parts;
-        parts.reserve(futures.size());
-        for (const auto& f : futures) parts.push_back(f.get());
-        result = finish_from_partials(n_atoms, parts);
+        if (layer.size() % 2 == 1) next.push_back(layer.back());
+        layer = std::move(next);
       }
+      const PartialComponents& merged = layer.front().get();
+      result = finish_from_partials(
+          n_atoms, std::span<const PartialComponents>(&merged, 1));
     } else {
       std::vector<dask::Future<std::vector<Edge>>> futures;
       futures.reserve(tasks.size());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 #include "mdtask/common/rng.h"
 
@@ -168,6 +170,70 @@ TEST(PartialMergeTest, MergeWithEmptyIsIdentity) {
   const auto part = partial_components(edges);
   const auto merged = merge_partials_pairwise(part, PartialComponents{});
   EXPECT_EQ(merged.vertex_root, part.vertex_root);
+}
+
+/// Summary of random edges over vertices [lo, lo + span * stride), every
+/// vertex id a multiple of `stride` offset by lo.
+PartialComponents random_summary(std::uint32_t lo, std::uint32_t span,
+                                 std::uint32_t stride, std::size_t n_edges,
+                                 std::uint64_t seed) {
+  auto edges = random_edges(span, n_edges, seed);
+  for (Edge& e : edges) {
+    e = {lo + e.a * stride, lo + e.b * stride};
+  }
+  return partial_components(edges);
+}
+
+TEST(PartialMergeTest, LinearMergeEqualsEdgeRoundTrip) {
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    const auto edges = random_edges(400, 120 + 40 * seed, 100 + seed);
+    const std::vector<Edge> half(edges.begin(),
+                                 edges.begin() + edges.size() / 2);
+    const PartialComponents whole = partial_components(edges);
+    const std::vector<std::pair<PartialComponents, PartialComponents>>
+        pairs = {
+            {PartialComponents{}, PartialComponents{}},  // empty
+            {whole, PartialComponents{}},
+            {random_summary(0, 200, 1, 150, seed),  // disjoint ranges
+             random_summary(500, 200, 1, 150, seed + 1)},
+            {whole, whole},  // identical
+            {random_summary(0, 300, 2, 200, seed),  // interleaved ids
+             random_summary(1, 300, 2, 200, seed + 2)},
+            {random_summary(0, 400, 1, 180, seed),  // overlapping
+             random_summary(0, 400, 1, 180, seed + 3)},
+            {whole, partial_components(half)},  // subset
+        };
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      const auto& [a, b] = pairs[k];
+      const auto expected = merge_partials_by_edges(a, b).vertex_root;
+      EXPECT_EQ(merge_partials_pairwise(a, b).vertex_root, expected)
+          << "seed " << seed << " pair " << k;
+      EXPECT_EQ(merge_partials_pairwise(b, a).vertex_root, expected)
+          << "seed " << seed << " pair " << k << " (commuted)";
+    }
+    const PartialComponents a = random_summary(0, 300, 1, 140, seed);
+    const PartialComponents b = random_summary(100, 300, 1, 140, seed + 4);
+    const PartialComponents c = random_summary(50, 300, 2, 140, seed + 5);
+    EXPECT_EQ(merge_partials_pairwise(merge_partials_pairwise(a, b), c)
+                  .vertex_root,
+              merge_partials_pairwise(a, merge_partials_pairwise(b, c))
+                  .vertex_root)
+        << "seed " << seed;
+  }
+}
+
+TEST(PartialMergeTest, OutOfContractSummaryThrows) {
+  const auto good = partial_components(std::vector<Edge>{{1, 2}, {2, 3}});
+  PartialComponents unsorted;
+  unsorted.vertex_root = {{5, 5}, {3, 3}};
+  PartialComponents duplicate;
+  duplicate.vertex_root = {{3, 3}, {3, 3}};
+  PartialComponents rootless;  // root 2 has no entry of its own
+  rootless.vertex_root = {{4, 2}, {6, 2}};
+  for (const PartialComponents* bad : {&unsorted, &duplicate, &rootless}) {
+    EXPECT_THROW(merge_partials_pairwise(*bad, good), std::invalid_argument);
+    EXPECT_THROW(merge_partials_pairwise(good, *bad), std::invalid_argument);
+  }
 }
 
 TEST(PartialMergeTest, LabelsFromEmptyPartialAllSingletons) {

@@ -4,6 +4,8 @@
 
 #include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace mdtask::spark {
 namespace {
@@ -340,6 +342,128 @@ TEST(SparkTest, JoinDisjointKeysIsEmpty) {
                    sc.parallelize(std::move(right), 1), 2)
                   .collect()
                   .empty());
+}
+
+struct Blob {
+  std::vector<int> values;
+  std::size_t byte_size() const noexcept {
+    return values.size() * sizeof(int);
+  }
+};
+
+TEST(SparkTest, ShuffleCountsByteSizeOrSizeof) {
+  SparkContext sc;
+  std::vector<Blob> blobs = {{{1, 2, 3}}, {{4}}, {{}}, {{5, 6}}};
+  auto spread = repartition(sc.parallelize(blobs, 2), 3);
+  sc.metrics().reset();
+  spread.collect();
+  EXPECT_EQ(sc.metrics().shuffle_bytes.load(), 6 * sizeof(int));
+
+  std::vector<std::pair<int, Blob>> keyed = {{0, {{1, 2}}}, {1, {{3}}}};
+  auto merged = reduce_by_key(
+      sc.parallelize(std::move(keyed), 2),
+      [](Blob a, const Blob& b) {
+        a.values.insert(a.values.end(), b.values.begin(), b.values.end());
+        return a;
+      },
+      2);
+  sc.metrics().reset();
+  merged.collect();
+  // Each record: the pair's bytes with the payload in the value's place.
+  const std::size_t header = sizeof(std::pair<int, Blob>) - sizeof(Blob);
+  EXPECT_EQ(sc.metrics().shuffle_bytes.load(),
+            2 * header + 3 * sizeof(int));
+
+  // Plain records count sizeof, padding included.
+  std::vector<std::pair<int, double>> plain = {{0, 1.0}, {1, 2.0}, {0, 3.0}};
+  auto summed = reduce_by_key(sc.parallelize(std::move(plain), 2),
+                              [](double a, double b) { return a + b; }, 2);
+  sc.metrics().reset();
+  summed.collect();
+  EXPECT_EQ(sc.metrics().shuffle_bytes.load(),
+            3 * sizeof(std::pair<int, double>));
+}
+
+// ---------------------------------------------------------- tree_reduce --
+
+std::vector<std::string> tokens(int n) {
+  std::vector<std::string> out;
+  for (int i = 0; i < n; ++i) out.push_back(std::to_string(i) + ";");
+  return out;
+}
+
+std::string concat(std::string a, const std::string& b) {
+  a += b;
+  return a;
+}
+
+/// The left fold of `xs` under concatenation, in order.
+std::string left_fold(const std::vector<std::string>& xs) {
+  std::string out;
+  for (const auto& x : xs) out += x;
+  return out;
+}
+
+TEST(SparkTreeReduceTest, EqualsLeftFoldUnderAnOrderSensitiveOp) {
+  // Concatenation is associative but not commutative: any reordering of
+  // partitions or values would show in the result.
+  for (std::size_t partitions : {1u, 2u, 7u, 55u, 64u, 300u}) {
+    const auto xs = tokens(static_cast<int>(3 * partitions + 1));
+    SparkContext sc;
+    EXPECT_EQ(sc.parallelize(xs, partitions).tree_reduce(concat),
+              left_fold(xs))
+        << partitions << " partitions";
+  }
+}
+
+TEST(SparkTreeReduceTest, SkipsEmptyPartitions) {
+  const auto xs = tokens(165);
+  std::vector<std::string> kept;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if ((i / 3) % 3 != 1) kept.push_back(xs[i]);  // 3 per partition
+  }
+  SparkContext sc;
+  auto holes = sc.parallelize(xs, 55).map_partitions(
+      [](TaskContext& tc, std::vector<std::string>& mine) {
+        return tc.partition() % 3 == 1 ? std::vector<std::string>{} : mine;
+      });
+  EXPECT_EQ(holes.tree_reduce(concat), left_fold(kept));
+}
+
+TEST(SparkTreeReduceTest, EmptyRddReturnsDefault) {
+  SparkContext sc;
+  EXPECT_EQ(sc.parallelize(std::vector<std::string>{}, 55)
+                .tree_reduce(concat),
+            std::string{});
+  EXPECT_EQ(sc.parallelize(std::vector<int>{}, 1)
+                .tree_reduce([](int a, int b) { return a + b; }),
+            0);
+}
+
+TEST(SparkTreeReduceTest, StagesFollowTreeReduceShape) {
+  // 55 partitions (scale 8) add one 6-bucket level and 300 (scale 18) one
+  // 16-bucket level; 2 partitions (scale 2) go straight to the driver.
+  struct Shape {
+    std::size_t partitions;
+    std::uint64_t stages;
+    std::uint64_t tasks;
+    std::uint64_t shuffled;  ///< values sent through the shuffle level
+  };
+  for (const Shape& s : {Shape{55, 2, 61, 55}, Shape{300, 2, 316, 300},
+                         Shape{2, 1, 2, 0}}) {
+    SparkContext sc;
+    auto rdd = sc.parallelize(tokens(static_cast<int>(s.partitions)),
+                              s.partitions);
+    rdd.tree_reduce(concat);
+    EXPECT_EQ(sc.metrics().stages_executed.load(), s.stages)
+        << s.partitions << " partitions";
+    EXPECT_EQ(sc.metrics().tasks_executed.load(), s.tasks)
+        << s.partitions << " partitions";
+    // Only the level moves values through a shuffle; the driver fold
+    // does not count.
+    EXPECT_EQ(sc.metrics().shuffle_records.load(), s.shuffled)
+        << s.partitions << " partitions";
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <set>
+#include <string>
 
 #include "mdtask/engines/dask/dask.h"
 #include "mdtask/engines/mpi/runtime.h"
@@ -66,6 +68,34 @@ TEST(SparkRecoveryTest, EveryFaultKindRecoversWithIdenticalResults) {
       }
     }
   }
+}
+
+std::string spark_tree_concat(const FaultPlan* plan, RecoveryLog* log) {
+  spark::SparkContext sc(spark::SparkConfig{
+      .executor_threads = 4, .fault_plan = plan, .recovery_log = log});
+  std::vector<std::string> input;
+  for (int i = 0; i < 110; ++i) input.push_back(std::to_string(i) + ",");
+  // 55 partitions: a map stage of 55 folds, then one 6-bucket level.
+  return sc.parallelize(std::move(input), 55)
+      .tree_reduce([](std::string a, const std::string& b) {
+        a += b;
+        return a;
+      });
+}
+
+TEST(SparkRecoveryTest, TreeReduceRecoversLostTasksIdentically) {
+  const std::string expected = spark_tree_concat(nullptr, nullptr);
+  const FaultPlan plan = once_per_task(FaultKind::kWorkerOomKill);
+  RecoveryLog log;
+  EXPECT_EQ(spark_tree_concat(&plan, &log), expected);
+  // Every task of both stages lost its first attempt and was re-executed.
+  EXPECT_EQ(log.size(), 55u + 6u);
+  std::set<std::uint64_t> stages;
+  for (const auto& e : log.events()) {
+    EXPECT_EQ(e.action, fault::RecoveryAction::kReexecuteLineage);
+    stages.insert(e.task_id >> 20);
+  }
+  EXPECT_EQ(stages, (std::set<std::uint64_t>{1, 2}));
 }
 
 TEST(SparkRecoveryTest, ExhaustedBudgetSurfacesInjectedFault) {

@@ -76,18 +76,29 @@ TEST(LfRunnerTest, InvalidApproachRejected) {
 }
 
 TEST(LfRunnerTest, DriverMergeEqualsTreeReduce) {
+  // Spark and Dask merge the summaries as a tree of pairwise merges; MPI
+  // and RP gather them into one k-way merge at the driver. 8 and 64
+  // target tasks give 6 and 55 summaries, so Spark's tree runs a
+  // shuffle level at 64.
   const auto& fx = fixture();
-  LfRunConfig tree, driver;
-  tree.tree_reduce = true;
-  driver.tree_reduce = false;
-  tree.target_tasks = driver.target_tasks = 8;
-  for (EngineKind engine : {EngineKind::kSpark, EngineKind::kDask}) {
-    auto a = run_leaflet_finder(engine, 3, fx.bilayer.positions, fx.cutoff,
-                                tree);
-    auto b = run_leaflet_finder(engine, 3, fx.bilayer.positions, fx.cutoff,
-                                driver);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value().leaflets.labels, b.value().leaflets.labels);
+  for (std::size_t target_tasks : {8u, 64u}) {
+    LfRunConfig config;
+    config.target_tasks = target_tasks;
+    for (int approach : {3, 4}) {
+      auto driver = run_leaflet_finder(EngineKind::kMpi, approach,
+                                       fx.bilayer.positions, fx.cutoff,
+                                       config);
+      ASSERT_TRUE(driver.ok()) << driver.error().to_string();
+      for (EngineKind engine : {EngineKind::kRp, EngineKind::kSpark,
+                                EngineKind::kDask}) {
+        auto run = run_leaflet_finder(engine, approach, fx.bilayer.positions,
+                                      fx.cutoff, config);
+        ASSERT_TRUE(run.ok()) << run.error().to_string();
+        EXPECT_EQ(run.value().leaflets.labels, driver.value().leaflets.labels)
+            << to_string(engine) << " approach " << approach << " at "
+            << target_tasks << " tasks";
+      }
+    }
   }
 }
 
@@ -149,11 +160,19 @@ TEST(LfRunnerTest, Approach3ShufflesLessThanApproach2OnSpark) {
                                fx.cutoff, config);
   auto a3 = run_leaflet_finder(EngineKind::kSpark, 3, fx.bilayer.positions,
                                fx.cutoff, config);
-  ASSERT_TRUE(a2.ok() && a3.ok());
+  auto dask = run_leaflet_finder(EngineKind::kDask, 3, fx.bilayer.positions,
+                                 fx.cutoff, config);
+  ASSERT_TRUE(a2.ok() && a3.ok() && dask.ok());
   // A2 gathers edges at the driver (collect, not via shuffle counters);
   // compare data volume: edges found x sizeof(Edge) vs shuffle_bytes.
   EXPECT_GT(a2.value().edges_found * sizeof(analysis::Edge),
             a3.value().metrics.shuffle_bytes);
+  // 12 target tasks give 10 summaries: Spark's tree runs one shuffle
+  // level, which moves every summary once, as Dask counts them.
+  ASSERT_EQ(a3.value().metrics.tasks, 10u + 2u);  // map + one level
+  EXPECT_GT(a3.value().metrics.shuffle_bytes, 0u);
+  EXPECT_EQ(a3.value().metrics.shuffle_bytes,
+            dask.value().metrics.shuffle_bytes);
 }
 
 TEST(LfRunnerTest, MpiBroadcastMeasuredForApproach1) {
