@@ -17,8 +17,10 @@ namespace mdtask::analysis {
 
 class BallTree {
  public:
-  /// Builds an index over `points`. The tree stores a copy of the points
-  /// (reordered for locality) plus their original indices.
+  /// Builds an index over `points`. The tree stores the points'
+  /// coordinates as SoA lanes (reordered for locality) plus their
+  /// original indices; the build permutes one array of {point, id}
+  /// entries in place, one std::nth_element per internal node.
   /// `leaf_size` bounds the linear-scan fan-out at the leaves, which
   /// run a branch-free SoA distance sweep. Its per-point predicate is
   /// the exact traj::dist2(p, q) <= radius^2, so queries return the
@@ -26,7 +28,7 @@ class BallTree {
   explicit BallTree(std::span<const traj::Vec3> points,
                     std::size_t leaf_size = 32);
 
-  std::size_t size() const noexcept { return points_.size(); }
+  std::size_t size() const noexcept { return ids_.size(); }
 
   /// Appends the original indices of all points within `radius` of `q`
   /// (inclusive) to `out`. `out` is not cleared.
@@ -43,23 +45,28 @@ class BallTree {
   struct Node {
     traj::Vec3 center{};
     double radius = 0.0;
-    std::uint32_t begin = 0;   ///< range into points_/ids_
+    std::uint32_t begin = 0;   ///< range into ids_ and the SoA lanes
     std::uint32_t end = 0;
     std::int32_t left = -1;    ///< child node index or -1 for leaf
     std::int32_t right = -1;
   };
 
-  std::uint32_t build(std::uint32_t begin, std::uint32_t end,
-                      std::size_t leaf_size);
+  /// A point and its original index, permuted together by the build.
+  struct Entry {
+    traj::Vec3 point;
+    std::uint32_t id = 0;
+  };
+
+  std::uint32_t build(std::vector<Entry>& entries, std::uint32_t begin,
+                      std::uint32_t end, std::size_t leaf_size);
   void query(std::uint32_t node, traj::Vec3 q, double radius,
              std::vector<std::uint32_t>& out) const;
 
   void scan_leaf(const Node& node, traj::Vec3 q, double r2,
                  std::vector<std::uint32_t>& out) const;
 
-  std::vector<traj::Vec3> points_;     ///< reordered copies
   std::vector<std::uint32_t> ids_;     ///< original index per point
-  std::vector<float> xs_, ys_, zs_;    ///< SoA lanes of points_ (leaf scans)
+  std::vector<float> xs_, ys_, zs_;    ///< SoA lanes, tree order (leaf scans)
   std::vector<Node> nodes_;
 };
 

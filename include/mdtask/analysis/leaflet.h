@@ -98,6 +98,18 @@ std::vector<Edge> lf_edges_tree_spans(std::span<const traj::Vec3> row_atoms,
                                       std::span<const traj::Vec3> col_atoms,
                                       const BlockPair& block, double cutoff);
 
+/// Approach 3-4 map-side summary of one block's edges, without hashing:
+/// equal, element for element, to partial_components(edges). Each vertex
+/// is indexed by its offset in the block's row range, then (off the
+/// diagonal) in its column range. Row atoms precede column atoms, so
+/// slots ascend with vertex ids: union-find over the slots, then one
+/// ordered pass emits every touched slot with its set's first slot as
+/// the min-id root. An edge endpoint outside the block, or an
+/// off-diagonal block whose rows do not precede its columns, throws
+/// std::invalid_argument.
+PartialComponents lf_partial_components(std::span<const Edge> edges,
+                                        const BlockPair& block);
+
 /// Bytes a map task's cdist block materializes for the given block shape;
 /// drives the paper's memory-pressure behaviour (42k tasks at 4M atoms,
 /// approach-3 Dask worker restarts).

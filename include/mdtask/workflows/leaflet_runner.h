@@ -60,14 +60,17 @@ Result<LfRunResult> run_leaflet_finder(EngineKind engine, int approach,
                                        const LfRunConfig& config = {});
 
 /// Out-of-core Leaflet Finder: positions come from a sharded store
-/// (write them with stream::write_sharded_points) and map tasks read
-/// only their block's row/col ranges through a shared ShardReader —
-/// the full system is never materialized at the driver for approaches
-/// 2-4. Approach 1 is broadcast-everything by definition, so it loads
-/// the store once and runs the in-memory path. Results are
-/// bit-identical to run_leaflet_finder on the array the store was
-/// written from (guarded by the stream workflow tests); the store's
-/// bytes read are accounted in metrics.staged_bytes.
+/// (write them with stream::write_sharded_points) and map tasks load
+/// only their block's row/col ranges through a shared ShardReader. For
+/// approaches 2-4 each shard is read, verified and decoded at most once
+/// per run, by the first task that needs it, and shared by every later
+/// task that overlaps it; so a streamed run holds at most the store's
+/// decoded size, shared across its tasks, plus each task's own chunk
+/// copies. Approach 1 is broadcast-everything by
+/// definition, so it loads the store once and runs the in-memory path.
+/// Results are bit-identical to run_leaflet_finder on the array the
+/// store was written from (guarded by the stream workflow tests); the
+/// store's bytes read are accounted in metrics.staged_bytes.
 Result<LfRunResult> run_leaflet_finder_streamed(EngineKind engine,
                                                 int approach,
                                                 const StreamInput& input,

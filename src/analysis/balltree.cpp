@@ -2,33 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace mdtask::analysis {
 
 BallTree::BallTree(std::span<const traj::Vec3> points,
                    std::size_t leaf_size) {
-  points_.assign(points.begin(), points.end());
-  ids_.resize(points_.size());
-  std::iota(ids_.begin(), ids_.end(), 0u);
-  if (!points_.empty()) {
-    nodes_.reserve(2 * points_.size() / std::max<std::size_t>(1, leaf_size));
-    build(0, static_cast<std::uint32_t>(points_.size()),
+  // The build permutes {point, id} entries in place; ids and the SoA
+  // lanes are filled once from the final order.
+  std::vector<Entry> entries;
+  entries.reserve(points.size());
+  for (std::uint32_t i = 0; i < points.size(); ++i) {
+    entries.push_back({points[i], i});
+  }
+  if (!entries.empty()) {
+    nodes_.reserve(2 * entries.size() / std::max<std::size_t>(1, leaf_size));
+    build(entries, 0, static_cast<std::uint32_t>(entries.size()),
           std::max<std::size_t>(1, leaf_size));
   }
-  // SoA lanes mirror points_ after the build's reordering; leaf scans
-  // stream them instead of the AoS structs.
-  xs_.resize(points_.size());
-  ys_.resize(points_.size());
-  zs_.resize(points_.size());
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    xs_[i] = points_[i].x;
-    ys_[i] = points_[i].y;
-    zs_[i] = points_[i].z;
+  ids_.resize(entries.size());
+  xs_.resize(entries.size());
+  ys_.resize(entries.size());
+  zs_.resize(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    ids_[i] = entries[i].id;
+    xs_[i] = entries[i].point.x;
+    ys_[i] = entries[i].point.y;
+    zs_[i] = entries[i].point.z;
   }
 }
 
-std::uint32_t BallTree::build(std::uint32_t begin, std::uint32_t end,
+std::uint32_t BallTree::build(std::vector<Entry>& entries,
+                              std::uint32_t begin, std::uint32_t end,
                               std::size_t leaf_size) {
   const auto node_index = static_cast<std::uint32_t>(nodes_.size());
   nodes_.emplace_back();
@@ -36,9 +40,9 @@ std::uint32_t BallTree::build(std::uint32_t begin, std::uint32_t end,
   // Bounding ball: centroid + max distance (cheap and tight enough).
   double cx = 0, cy = 0, cz = 0;
   for (std::uint32_t i = begin; i < end; ++i) {
-    cx += points_[i].x;
-    cy += points_[i].y;
-    cz += points_[i].z;
+    cx += entries[i].point.x;
+    cy += entries[i].point.y;
+    cz += entries[i].point.z;
   }
   const double n = end - begin;
   const traj::Vec3 center{static_cast<float>(cx / n),
@@ -46,7 +50,7 @@ std::uint32_t BallTree::build(std::uint32_t begin, std::uint32_t end,
                           static_cast<float>(cz / n)};
   double r2 = 0.0;
   for (std::uint32_t i = begin; i < end; ++i) {
-    r2 = std::max(r2, traj::dist2(center, points_[i]));
+    r2 = std::max(r2, traj::dist2(center, entries[i].point));
   }
 
   Node node;
@@ -57,10 +61,12 @@ std::uint32_t BallTree::build(std::uint32_t begin, std::uint32_t end,
 
   if (end - begin > leaf_size) {
     // Split at the median of the widest coordinate.
-    float mins[3] = {points_[begin].x, points_[begin].y, points_[begin].z};
+    const traj::Vec3& p0 = entries[begin].point;
+    float mins[3] = {p0.x, p0.y, p0.z};
     float maxs[3] = {mins[0], mins[1], mins[2]};
     for (std::uint32_t i = begin; i < end; ++i) {
-      const float c[3] = {points_[i].x, points_[i].y, points_[i].z};
+      const traj::Vec3& p = entries[i].point;
+      const float c[3] = {p.x, p.y, p.z};
       for (int d = 0; d < 3; ++d) {
         mins[d] = std::min(mins[d], c[d]);
         maxs[d] = std::max(maxs[d], c[d]);
@@ -75,27 +81,20 @@ std::uint32_t BallTree::build(std::uint32_t begin, std::uint32_t end,
       }
     }
     const std::uint32_t mid = begin + (end - begin) / 2;
-    auto key = [dim](const traj::Vec3& p) {
-      return dim == 0 ? p.x : dim == 1 ? p.y : p.z;
+    auto key = [dim](const Entry& e) {
+      return dim == 0 ? e.point.x : dim == 1 ? e.point.y : e.point.z;
     };
-    // Partition points and their ids in lockstep around the median.
-    std::vector<std::uint32_t> order(end - begin);
-    std::iota(order.begin(), order.end(), begin);
-    std::nth_element(order.begin(), order.begin() + (mid - begin),
-                     order.end(), [&](std::uint32_t a, std::uint32_t b) {
-                       return key(points_[a]) < key(points_[b]);
+    // Points and their ids move together around the median.
+    std::nth_element(entries.begin() + begin, entries.begin() + mid,
+                     entries.begin() + end,
+                     [&](const Entry& a, const Entry& b) {
+                       return key(a) < key(b);
                      });
-    std::vector<traj::Vec3> tmp_points(end - begin);
-    std::vector<std::uint32_t> tmp_ids(end - begin);
-    for (std::uint32_t i = 0; i < end - begin; ++i) {
-      tmp_points[i] = points_[order[i]];
-      tmp_ids[i] = ids_[order[i]];
-    }
-    std::copy(tmp_points.begin(), tmp_points.end(), points_.begin() + begin);
-    std::copy(tmp_ids.begin(), tmp_ids.end(), ids_.begin() + begin);
 
-    node.left = static_cast<std::int32_t>(build(begin, mid, leaf_size));
-    node.right = static_cast<std::int32_t>(build(mid, end, leaf_size));
+    node.left =
+        static_cast<std::int32_t>(build(entries, begin, mid, leaf_size));
+    node.right =
+        static_cast<std::int32_t>(build(entries, mid, end, leaf_size));
   }
 
   nodes_[node_index] = node;

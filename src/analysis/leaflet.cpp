@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "mdtask/analysis/balltree.h"
@@ -160,6 +162,54 @@ std::vector<Edge> lf_edges_tree(std::span<const traj::Vec3> all_atoms,
   return lf_edges_tree_spans(
       all_atoms.subspan(block.rows.begin, block.rows.size()),
       all_atoms.subspan(block.cols.begin, block.cols.size()), block, cutoff);
+}
+
+PartialComponents lf_partial_components(std::span<const Edge> edges,
+                                        const BlockPair& block) {
+  const bool diagonal = block.diagonal();
+  if (!diagonal && block.rows.end > block.cols.begin) {
+    throw std::invalid_argument(
+        "lf_partial_components: block rows must precede its columns");
+  }
+  if (edges.empty()) return {};
+  const std::uint32_t n_rows = block.rows.end - block.rows.begin;
+  const std::uint32_t n_slots =
+      diagonal ? n_rows : n_rows + (block.cols.end - block.cols.begin);
+  auto slot = [&](std::uint32_t v) {
+    if (v >= block.rows.begin && v < block.rows.end) {
+      return v - block.rows.begin;
+    }
+    if (!diagonal && v >= block.cols.begin && v < block.cols.end) {
+      return n_rows + (v - block.cols.begin);
+    }
+    throw std::invalid_argument("lf_partial_components: vertex " +
+                                std::to_string(v) + " outside the block");
+  };
+  auto vertex = [&](std::uint32_t s) {
+    return s < n_rows ? block.rows.begin + s : block.cols.begin + (s - n_rows);
+  };
+
+  UnionFind uf(n_slots);
+  std::vector<std::uint8_t> touched(n_slots, 0);
+  for (const Edge& e : edges) {
+    const std::uint32_t a = slot(e.a);
+    const std::uint32_t b = slot(e.b);
+    touched[a] = 1;
+    touched[b] = 1;
+    uf.unite(a, b);
+  }
+
+  // The first touched slot met in each set is its smallest vertex id.
+  constexpr std::uint32_t kUnseen = 0xffffffffu;
+  std::vector<std::uint32_t> first(n_slots, kUnseen);
+  PartialComponents out;
+  for (std::uint32_t s = 0; s < n_slots; ++s) {
+    if (touched[s] == 0) continue;
+    std::uint32_t& min_slot = first[uf.find(s)];
+    if (min_slot == kUnseen) min_slot = s;
+    out.vertex_root.push_back({vertex(s), vertex(min_slot)});
+  }
+  return out;
 }
 
 std::size_t lf_block_cdist_bytes(const BlockPair& block) {

@@ -76,28 +76,80 @@ LfRunResult finish_from_partials(std::size_t n_atoms,
 
 /// Shared out-of-core input of one streamed run: every engine task
 /// loads its block's row/col ranges through this reader (points store:
-/// one atom per stored frame). Read errors are captured once and
-/// surfaced after the engine drains — the failing task contributes no
-/// edges, mirroring how a lost map task looks before its retry.
+/// one atom per stored frame). Each shard is read and decoded at most
+/// once per run: the first task to need it reads it under its slot's
+/// lock, later tasks wait there or find it ready, and a task's chunk is
+/// assembled from the decoded shards. Decoded shards live until the run
+/// ends, so a run holds at most the store's decoded size. Read errors
+/// are captured once and surfaced after the engine drains — the failing
+/// task contributes no edges, mirroring how a lost map task looks
+/// before its retry; a failed read leaves its slot empty, so only
+/// verified shards are ever shared.
 struct LfStreamState {
+  struct ShardSlot {
+    std::mutex mu;
+    std::optional<traj::Trajectory> decoded;
+  };
+
   stream::ShardReader reader;
+  std::vector<ShardSlot> slots;
   std::mutex mu;
   std::optional<Error> error;
 
-  explicit LfStreamState(stream::ShardReader r) : reader(std::move(r)) {}
+  explicit LfStreamState(stream::ShardReader r)
+      : reader(std::move(r)), slots(reader.shard_count()) {}
 
   void fail(Error e) {
     std::lock_guard lk(mu);
     if (!error.has_value()) error = std::move(e);
   }
 
-  std::optional<traj::Trajectory> load(const AtomChunk& chunk) {
-    auto loaded = reader.read_frames(chunk.begin, chunk.size());
-    if (!loaded.ok()) {
-      fail(loaded.error());
-      return std::nullopt;
+  /// Shard `s`, read and verified by the first task that needs it;
+  /// nullptr (after fail()) when that read fails.
+  const traj::Trajectory* shard(std::size_t s) {
+    if (s >= slots.size()) {
+      fail(Error(ErrorCode::kOutOfRange,
+                 "shard index out of range: " + reader.path()));
+      return nullptr;
     }
-    return std::move(loaded).value();
+    ShardSlot& slot = slots[s];
+    std::lock_guard lk(slot.mu);
+    if (!slot.decoded.has_value()) {
+      auto read = reader.read_shard(s);
+      if (!read.ok()) {
+        fail(read.error());
+        return nullptr;
+      }
+      slot.decoded = std::move(read).value();
+    }
+    return &*slot.decoded;
+  }
+
+  /// The chunk's positions, one contiguous copy out of the decoded
+  /// shards its atom range overlaps.
+  std::optional<std::vector<Vec3>> load(const AtomChunk& chunk) {
+    const stream::ShardStoreInfo& info = reader.info();
+    std::vector<Vec3> out;
+    out.reserve(chunk.size() * info.atoms);
+    for (std::size_t f = chunk.begin; f < chunk.end;) {
+      const std::size_t s = info.shard_of_frame(f);
+      const traj::Trajectory* decoded = shard(s);
+      if (decoded == nullptr) return std::nullopt;
+      const std::size_t skip = f - info.shard_first_frame(s);
+      if (skip >= decoded->frames()) {  // shards that do not tile frames
+        fail(Error(ErrorCode::kFormatError,
+                   "shard " + std::to_string(s) + " does not hold frame " +
+                       std::to_string(f) + ": " + reader.path()));
+        return std::nullopt;
+      }
+      const std::size_t take =
+          std::min(decoded->frames() - skip, chunk.end - f);
+      const auto from =
+          decoded->data().subspan(skip * info.atoms, take * info.atoms);
+      out.insert(out.end(), from.begin(), from.end());
+      f += take;
+    }
+    return out;
   }
 
   /// Streamed edge discovery: the block's row/col spans are read from
@@ -108,13 +160,13 @@ struct LfStreamState {
                              double cutoff) {
     auto rows = load(task.block.rows);
     if (!rows.has_value()) return {};
-    const std::span<const Vec3> row_view = rows->data();
-    std::optional<traj::Trajectory> cols;
+    const std::span<const Vec3> row_view = *rows;
+    std::optional<std::vector<Vec3>> cols;
     std::span<const Vec3> col_view = row_view;
     if (!task.block.diagonal()) {
       cols = load(task.block.cols);
       if (!cols.has_value()) return {};
-      col_view = cols->data();
+      col_view = *cols;
     }
     if (approach == 4) {
       return analysis::lf_edges_tree_spans(row_view, col_view, task.block,
@@ -140,6 +192,15 @@ std::vector<Edge> run_discovery(int approach, std::span<const Vec3> view,
     default:
       return analysis::lf_edges_tree(view, task.block, cutoff);
   }
+}
+
+/// One approach-3/4 map task: its block's edges, summarized in block
+/// slots (no hashing).
+PartialComponents run_summary(int approach, std::span<const Vec3> view,
+                              const MapTask& task, double cutoff,
+                              LfStreamState* stream) {
+  return analysis::lf_partial_components(
+      run_discovery(approach, view, task, cutoff, stream), task.block);
 }
 
 // ---------------------------------------------------------------- MPI --
@@ -185,12 +246,13 @@ Result<LfRunResult> run_mpi(int approach, std::span<const Vec3> atoms,
             memory_failed.store(true);
             break;
           }
-          auto edges = run_discovery(approach, view, tasks[t], cutoff, stream);
           if (uses_partial_components(approach)) {
-            auto part = analysis::partial_components(edges);
+            auto part = run_summary(approach, view, tasks[t], cutoff, stream);
             my_pairs.insert(my_pairs.end(), part.vertex_root.begin(),
                             part.vertex_root.end());
           } else {
+            auto edges =
+                run_discovery(approach, view, tasks[t], cutoff, stream);
             my_edges.insert(my_edges.end(), edges.begin(), edges.end());
           }
         }
@@ -272,8 +334,8 @@ Result<LfRunResult> run_spark(int approach, std::span<const Vec3> atoms,
             std::vector<PartialComponents> out;
             for (const auto& task : mine) {
               tc.reserve_memory(task_memory_bytes(approach, task));
-              out.push_back(analysis::partial_components(run_discovery(
-                  approach, *positions, task, cutoff, stream)));
+              out.push_back(
+                  run_summary(approach, *positions, task, cutoff, stream));
             }
             return out;
           });
@@ -341,8 +403,7 @@ Result<LfRunResult> run_dask(int approach, std::span<const Vec3> atoms,
         futures.push_back(client.submit([&client, &atoms, task, approach,
                                          cutoff, stream] {
           client.reserve_memory(task_memory_bytes(approach, task));
-          auto part = analysis::partial_components(
-              run_discovery(approach, atoms, task, cutoff, stream));
+          auto part = run_summary(approach, atoms, task, cutoff, stream);
           // The summary is what moves to the reduce side (Table 2).
           client.metrics().shuffle_bytes += part.byte_size();
           client.metrics().shuffle_records += part.vertex_root.size();
@@ -418,13 +479,12 @@ Result<LfRunResult> run_rp(int approach, std::span<const Vec3> atoms,
               engines::check_task_memory(task_memory_bytes(approach, task),
                                          limit);
               ByteWriter writer;
-              auto edges =
-                  run_discovery(approach, atoms, task, cutoff, stream);
               if (uses_partial_components(approach)) {
-                auto part = analysis::partial_components(edges);
+                auto part = run_summary(approach, atoms, task, cutoff, stream);
                 writer.put_span<analysis::VertexRoot>(part.vertex_root);
               } else {
-                writer.put_span<Edge>(edges);
+                writer.put_span<Edge>(
+                    run_discovery(approach, atoms, task, cutoff, stream));
               }
               fs.put(out_path, std::move(writer).take());
             },

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "mdtask/traj/catalog.h"
 #include "mdtask/traj/generators.h"
@@ -137,16 +138,62 @@ TEST(LfKernelTest, PartialComponentsPathMatchesEdgeGatherPath) {
   const LfFixture fx(450);
   std::vector<Edge> all_edges;
   std::vector<PartialComponents> parts;
+  std::size_t diagonal = 0, off_diagonal = 0, empty = 0;
   for (const auto& block : make_2d_blocks(fx.bilayer.atoms(), 10)) {
     auto edges = lf_edges_2d(fx.bilayer.positions, block, fx.cutoff);
     parts.push_back(partial_components(edges));
     all_edges.insert(all_edges.end(), edges.begin(), edges.end());
+
+    // The block-dense summary equals the hashed one element for element,
+    // on the cdist kernel's edges and on the BallTree kernel's (which
+    // come in another order).
+    EXPECT_EQ(lf_partial_components(edges, block).vertex_root,
+              parts.back().vertex_root);
+    const auto tree_edges =
+        lf_edges_tree(fx.bilayer.positions, block, fx.cutoff);
+    EXPECT_EQ(lf_partial_components(tree_edges, block).vertex_root,
+              partial_components(tree_edges).vertex_root);
+    if (edges.empty()) {
+      ++empty;
+    } else if (block.diagonal()) {
+      ++diagonal;
+    } else {
+      ++off_diagonal;
+    }
   }
+  EXPECT_GT(diagonal, 0u);
+  EXPECT_GT(off_diagonal, 0u);
+  EXPECT_GT(empty, 0u);
   const auto via_edges =
       connected_components_union_find(fx.bilayer.atoms(), all_edges);
   const auto via_parts =
       merge_partial_components(fx.bilayer.atoms(), parts);
   EXPECT_EQ(via_edges, via_parts);
+}
+
+TEST(LfKernelTest, BlockSummaryRejectsVertexOutsideBlock) {
+  const BlockPair off{{0, 10}, {20, 30}};
+  const std::vector<Edge> inside = {{2, 25}, {25, 29}, {0, 9}};
+  EXPECT_EQ(lf_partial_components(inside, off).vertex_root,
+            partial_components(inside).vertex_root);
+  const std::vector<Edge> in_the_gap = {{2, 15}};
+  EXPECT_THROW(lf_partial_components(in_the_gap, off),
+               std::invalid_argument);
+  const std::vector<Edge> past_cols = {{2, 30}};
+  EXPECT_THROW(lf_partial_components(past_cols, off), std::invalid_argument);
+
+  const BlockPair diag{{10, 20}, {10, 20}};
+  const std::vector<Edge> below_rows = {{9, 12}};
+  EXPECT_THROW(lf_partial_components(below_rows, diag),
+               std::invalid_argument);
+  const std::vector<Edge> past_rows = {{12, 20}};
+  EXPECT_THROW(lf_partial_components(past_rows, diag),
+               std::invalid_argument);
+
+  // Columns before rows would break the slot order the output relies on.
+  const BlockPair swapped{{20, 30}, {0, 10}};
+  EXPECT_THROW(lf_partial_components(inside, swapped),
+               std::invalid_argument);
 }
 
 TEST(LfKernelTest, BlockCdistBytesMatchShape) {

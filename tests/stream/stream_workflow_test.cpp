@@ -7,10 +7,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <vector>
 
 #include "mdtask/kernels/batch.h"
 #include "mdtask/stream/shard_format.h"
+#include "mdtask/stream/shard_reader.h"
 #include "mdtask/traj/generators.h"
 #include "mdtask/workflows/leaflet_runner.h"
 #include "mdtask/workflows/psa_runner.h"
@@ -31,6 +34,16 @@ class StreamWorkflowTest : public ::testing::Test {
   std::string path_ = testutil::unique_temp_path("mds");
   void TearDown() override { std::remove(path_.c_str()); }
 };
+
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_file(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 /// The PSA store layout: N trajectories concatenated frame-major.
 traj::Trajectory concatenate(const traj::Ensemble& ensemble) {
@@ -189,10 +202,160 @@ TEST_F(StreamWorkflowTest, LeafletBitIdenticalAcrossEnginesAndApproaches) {
   }
 }
 
+TEST_F(StreamWorkflowTest, LeafletStreamedReadsEachShardOnce) {
+  // A streamed run decodes each shard at most once, however many blocks
+  // overlap it. RP also stages every unit's output file, and the
+  // in-memory run stages the same outputs, so the bytes a streamed run
+  // stages beyond the in-memory run are exactly the store's stored
+  // bytes: one read of every shard.
+  traj::BilayerParams p;
+  p.atoms = 1024;
+  const traj::Bilayer bilayer = traj::make_bilayer(p);
+  const double cutoff = traj::default_cutoff(p);
+  ShardStoreOptions opts;
+  opts.frames_per_shard = 100;  // atom ranges cross block boundaries
+  ASSERT_TRUE(write_sharded_points(path_, bilayer.positions, opts).ok());
+  auto reader = stream::ShardReader::open(path_);
+  ASSERT_TRUE(reader.ok());
+  std::uint64_t stored = 0;
+  for (const auto& entry : reader.value().info().index) {
+    stored += entry.stored_bytes;
+  }
+
+  StreamInput input;
+  input.path = path_;
+  LfRunConfig config;
+  config.workers = 3;
+  config.target_tasks = 12;
+  for (const EngineKind engine : kEngines) {
+    for (int approach = 2; approach <= 4; ++approach) {
+      auto memory = run_leaflet_finder(engine, approach, bilayer.positions,
+                                       cutoff, config);
+      ASSERT_TRUE(memory.ok());
+      auto streamed =
+          run_leaflet_finder_streamed(engine, approach, input, cutoff,
+                                      config);
+      ASSERT_TRUE(streamed.ok()) << streamed.error().to_string();
+      EXPECT_EQ(streamed.value().metrics.staged_bytes -
+                    memory.value().metrics.staged_bytes,
+                stored)
+          << to_string(engine) << " approach " << approach;
+    }
+  }
+}
+
+TEST_F(StreamWorkflowTest, LeafletStreamedCorruptShardFailsTyped) {
+  // One flipped payload byte fails its shard's checksum. The failed read
+  // leaves the shard's slot empty, so every task that needs the shard
+  // reads it again and fails the same way: each run returns the typed
+  // error, never an answer built from unverified bytes.
+  traj::BilayerParams p;
+  p.atoms = 1024;
+  const traj::Bilayer bilayer = traj::make_bilayer(p);
+  const double cutoff = traj::default_cutoff(p);
+  ShardStoreOptions opts;
+  opts.frames_per_shard = 100;
+  ASSERT_TRUE(write_sharded_points(path_, bilayer.positions, opts).ok());
+  std::uint64_t flip_at = 0;
+  {
+    auto reader = stream::ShardReader::open(path_);
+    ASSERT_TRUE(reader.ok());
+    const auto& index = reader.value().info().index;
+    const auto& victim = index[index.size() / 2];
+    ASSERT_GT(victim.stored_bytes, 0u);
+    flip_at = victim.offset + victim.stored_bytes / 2;
+  }
+  std::vector<char> bytes = read_file(path_);
+  ASSERT_LT(flip_at, bytes.size());
+  bytes[flip_at] ^= 0x5a;
+  write_file(path_, bytes);
+
+  StreamInput input;
+  input.path = path_;
+  LfRunConfig config;
+  config.workers = 3;
+  config.target_tasks = 12;
+  for (const EngineKind engine : kEngines) {
+    for (int approach = 2; approach <= 4; ++approach) {
+      auto streamed =
+          run_leaflet_finder_streamed(engine, approach, input, cutoff,
+                                      config);
+      ASSERT_FALSE(streamed.ok())
+          << to_string(engine) << " approach " << approach;
+      EXPECT_EQ(streamed.error().code(), ErrorCode::kFormatError)
+          << to_string(engine) << " approach " << approach << ": "
+          << streamed.error().to_string();
+    }
+  }
+}
+
+TEST_F(StreamWorkflowTest, LeafletStreamedRejectsShardsThatMissTheirFrames) {
+  // Two headers whose shards do not cover the atoms they claim. Every
+  // run must fail typed instead of indexing past the shard slots or
+  // copying past a decoded shard.
+  traj::BilayerParams p;
+  p.atoms = 1024;
+  const traj::Bilayer bilayer = traj::make_bilayer(p);
+  const double cutoff = traj::default_cutoff(p);
+  ShardStoreOptions opts;
+  opts.frames_per_shard = 100;
+  ASSERT_TRUE(write_sharded_points(path_, bilayer.positions, opts).ok());
+  // Layout (shard_format.h): magic[7] | u8 flags | u64 frames |
+  // u64 atoms | u64 frames_per_shard | u64 shard_count | index.
+  constexpr std::size_t kFramesPerShardAt = 7 + 1 + 8 + 8;
+  constexpr std::size_t kShardCountAt = kFramesPerShardAt + 8;
+  constexpr std::size_t kIndexAt = kShardCountAt + 8;
+  const std::vector<char> original = read_file(path_);
+  ASSERT_GT(original.size(), kIndexAt + sizeof(stream::ShardIndexEntry));
+
+  StreamInput input;
+  input.path = path_;
+  LfRunConfig config;
+  config.workers = 3;
+  config.target_tasks = 12;
+  auto expect_every_run_fails = [&](ErrorCode code, const char* what) {
+    for (const EngineKind engine : kEngines) {
+      for (int approach = 2; approach <= 4; ++approach) {
+        auto streamed =
+            run_leaflet_finder_streamed(engine, approach, input, cutoff,
+                                        config);
+        ASSERT_FALSE(streamed.ok())
+            << what << ", " << to_string(engine) << " approach " << approach;
+        EXPECT_EQ(streamed.error().code(), code)
+            << what << ", " << to_string(engine) << " approach " << approach
+            << ": " << streamed.error().to_string();
+      }
+    }
+  };
+
+  // Zero frames per shard maps every atom to shard 0, rewritten as a
+  // valid empty payload that passes its checks.
+  std::vector<char> bytes = original;
+  const std::uint64_t zero = 0;
+  std::memcpy(bytes.data() + kFramesPerShardAt, &zero, sizeof(zero));
+  stream::ShardIndexEntry first;
+  std::memcpy(&first, bytes.data() + kIndexAt, sizeof(first));
+  first.stored_bytes = 0;
+  first.raw_bytes = 0;
+  first.checksum = stream::fnv1a64({});
+  std::memcpy(bytes.data() + kIndexAt, &first, sizeof(first));
+  write_file(path_, bytes);
+  expect_every_run_fails(ErrorCode::kFormatError, "empty shard 0");
+
+  // One indexed shard for 1024 atoms at 100 per shard.
+  bytes = original;
+  const std::uint64_t one = 1;
+  std::memcpy(bytes.data() + kShardCountAt, &one, sizeof(one));
+  write_file(path_, bytes);
+  expect_every_run_fails(ErrorCode::kOutOfRange, "one shard");
+}
+
 TEST_F(StreamWorkflowTest, LeafletStreamedSurvivesInjectedReadFaults) {
   // A transient read error injected into an engine task fails the
-  // attempt; the engine's native recovery re-runs it, which re-reads
-  // the shard — results stay byte-identical and the log is seeded.
+  // attempt; the engine's native recovery re-runs it. The retried task
+  // may find its shards already decoded by an earlier task, since the
+  // run decodes each shard once — results stay byte-identical and the
+  // log is seeded.
   traj::BilayerParams p;
   p.atoms = 512;
   const traj::Bilayer bilayer = traj::make_bilayer(p);
