@@ -1,20 +1,17 @@
-// ThreadPool microbenchmarks: the work-stealing execution layer against
-// the seed's single-FIFO pool design (docs/TOPOLOGY.md).
+// ThreadPool microbenchmarks: the work-stealing pool against a
+// single-FIFO pool (docs/TOPOLOGY.md).
 //
-// An embedded SingleFifoPool reproduces the pre-topology design — one
+// An embedded SingleFifoPool reproduces the simplest design — one
 // mutex, one global FIFO, notify on every post — so the comparison
 // stays honest as the real ThreadPool evolves. Four scenarios, each
 // timed for both pools at kWorkers workers:
 //
 //  * pool_contended — many external threads posting TRIVIAL jobs at
-//    once: pure per-job overhead under submission pressure. On a
-//    multi-core host the FIFO pool serializes every post AND every pop
-//    through one cache-line-bouncing mutex while the stealing pool
-//    amortizes one overflow lock over a 16-job batch grab; on a
-//    single-CPU host only one thread runs at a time, the FIFO lock is
-//    never actually contended, and the stealing pool's extra per-job
-//    bookkeeping makes it LOSE this cell — expected, see
-//    docs/TOPOLOGY.md.
+//    once: pure per-job overhead under submission pressure. The FIFO
+//    pool serializes every post AND every pop through one mutex while
+//    the stealing pool amortizes one overflow lock over a 16-job batch
+//    grab; with 16 workers and 8 posters on a few cores the outcome
+//    swings with OS scheduling, so this cell is a loose canary.
 //  * pool_chained — workers re-posting follow-up jobs to themselves:
 //    the LIFO self-post fast path against a global-queue round trip.
 //  * pool_burst — one producer, deep backlog, wait_idle: drain
@@ -27,9 +24,9 @@
 // scripts/check_bench_regression.py. Absolute times are machine-
 // dependent ("pool" is a behavioural family, exempt from the
 // cross-machine ns gate); the gated figures are same-run policy
-// ratios, e.g. --min-speedup pool_tile=0.9:single_fifo/work_stealing
-// (overhead parity at tile granularity) plus loose canary floors on
-// the micro scenarios to catch gross stealing-layer regressions.
+// ratios, e.g. --min-speedup pool_tile=0.85:single_fifo/work_stealing
+// (overhead parity at tile granularity) plus canary floors on the
+// micro scenarios to catch gross stealing-layer regressions.
 #include <atomic>
 #include <condition_variable>
 #include <cstring>

@@ -27,7 +27,6 @@ mdtask_bench(bench_ablations mdtask_workflows mdtask_cpptraj)
 mdtask_bench(bench_pool mdtask_common)
 mdtask_bench(bench_kernels mdtask_analysis mdtask_cpptraj)
 target_link_libraries(bench_kernels PRIVATE benchmark::benchmark)
-mdtask_bench(bench_real_engines mdtask_workflows)
 mdtask_bench(bench_future_work mdtask_perf mdtask_workflows)
 mdtask_bench(bench_iterative_caching mdtask_analysis mdtask_engines)
 mdtask_bench(bench_utilization mdtask_perf mdtask_autoscale)

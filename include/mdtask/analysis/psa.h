@@ -10,9 +10,7 @@
 #include <vector>
 
 #include "mdtask/common/error.h"
-#include "mdtask/common/thread_pool.h"
 #include "mdtask/kernels/policy.h"
-#include "mdtask/trace/tracer.h"
 #include "mdtask/traj/trajectory.h"
 
 namespace mdtask::analysis {
@@ -79,17 +77,6 @@ DistanceMatrix psa_reference(const traj::Ensemble& ensemble,
                              HausdorffKernel kernel = HausdorffKernel::kNaive,
                              kernels::KernelPolicy policy =
                                  kernels::default_policy());
-
-/// Shared-memory parallel PSA: the blocks of Alg. 2 are scheduled as
-/// tile tasks on `pool`, each computing its slice with the selected
-/// batch-kernel policy. When `tracer` is set every tile emits a span on
-/// the executing worker's track (category "kernels"), so the kernel
-/// speedups are visible in --trace output. Identical matrix to
-/// psa_reference under the same policy.
-DistanceMatrix psa_parallel(const traj::Ensemble& ensemble,
-                            HausdorffKernel kernel,
-                            kernels::KernelPolicy policy, ThreadPool& pool,
-                            trace::Tracer* tracer = nullptr);
 
 /// Discrete-Frechet variants: PSA's second published metric (Seyler et
 /// al. 2015). Same blocking/partitioning as the Hausdorff kernels.

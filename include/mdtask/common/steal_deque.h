@@ -1,5 +1,5 @@
 // Cache-line-padded work-stealing queue: the per-worker building block
-// of the topology-aware ThreadPool (docs/TOPOLOGY.md).
+// of the work-stealing ThreadPool (docs/TOPOLOGY.md).
 //
 // Each pool worker owns one StealQueue. The owner pushes and pops at
 // the BACK (LIFO: the job it just spawned is the one whose data is
@@ -27,7 +27,7 @@
 #include <utility>
 #include <vector>
 
-namespace mdtask::topo {
+namespace mdtask {
 
 template <typename T>
 class alignas(64) StealQueue {
@@ -36,7 +36,8 @@ class alignas(64) StealQueue {
   StealQueue(const StealQueue&) = delete;
   StealQueue& operator=(const StealQueue&) = delete;
 
-  /// Owner (or router) push at the back.
+  /// Push at the back: the owner, or any poster on the shared overflow
+  /// queue.
   void push(T value) {
     std::lock_guard lk(mu_);
     items_.push_back(std::move(value));
@@ -113,4 +114,4 @@ class alignas(64) StealQueue {
   std::atomic<std::size_t> count_{0};
 };
 
-}  // namespace mdtask::topo
+}  // namespace mdtask

@@ -6,17 +6,15 @@
 // current job, stops taking new ones, and exits; its queued jobs are
 // handed to the survivors).
 //
-// Execution model (docs/TOPOLOGY.md): topology-aware work stealing.
-// Each worker owns a cache-line-padded deque (topo::StealQueue); a job
-// posted from inside a worker goes to that worker's deque and is popped
-// LIFO (hot in its cache), jobs posted from non-worker threads land in
-// a shared overflow queue that idle workers drain in batches, and a
-// worker whose own deque runs dry steals FIFO from victims ordered by
-// hardware distance (SMT sibling -> L2 peer -> package peer -> rest).
-// Workers are pinned one-per-physical-core (SMT siblings second) unless
-// MDTASK_PIN_THREADS=0. The same public API and drain/retire semantics
-// as the earlier single-FIFO pool are preserved; bench_pool gates the
-// contended-throughput win over that design.
+// Execution model (docs/TOPOLOGY.md): plain work stealing, one task per
+// worker at a time. Each worker owns a cache-line-padded StealQueue; a
+// job posted from inside a worker goes to that worker's deque and is
+// popped LIFO (hot in its cache), jobs posted from non-worker threads
+// land in a shared overflow queue that idle workers drain in batches,
+// and a worker whose own deque runs dry steals FIFO from the others,
+// sweeping them in rotation from its own index. Threads are left to the
+// OS scheduler (no pinning). bench_pool gates the pool against a
+// single-FIFO pool.
 #pragma once
 
 #include <atomic>
@@ -30,8 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include "mdtask/topo/cpu_topology.h"
-#include "mdtask/topo/steal_deque.h"
+#include "mdtask/common/steal_deque.h"
 #include "mdtask/trace/tracer.h"
 
 namespace mdtask {
@@ -41,14 +38,8 @@ namespace mdtask {
 /// jobs.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (>= 1; 0 is clamped to 1) on the host
-  /// topology, pinning them unless MDTASK_PIN_THREADS disables it.
+  /// Spawns `threads` workers (>= 1; 0 is clamped to 1).
   explicit ThreadPool(std::size_t threads);
-
-  /// Test/bench hook: an explicit (possibly synthetic) topology and
-  /// pinning choice.
-  ThreadPool(std::size_t threads, topo::CpuTopology topology,
-             bool pin_threads);
 
   ~ThreadPool();
 
@@ -61,22 +52,6 @@ class ThreadPool {
   /// queue.
   void post(std::function<void()> job);
 
-  /// Enqueues a job that any idle worker should pick up promptly, even
-  /// when posted from a busy worker: always lands in the shared
-  /// overflow queue instead of the poster's deque. I/O-bound producers
-  /// (stream::PrefetchPipeline decode tasks) use this so compute
-  /// workers never sit on a decode job they are too busy to run.
-  void post_shared(std::function<void()> job);
-
-  /// Locality-hinted post: jobs with the same `group` are routed to
-  /// workers sharing an L2 cache domain, and distinct `member_hint`
-  /// values within a group spread across that domain's workers — the
-  /// two halves of a Hausdorff tile pair pass (pair_id, 0) and
-  /// (pair_id, 1) to co-schedule on cache-sharing cores. A hint, not a
-  /// guarantee: stealing may still move the job.
-  void post_grouped(std::uint64_t group, std::uint64_t member_hint,
-                    std::function<void()> job);
-
   /// Enqueues a result-bearing job and returns its future.
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
@@ -85,18 +60,6 @@ class ThreadPool {
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> fut = task->get_future();
     post([task] { (*task)(); });
-    return fut;
-  }
-
-  /// Locality-hinted submit: see post_grouped.
-  template <typename F>
-  auto submit_grouped(std::uint64_t group, std::uint64_t member_hint,
-                      F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    post_grouped(group, member_hint, [task] { (*task)(); });
     return fut;
   }
 
@@ -150,43 +113,20 @@ class ThreadPool {
   /// The calling worker thread's index in its pool, or -1 off-pool.
   static std::ptrdiff_t current_worker_index() noexcept;
 
-  /// The topology this pool schedules against.
-  const topo::CpuTopology& topology() const noexcept { return topology_; }
-
-  /// True when workers pin themselves to their placement CPUs.
-  bool pinned() const noexcept { return pin_; }
-
-  /// Distinct L2 locality groups the grouped-post router spreads over
-  /// (>= 1 while any worker is active).
-  std::size_t locality_groups() const;
-
-  /// The pin target of worker `index` under this pool's placement
-  /// (exposed for tests; valid for any index ever returned by the
-  /// pool).
-  int placement_cpu(std::size_t index) const;
-
   /// Cumulative work-stealing statistics: how often idle workers found
-  /// work by stealing, where the stolen job came from (the victim's
-  /// hardware-distance tier, or the shared overflow queue), and how
-  /// long the successful victim sweeps took. When tracing is enabled
-  /// every successful steal also samples `pool:steal-*` counters on
-  /// the thief's track, so trace summaries surface the same data
-  /// (docs/TOPOLOGY.md, docs/OBSERVABILITY.md).
+  /// work by stealing from another worker's deque or by grabbing from
+  /// the shared overflow queue, and how long the successful victim
+  /// sweeps took. When tracing is enabled every successful steal also
+  /// samples `pool:steal*` counters on the thief's track, so trace
+  /// summaries surface the same data (docs/OBSERVABILITY.md).
   struct StealCounters {
-    std::uint64_t smt = 0;      ///< steals from an SMT-sibling worker
-    std::uint64_t l2 = 0;       ///< steals from an L2-peer worker
-    std::uint64_t package = 0;  ///< steals from a package-peer worker
-    std::uint64_t rest = 0;     ///< steals from any other worker
+    std::uint64_t deque_steals = 0;    ///< jobs stolen from worker deques
     std::uint64_t overflow_grabs = 0;  ///< batched overflow-queue grabs
     std::uint64_t overflow_jobs = 0;   ///< jobs taken by those grabs
     /// Successful-sweep latency (sweep start to steal) across deque
     /// steals; total/max in microseconds.
     double steal_latency_total_us = 0.0;
     double steal_latency_max_us = 0.0;
-
-    std::uint64_t deque_steals() const noexcept {
-      return smt + l2 + package + rest;
-    }
   };
 
   /// Snapshot of the cumulative steal statistics.
@@ -199,46 +139,33 @@ class ThreadPool {
   };
 
   /// One worker's scheduling state. Slots are created once and kept for
-  /// the pool's lifetime (index == worker index), so thieves and the
-  /// grouped-post router can hold references across membership changes.
+  /// the pool's lifetime (index == worker index), so thieves can hold
+  /// references across membership changes.
   struct Slot {
-    topo::StealQueue<Job> deque;
+    StealQueue<Job> deque;
     std::atomic<bool> retired{false};
     std::atomic<bool> traced{false};
     trace::Track track{};  ///< written before traced is released
-    int cpu = -1;          ///< pin target (-1 = none)
-    int l2 = 0;            ///< L2 domain of the pin target
   };
 
-  /// Immutable membership snapshot, swapped atomically under
-  /// roster_mu_; workers refresh their copy when epoch_ changes.
-  struct Roster {
-    std::vector<std::shared_ptr<Slot>> slots;  ///< index = worker index
-    std::vector<int> cpus;                     ///< pin target per slot
-    /// Non-retired slot indices per L2 domain (the grouped-post router).
-    std::vector<std::vector<std::size_t>> l2_members;
-  };
+  /// Immutable membership snapshot (index = worker index), swapped
+  /// atomically under roster_mu_; workers refresh their copy when
+  /// epoch_ changes.
+  using Roster = std::vector<std::shared_ptr<Slot>>;
 
   std::shared_ptr<const Roster> snapshot_roster() const;
-  static void rebuild_l2_members(Roster& roster);
-  std::shared_ptr<Slot> make_slot(std::size_t index);
-  void enqueue(topo::StealQueue<Job>& queue, std::function<void()> fn);
+  void enqueue(StealQueue<Job>& queue, std::function<void()> fn);
   void wake_one();
-  void note_deque_steal(topo::StealTier tier, double latency_us,
-                        Slot* thief);
+  void note_deque_steal(double latency_us, Slot* thief);
   void note_overflow_grab(std::size_t jobs, Slot* thief);
   void run_job(Job& job, Slot* slot);
   void worker_loop(std::size_t index);
-
-  topo::CpuTopology topology_;
-  bool pin_ = false;
-  std::vector<int> placement_base_;  ///< cpu per index mod logical CPUs
 
   mutable std::mutex roster_mu_;       ///< guards roster_ swaps only
   std::shared_ptr<const Roster> roster_;
   std::atomic<std::uint64_t> epoch_{0};  ///< bumped after roster swaps
 
-  topo::StealQueue<Job> overflow_;  ///< non-worker posts, retiree drains
+  StealQueue<Job> overflow_;  ///< non-worker posts, retiree drains
 
   mutable std::mutex mu_;  ///< sleep/wake handshake + membership calls
   std::condition_variable cv_;
@@ -255,7 +182,7 @@ class ThreadPool {
 
   /// Cumulative steal statistics (steal_counters()); latencies are
   /// kept in integer nanoseconds so the hot path stays fetch_add-only.
-  std::atomic<std::uint64_t> steals_by_tier_[4] = {};  ///< index = StealTier
+  std::atomic<std::uint64_t> deque_steals_{0};
   std::atomic<std::uint64_t> overflow_grabs_{0};
   std::atomic<std::uint64_t> overflow_jobs_{0};
   std::atomic<std::uint64_t> steal_latency_total_ns_{0};

@@ -20,10 +20,8 @@
 #include <span>
 #include <vector>
 
-#include "mdtask/common/thread_pool.h"
 #include "mdtask/kernels/frame_pack.h"
 #include "mdtask/kernels/policy.h"
-#include "mdtask/trace/tracer.h"
 
 namespace mdtask::kernels {
 
@@ -96,14 +94,6 @@ double hausdorff_packed(const FramePack& a, const FramePack& b,
 /// the B-side tile hot across the A-side rows.
 void rmsd2d_packed(const FramePack& a, const FramePack& b,
                    KernelPolicy policy, std::span<double> out) noexcept;
-
-/// Same kernel with the row-tile loop parallelized over `pool`. When
-/// `tracer` is non-null each tile task emits a span on the executing
-/// worker's track (category "kernels"), so per-tile speedups are visible
-/// in --trace output.
-void rmsd2d_packed_parallel(const FramePack& a, const FramePack& b,
-                            KernelPolicy policy, ThreadPool& pool,
-                            trace::Tracer* tracer, std::span<double> out);
 
 /// A (row, col) hit of the cutoff kernel, indices local to the packs.
 struct IndexPair {

@@ -5,27 +5,27 @@
 //
 //  * a completed answer is served from the cache (kHit),
 //  * a request whose key is ALREADY BEING COMPUTED joins the in-flight
-//    computation instead of starting a second one (kJoined) and
-//    receives the owner's result through a shared_future,
+//    computation instead of starting a second one (kJoined); the
+//    caller keeps its joiners and hands them the owner's result,
 //  * otherwise the caller becomes the owner (kMiss): it must run the
 //    computation and call fulfill() exactly once with the outcome.
 //
-// A failed owner resolves every joined waiter with the error and leaves
-// the cache UNPOISONED: nothing is inserted, and the next lookup for
-// that key is a fresh kMiss. Capacity is bounded both by entry count
-// and by payload bytes; eviction is strict LRU. With `enabled = false`
-// every lookup is a kMiss and fulfill() is a no-op — each duplicate
-// request then costs its own engine execution, which is exactly the
-// comparison bench_service's cache on/off table makes.
+// A failed owner leaves the cache UNPOISONED: nothing is inserted, and
+// the next lookup for that key is a fresh kMiss. Capacity is bounded
+// both by entry count and by payload bytes; eviction is strict LRU.
+// With `enabled = false` every lookup is a kMiss and fulfill() is a
+// no-op — each duplicate request then costs its own engine execution,
+// which is exactly the comparison bench_service's cache on/off table
+// makes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "mdtask/common/error.h"
@@ -64,10 +64,8 @@ class ResultCache {
 
   struct Lookup {
     Outcome outcome = Outcome::kMiss;
-    /// Ready on kHit; resolves when the owner fulfills on kJoined;
-    /// invalid (not needed — the caller computes) on kMiss.
-    std::shared_future<CachedResult> future;
-    RequestKey key;
+    /// The cached answer on kHit; nullptr otherwise.
+    std::shared_ptr<const ResultPayload> payload;
   };
 
   explicit ResultCache(CacheConfig config) : config_(config) {}
@@ -77,10 +75,10 @@ class ResultCache {
   /// kMiss caller owns the computation and must fulfill() once.
   Lookup lookup_or_join(const RequestKey& key);
 
-  /// Owner delivers the outcome for `key`: resolves every joined
-  /// waiter, then inserts on success (evicting LRU entries past the
-  /// capacity bounds). An error resolves waiters and caches nothing.
-  void fulfill(const RequestKey& key, CachedResult result);
+  /// Owner delivers the outcome for `key`: the key leaves the in-flight
+  /// set, and a success is inserted (evicting LRU entries past the
+  /// capacity bounds). An error caches nothing.
+  void fulfill(const RequestKey& key, const CachedResult& result);
 
   /// Evicts every COMPLETED entry computed against `store` (a
   /// re-ingested trajectory invalidates all of its cached answers).
@@ -117,10 +115,6 @@ class ResultCache {
     std::shared_ptr<const ResultPayload> payload;
     std::list<RequestKey>::iterator lru;  ///< position in lru_
   };
-  struct InFlight {
-    std::promise<CachedResult> promise;
-    std::shared_future<CachedResult> future;
-  };
 
   /// Evicts LRU entries until both capacity bounds hold. mu_ held.
   void evict_to_capacity();
@@ -129,7 +123,7 @@ class ResultCache {
   mutable std::mutex mu_;
   std::unordered_map<RequestKey, Entry, RequestKeyHash> entries_;
   std::list<RequestKey> lru_;  ///< front = most recently used
-  std::unordered_map<RequestKey, InFlight, RequestKeyHash> inflight_;
+  std::unordered_set<RequestKey, RequestKeyHash> inflight_;
   std::uint64_t bytes_ = 0;
   Stats stats_;
 };

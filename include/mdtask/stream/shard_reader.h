@@ -30,7 +30,11 @@ class ShardReader {
   };
 
   /// Opens `path`, parsing header + index. Fails on bad magic, a
-  /// truncated header/index, or an index that points past end of file.
+  /// truncated header/index, an index that points past end of file, or
+  /// a header whose shards do not tile its frames: 0 frames per shard
+  /// for a non-empty store, or a shard count other than
+  /// ceil(frames / frames_per_shard) (kOutOfRange when too few shards
+  /// are indexed, kFormatError otherwise).
   static Result<ShardReader> open(const std::string& path,
                                   Mode mode = Mode::kStream);
 
@@ -92,19 +96,5 @@ class ShardReader {
   trace::Tracer* tracer_ = nullptr;
   trace::Track io_track_{};
 };
-
-/// A contiguous shard range [begin, end), the unit handed to one engine
-/// partition (Spark partition, Dask block, MPI rank block, RP unit).
-struct ShardRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::size_t size() const noexcept { return end - begin; }
-};
-
-/// Splits `shard_count` shards into at most `parts` contiguous ranges,
-/// remainder spread over the leading ranges (the same split rule as
-/// analysis::make_1d_chunks, so partition boundaries are deterministic).
-std::vector<ShardRange> shard_partitions(std::size_t shard_count,
-                                         std::size_t parts);
 
 }  // namespace mdtask::stream

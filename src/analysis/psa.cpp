@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 
 #include "mdtask/analysis/frechet.h"
@@ -96,48 +95,6 @@ DistanceMatrix psa_reference(const traj::Ensemble& ensemble,
   const auto packs = pack_ensemble(ensemble);
   const PsaBlock whole{0, ensemble.size(), 0, ensemble.size()};
   compute_psa_block_packed(packs, whole, kernel, policy, out);
-  return out;
-}
-
-DistanceMatrix psa_parallel(const traj::Ensemble& ensemble,
-                            HausdorffKernel kernel,
-                            kernels::KernelPolicy policy, ThreadPool& pool,
-                            trace::Tracer* tracer) {
-  DistanceMatrix out(ensemble.size());
-  if (ensemble.empty()) return out;
-  const auto packs = pack_ensemble(ensemble);
-
-  // One tile per pool worker pair target, same shape rule as the paper's
-  // Alg. 2 block partitioning.
-  const double k = std::ceil(std::sqrt(
-      2.0 * static_cast<double>(std::max<std::size_t>(1, pool.size()))));
-  const auto n1 = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(static_cast<double>(ensemble.size()) / k)));
-  auto blocks = make_psa_blocks(ensemble.size(), n1).value();
-
-  std::vector<std::future<void>> pending;
-  pending.reserve(blocks.size());
-  for (const auto& block : blocks) {
-    // Blocks in the same row stripe read the same row packs; routing a
-    // stripe to one L2 group keeps those packs cache-resident across
-    // its blocks (column index spreads within the group).
-    pending.push_back(pool.submit_grouped(
-        static_cast<std::uint64_t>(block.row_begin / n1),
-        static_cast<std::uint64_t>(block.col_begin / n1),
-        [&packs, &out, block, kernel, policy, tracer] {
-      trace::Span span;
-      if (tracer != nullptr) {
-        if (const trace::Track* track = ThreadPool::current_worker_track()) {
-          span = tracer->span(*track, "psa-tile", "kernels");
-          span.arg_num("pairs", static_cast<double>(block.pair_count()));
-        }
-      }
-      // Blocks partition the matrix, so tiles write disjoint cells.
-      compute_psa_block_packed(packs, block, kernel, policy, out);
-    }));
-  }
-  for (auto& f : pending) f.get();
   return out;
 }
 

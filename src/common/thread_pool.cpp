@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <map>
 
 namespace mdtask {
 namespace {
@@ -26,22 +25,13 @@ constexpr std::size_t kOverflowBatch = 16;
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads)
-    : ThreadPool(threads, topo::CpuTopology::host(),
-                 topo::pinning_enabled()) {}
-
-ThreadPool::ThreadPool(std::size_t threads, topo::CpuTopology topology,
-                       bool pin_threads)
-    : topology_(std::move(topology)), pin_(pin_threads) {
+ThreadPool::ThreadPool(std::size_t threads) {
   threads = std::max<std::size_t>(1, threads);
-  placement_base_ = topology_.worker_placement(topology_.logical_cpus());
   auto roster = std::make_shared<Roster>();
-  roster->slots.reserve(threads);
+  roster->reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    roster->slots.push_back(make_slot(i));
-    roster->cpus.push_back(roster->slots.back()->cpu);
+    roster->push_back(std::make_shared<Slot>());
   }
-  rebuild_l2_members(*roster);
   roster_ = std::move(roster);
   alive_ = threads;
   workers_.reserve(threads);
@@ -59,41 +49,13 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::shared_ptr<ThreadPool::Slot> ThreadPool::make_slot(std::size_t index) {
-  auto slot = std::make_shared<Slot>();
-  slot->cpu = placement_base_.empty()
-                  ? -1
-                  : placement_base_[index % placement_base_.size()];
-  for (const topo::CpuInfo& c : topology_.cpus()) {
-    if (c.cpu == slot->cpu) {
-      slot->l2 = c.l2;
-      break;
-    }
-  }
-  return slot;
-}
-
-void ThreadPool::rebuild_l2_members(Roster& roster) {
-  // Group the non-retired slots by L2 domain, domains in id order so
-  // the router is deterministic for a given membership.
-  std::map<int, std::vector<std::size_t>> by_l2;
-  for (std::size_t i = 0; i < roster.slots.size(); ++i) {
-    if (roster.slots[i]->retired.load(std::memory_order_relaxed)) continue;
-    by_l2[roster.slots[i]->l2].push_back(i);
-  }
-  roster.l2_members.clear();
-  for (auto& [l2, members] : by_l2) {
-    roster.l2_members.push_back(std::move(members));
-  }
-}
-
 std::shared_ptr<const ThreadPool::Roster> ThreadPool::snapshot_roster()
     const {
   std::lock_guard lk(roster_mu_);
   return roster_;
 }
 
-void ThreadPool::enqueue(topo::StealQueue<Job>& queue,
+void ThreadPool::enqueue(StealQueue<Job>& queue,
                          std::function<void()> fn) {
   Job job;
   job.fn = std::move(fn);
@@ -134,28 +96,6 @@ void ThreadPool::post(std::function<void()> job) {
   enqueue(overflow_, std::move(job));
 }
 
-void ThreadPool::post_shared(std::function<void()> job) {
-  enqueue(overflow_, std::move(job));
-}
-
-void ThreadPool::post_grouped(std::uint64_t group,
-                              std::uint64_t member_hint,
-                              std::function<void()> job) {
-  const std::shared_ptr<const Roster> roster = snapshot_roster();
-  if (roster->l2_members.empty()) {
-    post(std::move(job));
-    return;
-  }
-  const auto& members =
-      roster->l2_members[group % roster->l2_members.size()];
-  if (members.empty()) {
-    post(std::move(job));
-    return;
-  }
-  const std::size_t target = members[member_hint % members.size()];
-  enqueue(roster->slots[target]->deque, std::move(job));
-}
-
 void ThreadPool::wait_idle() {
   std::unique_lock lk(mu_);
   idle_cv_.wait(lk, [this] {
@@ -167,17 +107,17 @@ void ThreadPool::enable_tracing(trace::Tracer& tracer, std::uint32_t pid,
                                 const std::string& worker_prefix) {
   const std::shared_ptr<const Roster> roster = snapshot_roster();
   std::vector<trace::Track> tracks;
-  tracks.reserve(roster->slots.size());
-  for (std::size_t i = 0; i < roster->slots.size(); ++i) {
+  tracks.reserve(roster->size());
+  for (std::size_t i = 0; i < roster->size(); ++i) {
     tracks.push_back(
         tracer.thread(pid, worker_prefix + "-" + std::to_string(i)));
   }
   std::lock_guard lk(mu_);
   trace_pid_ = pid;
   worker_prefix_ = worker_prefix;
-  for (std::size_t i = 0; i < roster->slots.size(); ++i) {
-    roster->slots[i]->track = tracks[i];
-    roster->slots[i]->traced.store(true, std::memory_order_release);
+  for (std::size_t i = 0; i < roster->size(); ++i) {
+    (*roster)[i]->track = tracks[i];
+    (*roster)[i]->traced.store(true, std::memory_order_release);
   }
   tracer_.store(&tracer, std::memory_order_release);
 }
@@ -195,33 +135,20 @@ std::size_t ThreadPool::busy() const {
   return active_.load(std::memory_order_seq_cst);
 }
 
-std::size_t ThreadPool::locality_groups() const {
-  return std::max<std::size_t>(1, snapshot_roster()->l2_members.size());
-}
-
-int ThreadPool::placement_cpu(std::size_t index) const {
-  return placement_base_.empty()
-             ? -1
-             : placement_base_[index % placement_base_.size()];
-}
-
 void ThreadPool::add_workers(std::size_t count) {
   std::lock_guard lk(mu_);
   auto next = std::make_shared<Roster>(*snapshot_roster());
   trace::Tracer* tracer = tracer_.load(std::memory_order_acquire);
-  const std::size_t first = next->slots.size();
+  const std::size_t first = next->size();
   for (std::size_t n = 0; n < count; ++n) {
-    const std::size_t index = first + n;
-    auto slot = make_slot(index);
+    auto slot = std::make_shared<Slot>();
     if (tracer != nullptr) {
       slot->track = tracer->thread(
-          trace_pid_, worker_prefix_ + "-" + std::to_string(index));
+          trace_pid_, worker_prefix_ + "-" + std::to_string(first + n));
       slot->traced.store(true, std::memory_order_release);
     }
-    next->slots.push_back(std::move(slot));
-    next->cpus.push_back(next->slots.back()->cpu);
+    next->push_back(std::move(slot));
   }
-  rebuild_l2_members(*next);
   {
     std::lock_guard rlk(roster_mu_);
     roster_ = std::move(next);
@@ -242,21 +169,14 @@ std::vector<std::size_t> ThreadPool::retire_workers(std::size_t count) {
     // A pool that retired every worker could never drain its queue.
     const std::size_t ceiling = alive_ > 1 ? alive_ - 1 : 0;
     count = std::min(count, ceiling);
-    auto next = std::make_shared<Roster>(*snapshot_roster());
-    for (std::size_t i = next->slots.size();
-         i-- > 0 && retired.size() < count;) {
-      if (!next->slots[i]->retired.load(std::memory_order_relaxed)) {
-        next->slots[i]->retired.store(true, std::memory_order_seq_cst);
+    const std::shared_ptr<const Roster> roster = snapshot_roster();
+    for (std::size_t i = roster->size(); i-- > 0 && retired.size() < count;) {
+      if (!(*roster)[i]->retired.load(std::memory_order_relaxed)) {
+        (*roster)[i]->retired.store(true, std::memory_order_seq_cst);
         retired.push_back(i);
       }
     }
     alive_ -= retired.size();
-    rebuild_l2_members(*next);
-    {
-      std::lock_guard rlk(roster_mu_);
-      roster_ = std::move(next);
-    }
-    epoch_.fetch_add(1, std::memory_order_release);
   }
   cv_.notify_all();
   return retired;
@@ -264,10 +184,7 @@ std::vector<std::size_t> ThreadPool::retire_workers(std::size_t count) {
 
 ThreadPool::StealCounters ThreadPool::steal_counters() const {
   StealCounters out;
-  out.smt = steals_by_tier_[0].load(std::memory_order_relaxed);
-  out.l2 = steals_by_tier_[1].load(std::memory_order_relaxed);
-  out.package = steals_by_tier_[2].load(std::memory_order_relaxed);
-  out.rest = steals_by_tier_[3].load(std::memory_order_relaxed);
+  out.deque_steals = deque_steals_.load(std::memory_order_relaxed);
   out.overflow_grabs = overflow_grabs_.load(std::memory_order_relaxed);
   out.overflow_jobs = overflow_jobs_.load(std::memory_order_relaxed);
   out.steal_latency_total_us =
@@ -281,11 +198,9 @@ ThreadPool::StealCounters ThreadPool::steal_counters() const {
   return out;
 }
 
-void ThreadPool::note_deque_steal(topo::StealTier tier, double latency_us,
-                                  Slot* thief) {
-  const auto t = static_cast<std::size_t>(tier) & 3u;
+void ThreadPool::note_deque_steal(double latency_us, Slot* thief) {
   const std::uint64_t total =
-      steals_by_tier_[t].fetch_add(1, std::memory_order_relaxed) + 1;
+      deque_steals_.fetch_add(1, std::memory_order_relaxed) + 1;
   const auto latency_ns =
       static_cast<std::uint64_t>(std::max(0.0, latency_us) * 1000.0);
   steal_latency_total_ns_.fetch_add(latency_ns, std::memory_order_relaxed);
@@ -299,8 +214,7 @@ void ThreadPool::note_deque_steal(topo::StealTier tier, double latency_us,
   if (tracer != nullptr && tracer->enabled() &&
       thief->traced.load(std::memory_order_acquire)) {
     const double now = tracer->now_us();
-    tracer->counter(thief->track,
-                    std::string("pool:steal-") + topo::to_string(tier), now,
+    tracer->counter(thief->track, "pool:steal", now,
                     static_cast<double>(total));
     tracer->counter(thief->track, "pool:steal-latency-us", now, latency_us);
   }
@@ -363,12 +277,8 @@ void ThreadPool::worker_loop(std::size_t index) {
   tls_worker_index = static_cast<std::ptrdiff_t>(index);
   std::shared_ptr<const Roster> roster = snapshot_roster();
   std::uint64_t my_epoch = epoch_.load(std::memory_order_acquire);
-  const std::shared_ptr<Slot> slot = roster->slots[index];
+  const std::shared_ptr<Slot> slot = (*roster)[index];
   tls_worker_slot = slot.get();
-  if (pin_ && slot->cpu >= 0) topo::pin_current_thread(slot->cpu);
-  std::vector<topo::StealTier> victim_tiers;
-  std::vector<std::size_t> victims =
-      topology_.victim_order(roster->cpus, index, &victim_tiers);
   std::vector<Job> batch;
 
   for (;;) {
@@ -386,7 +296,6 @@ void ThreadPool::worker_loop(std::size_t index) {
     if (epoch_.load(std::memory_order_acquire) != my_epoch) {
       my_epoch = epoch_.load(std::memory_order_acquire);
       roster = snapshot_roster();
-      victims = topology_.victim_order(roster->cpus, index, &victim_tiers);
     }
 
     Job job;
@@ -405,22 +314,18 @@ void ThreadPool::worker_loop(std::size_t index) {
       }
     }
     if (!got) {
-      // Steal FIFO from victims in topology order: SMT sibling, L2
-      // peer, package peer, then the rest.
+      // Steal FIFO from the other workers, swept in rotation from this
+      // worker's own index so thieves spread over different victims.
       const auto sweep_start = std::chrono::steady_clock::now();
-      for (std::size_t vi = 0; vi < victims.size(); ++vi) {
-        const std::size_t v = victims[vi];
-        if (v < roster->slots.size() &&
-            roster->slots[v]->deque.steal(job)) {
+      const std::size_t n = roster->size();
+      for (std::size_t k = 1; k < n; ++k) {
+        if ((*roster)[(index + k) % n]->deque.steal(job)) {
           got = true;
-          const double latency_us =
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - sweep_start)
-                  .count();
-          note_deque_steal(vi < victim_tiers.size()
-                               ? victim_tiers[vi]
-                               : topo::StealTier::kRest,
-                           latency_us, slot.get());
+          note_deque_steal(std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() -
+                               sweep_start)
+                               .count(),
+                           slot.get());
           break;
         }
       }

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <vector>
 
@@ -310,50 +309,6 @@ void rmsd2d_packed(const FramePack& a, const FramePack& b,
       }
     }
   }
-}
-
-void rmsd2d_packed_parallel(const FramePack& a, const FramePack& b,
-                            KernelPolicy policy, ThreadPool& pool,
-                            trace::Tracer* tracer, std::span<double> out) {
-  const std::size_t na = a.frames();
-  const std::size_t nb = b.frames();
-  if (pool.size() <= 1 || na <= kFrameTile) {
-    rmsd2d_packed(a, b, policy, out);
-    return;
-  }
-  const std::size_t n_tiles = (na + kFrameTile - 1) / kFrameTile;
-  const std::size_t groups = pool.locality_groups();
-  std::vector<std::future<void>> tiles;
-  tiles.reserve(n_tiles);
-  for (std::size_t i0 = 0; i0 < na; i0 += kFrameTile) {
-    const std::size_t i1 = std::min(i0 + kFrameTile, na);
-    // Contiguous row-tile chunks per L2 group: neighbouring tiles walk
-    // the same B-side tiles, so co-locating them shares those reads.
-    const std::size_t tile_idx = i0 / kFrameTile;
-    const std::uint64_t group = tile_idx * groups / n_tiles;
-    tiles.push_back(pool.submit_grouped(
-        group, tile_idx, [&a, &b, policy, tracer, out, i0, i1, nb] {
-      trace::Span span;
-      if (tracer != nullptr) {
-        if (const trace::Track* track = ThreadPool::current_worker_track()) {
-          span = tracer->span(*track, "rmsd2d-tile", "kernels");
-          span.arg_num("rows", static_cast<double>(i1 - i0));
-        }
-      }
-      // Row tiles are disjoint slices of `out`, safe to fill in parallel.
-      const std::size_t atoms = a.atoms();
-      for (std::size_t j0 = 0; j0 < nb; j0 += kFrameTile) {
-        const std::size_t j1 = std::min(j0 + kFrameTile, nb);
-        for (std::size_t i = i0; i < i1; ++i) {
-          for (std::size_t j = j0; j < j1; ++j) {
-            out[i * nb + j] =
-                rmsd_from_sumsq(pair_sumsq(a, i, b, j, policy), atoms);
-          }
-        }
-      }
-    }));
-  }
-  for (auto& t : tiles) t.get();
 }
 
 namespace {

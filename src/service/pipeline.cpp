@@ -79,8 +79,8 @@ std::optional<Routed> ServicePipeline::route_next(
   switch (lookup.outcome) {
     case ResultCache::Outcome::kHit:
       ++counts.cache_hits;
-      resolve(request.id, lookup.future.get(), Resolution::Kind::kCompleted,
-              resolved);
+      resolve(request.id, CachedResult(lookup.payload),
+              Resolution::Kind::kCompleted, resolved);
       return Routed{Route::kHit, {}};
     case ResultCache::Outcome::kJoined:
       ++counts.dedup_joins;

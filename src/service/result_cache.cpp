@@ -1,70 +1,42 @@
 #include "mdtask/service/result_cache.h"
 
-#include <utility>
-
 namespace mdtask::service {
 
 ResultCache::Lookup ResultCache::lookup_or_join(const RequestKey& key) {
-  Lookup out;
-  out.key = key;
-  if (!config_.enabled) {
-    std::lock_guard lk(mu_);
-    ++stats_.misses;
-    out.outcome = Outcome::kMiss;
-    return out;
-  }
   std::lock_guard lk(mu_);
+  if (!config_.enabled) {
+    ++stats_.misses;
+    return {Outcome::kMiss, nullptr};
+  }
   const auto hit = entries_.find(key);
   if (hit != entries_.end()) {
     ++stats_.hits;
     lru_.erase(hit->second.lru);
     lru_.push_front(key);
     hit->second.lru = lru_.begin();
-    std::promise<CachedResult> ready;
-    ready.set_value(CachedResult(hit->second.payload));
-    out.outcome = Outcome::kHit;
-    out.future = ready.get_future().share();
-    return out;
+    return {Outcome::kHit, hit->second.payload};
   }
-  const auto flying = inflight_.find(key);
-  if (flying != inflight_.end()) {
+  if (inflight_.contains(key)) {
     ++stats_.inflight_joins;
-    out.outcome = Outcome::kJoined;
-    out.future = flying->second.future;
-    return out;
+    return {Outcome::kJoined, nullptr};
   }
   ++stats_.misses;
-  InFlight& slot = inflight_[key];
-  slot.future = slot.promise.get_future().share();
-  out.outcome = Outcome::kMiss;
-  out.future = slot.future;
-  return out;
+  inflight_.insert(key);
+  return {Outcome::kMiss, nullptr};
 }
 
-void ResultCache::fulfill(const RequestKey& key, CachedResult result) {
+void ResultCache::fulfill(const RequestKey& key, const CachedResult& result) {
   if (!config_.enabled) return;
-  std::promise<CachedResult> promise;
-  bool resolve = false;
-  {
-    std::lock_guard lk(mu_);
-    const auto flying = inflight_.find(key);
-    if (flying != inflight_.end()) {
-      promise = std::move(flying->second.promise);
-      resolve = true;
-      inflight_.erase(flying);
-    }
-    if (result.ok() && result.value() != nullptr &&
-        entries_.find(key) == entries_.end()) {
-      lru_.push_front(key);
-      entries_[key] = Entry{result.value(), lru_.begin()};
-      bytes_ += result.value()->charge();
-      ++stats_.insertions;
-      evict_to_capacity();
-    }
+  std::lock_guard lk(mu_);
+  inflight_.erase(key);
+  if (result.ok() && result.value() != nullptr &&
+      entries_.find(key) == entries_.end()) {
+    lru_.push_front(key);
+    entries_[key] = Entry{result.value(), lru_.begin()};
+    bytes_ += result.value()->charge();
+    ++stats_.insertions;
+    evict_to_capacity();
   }
-  // Waiters run their continuations on their own threads; resolving
-  // outside mu_ keeps them from re-entering the cache under our lock.
-  if (resolve) promise.set_value(std::move(result));
 }
 
 std::size_t ResultCache::invalidate_store(std::uint64_t store) {

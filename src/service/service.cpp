@@ -121,7 +121,9 @@ void AnalysisService::dispatch_job(EngineJob job) {
   }
   fulfil(std::move(expirations));
   if (dispatched) {
-    pool_.post_shared([this, dispatched] { run_job(dispatched); });
+    // The dispatcher is not a pool worker, so the job lands in the
+    // pool's shared overflow queue, where any idle worker picks it up.
+    pool_.post([this, dispatched] { run_job(dispatched); });
   }
 }
 

@@ -58,12 +58,36 @@ Result<ShardReader> ShardReader::open(const std::string& path, Mode mode) {
   reader.info_.atoms = static_cast<std::size_t>(fields[1]);
   reader.info_.frames_per_shard = static_cast<std::size_t>(fields[2]);
   const auto shard_count = static_cast<std::size_t>(fields[3]);
+  // The shards must tile the frames exactly: read_frames() maps a frame
+  // to its shard by frames_per_shard alone.
+  const std::size_t frames = reader.info_.frames;
+  const std::size_t per_shard = reader.info_.frames_per_shard;
+  if (frames > 0 && per_shard == 0) {
+    return Error(ErrorCode::kFormatError,
+                 "zero frames per shard for a non-empty store: " + path);
+  }
+  const std::size_t expected_shards =
+      frames == 0 ? 0 : frames / per_shard + (frames % per_shard != 0);
+  if (shard_count < expected_shards) {
+    return Error(ErrorCode::kOutOfRange,
+                 std::to_string(shard_count) + " shards cannot hold " +
+                     std::to_string(frames) + " frames at " +
+                     std::to_string(per_shard) + " per shard: " + path);
+  }
+  if (shard_count != expected_shards) {
+    return Error(ErrorCode::kFormatError,
+                 std::to_string(shard_count) + " shards for " +
+                     std::to_string(frames) + " frames at " +
+                     std::to_string(per_shard) + " per shard: " + path);
+  }
 
-  const std::size_t index_bytes = shard_count * sizeof(ShardIndexEntry);
-  if (reader.file_bytes_ < kHeaderBytes + index_bytes) {
+  // Compare by division: a huge count must not wrap the index size.
+  if (shard_count >
+      (reader.file_bytes_ - kHeaderBytes) / sizeof(ShardIndexEntry)) {
     return Error(ErrorCode::kFormatError,
                  "truncated shard index: " + path);
   }
+  const std::size_t index_bytes = shard_count * sizeof(ShardIndexEntry);
   reader.info_.index.resize(shard_count);
   if (index_bytes > 0 &&
       !pread_exact(reader.fd_, reader.info_.index.data(), index_bytes,
@@ -71,7 +95,8 @@ Result<ShardReader> ShardReader::open(const std::string& path, Mode mode) {
     return Error(ErrorCode::kIoError, "cannot read shard index: " + path);
   }
   for (const ShardIndexEntry& entry : reader.info_.index) {
-    if (entry.offset + entry.stored_bytes > reader.file_bytes_) {
+    if (entry.offset > reader.file_bytes_ ||
+        entry.stored_bytes > reader.file_bytes_ - entry.offset) {
       return Error(ErrorCode::kFormatError,
                    "shard index points past end of file: " + path);
     }
@@ -215,23 +240,6 @@ Result<traj::Trajectory> ShardReader::read_frames(std::size_t first,
     ++s;
   }
   return out;
-}
-
-std::vector<ShardRange> shard_partitions(std::size_t shard_count,
-                                         std::size_t parts) {
-  parts = std::max<std::size_t>(
-      1, std::min(parts, std::max<std::size_t>(1, shard_count)));
-  std::vector<ShardRange> ranges;
-  ranges.reserve(parts);
-  const std::size_t base = shard_count / parts;
-  const std::size_t extra = shard_count % parts;
-  std::size_t begin = 0;
-  for (std::size_t p = 0; p < parts; ++p) {
-    const std::size_t len = base + (p < extra ? 1 : 0);
-    ranges.push_back({begin, begin + len});
-    begin += len;
-  }
-  return ranges;
 }
 
 }  // namespace mdtask::stream

@@ -9,9 +9,9 @@ namespace mdtask::stream {
 namespace {
 
 /// Per-core streaming state. Reads are issued in task order and tiles
-/// consumed in task order, mirroring PrefetchPipeline's in-order
-/// delivery; `buffered` counts issued-but-unconsumed tiles (inflight or
-/// decoded), which is exactly the pipeline's depth bound.
+/// consumed in task order (in-order double buffering); `buffered`
+/// counts issued-but-unconsumed tiles (inflight or decoded), which is
+/// exactly what the prefetch depth bounds.
 struct CoreState {
   std::vector<std::size_t> tasks;  ///< global task indices, in order
   std::size_t next_issue = 0;

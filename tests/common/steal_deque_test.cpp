@@ -1,4 +1,4 @@
-#include "mdtask/topo/steal_deque.h"
+#include "mdtask/common/steal_deque.h"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 #include <thread>
 #include <vector>
 
-namespace mdtask::topo {
+namespace mdtask {
 namespace {
 
 TEST(StealQueueTest, OwnerPopsLifoThiefStealsFifo) {
@@ -73,4 +73,4 @@ TEST(StealQueueTest, QueuesArePaddedToDistinctCacheLines) {
 }
 
 }  // namespace
-}  // namespace mdtask::topo
+}  // namespace mdtask

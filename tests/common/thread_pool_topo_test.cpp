@@ -1,77 +1,32 @@
-// Tests for the topology-aware work-stealing internals of ThreadPool:
-// grouped/shared routing, elastic membership races, contended external
-// posts (the notify-after-unlock path), and the late-enable tracing
-// stamp guarantee. The drain/retire and tracing CONTRACT tests live in
-// thread_pool_test.cpp; these exercise what the stealing rebuild added.
+// Tests for the work-stealing internals of ThreadPool: an idle worker
+// stealing from a busy one, elastic membership races, contended
+// external posts (the notify-after-unlock path), and the late-enable
+// tracing stamp guarantee. The drain/retire and tracing CONTRACT tests
+// live in thread_pool_test.cpp; these exercise the stealing layer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "mdtask/common/thread_pool.h"
-#include "mdtask/topo/cpu_topology.h"
 #include "mdtask/trace/tracer.h"
 
 namespace mdtask {
 namespace {
 
-TEST(ThreadPoolTopoTest, ExplicitTopologyDrivesPlacementAndGroups) {
-  // 8 logical = 4 cores x 2 SMT, 2 cores per L2 -> 2 L2 domains.
-  ThreadPool pool(4, topo::CpuTopology::synthetic(8, 2, 2), false);
-  EXPECT_FALSE(pool.pinned());
-  EXPECT_EQ(pool.topology().logical_cpus(), 8u);
-  EXPECT_EQ(pool.locality_groups(), 2u);
-  // The first 4 placements cover 4 distinct physical cores.
-  std::set<int> cores;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const int cpu = pool.placement_cpu(i);
-    ASSERT_GE(cpu, 0);
-    cores.insert(pool.topology().cpu(static_cast<std::size_t>(cpu)).core);
-  }
-  EXPECT_EQ(cores.size(), 4u);
-}
-
-TEST(ThreadPoolTopoTest, GroupedPostsRunEverythingOnce) {
-  ThreadPool pool(4, topo::CpuTopology::synthetic(4, 1, 2), false);
-  constexpr int kGroups = 8;
-  constexpr int kMembers = 4;
-  std::atomic<int> ran{0};
-  for (int g = 0; g < kGroups; ++g) {
-    for (int m = 0; m < kMembers; ++m) {
-      pool.post_grouped(static_cast<std::uint64_t>(g),
-                        static_cast<std::uint64_t>(m),
-                        [&ran] { ran.fetch_add(1); });
-    }
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), kGroups * kMembers);
-}
-
-TEST(ThreadPoolTopoTest, SubmitGroupedReturnsResults) {
-  ThreadPool pool(2, topo::CpuTopology::synthetic(2), false);
-  std::vector<std::future<int>> futs;
-  for (int i = 0; i < 16; ++i) {
-    futs.push_back(pool.submit_grouped(
-        static_cast<std::uint64_t>(i % 4), static_cast<std::uint64_t>(i),
-        [i] { return i * i; }));
-  }
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(futs[i].get(), i * i);
-}
-
-TEST(ThreadPoolTopoTest, PostSharedFromWorkerIsPickedUpByIdleWorkers) {
-  // A busy worker posting via post_shared must NOT keep the job in its
-  // own deque: with the poster blocked, only another worker can run it.
-  ThreadPool pool(2, topo::CpuTopology::synthetic(2), false);
+TEST(ThreadPoolTopoTest, IdleWorkerStealsJobPostedByBusyWorker) {
+  // A busy worker's post lands in its own deque; with the poster
+  // blocked, only the other worker, stealing it, can run the job.
+  ThreadPool pool(2);
   std::atomic<bool> inner_ran{false};
   std::atomic<bool> release{false};
   pool.post([&] {
-    pool.post_shared([&inner_ran] { inner_ran.store(true); });
-    // Block this worker until the other worker has run the shared job.
+    pool.post([&inner_ran] { inner_ran.store(true); });
+    // Block this worker until the other worker has run the posted job.
     while (!release.load()) std::this_thread::yield();
   });
   const auto deadline =
@@ -88,7 +43,7 @@ TEST(ThreadPoolTopoTest, PostSharedFromWorkerIsPickedUpByIdleWorkers) {
 // Satellite: post() from many non-worker threads at once. The wake path
 // (notify AFTER unlocking mu_) must neither lose wakeups nor deadlock.
 TEST(ThreadPoolTopoTest, ContendedExternalPostsRunEverything) {
-  ThreadPool pool(4, topo::CpuTopology::synthetic(4), false);
+  ThreadPool pool(4);
   constexpr int kPosters = 8;
   constexpr int kJobsEach = 500;
   std::atomic<int> ran{0};
@@ -110,7 +65,7 @@ TEST(ThreadPoolTopoTest, ContendedExternalPostsRunEverything) {
 // Satellite: retire_workers racing a full queue — the retiring workers'
 // queued jobs must be flushed to survivors, and every job must run.
 TEST(ThreadPoolTopoTest, RetireWorkersWithFullQueueRunsEverything) {
-  ThreadPool pool(8, topo::CpuTopology::synthetic(8), false);
+  ThreadPool pool(8);
   constexpr int kJobs = 4000;
   std::atomic<int> ran{0};
   std::thread retirer;
@@ -144,7 +99,7 @@ TEST(ThreadPoolTopoTest, RetireWorkersWithFullQueueRunsEverything) {
 TEST(ThreadPoolTopoTest, ConcurrentAddAndRetireKeepsAllJobs) {
   // Three starting workers keep both retires above the one-worker clamp
   // of retire_workers whatever the interleaving with the grower.
-  ThreadPool pool(3, topo::CpuTopology::synthetic(4), false);
+  ThreadPool pool(3);
   constexpr int kJobs = 2000;
   std::atomic<int> ran{0};
   std::thread poster([&pool, &ran] {
@@ -175,7 +130,7 @@ TEST(ThreadPoolTopoTest, ConcurrentAddAndRetireKeepsAllJobs) {
 TEST(ThreadPoolTopoTest, WorkersAddedAfterEnableTracingGetTracks) {
   trace::Tracer tracer;
   tracer.set_enabled(true);
-  ThreadPool pool(1, topo::CpuTopology::synthetic(4), false);
+  ThreadPool pool(1);
   pool.enable_tracing(tracer, 7, "w");
   pool.add_workers(2);
   std::atomic<int> ran{0};
@@ -200,7 +155,7 @@ TEST(ThreadPoolTopoTest, WorkersAddedAfterEnableTracingGetTracks) {
 // posted during the disabled window.
 TEST(ThreadPoolTracingTest, JobsPostedWhileDisabledGetQueueWaitsAfterEnable) {
   trace::Tracer tracer;  // disabled at attach time
-  ThreadPool pool(1, topo::CpuTopology::synthetic(1), false);
+  ThreadPool pool(1);
   pool.enable_tracing(tracer, 1, "w");
 
   // Occupy the single worker so posted jobs sit queued across the
@@ -231,7 +186,7 @@ TEST(ThreadPoolTracingTest, JobsPostedWhileDisabledGetQueueWaitsAfterEnable) {
 TEST(ThreadPoolTracingTest, JobsPostedBeforeAnyTracerAttachCarryNoStamp) {
   trace::Tracer tracer;
   tracer.set_enabled(true);
-  ThreadPool pool(1, topo::CpuTopology::synthetic(1), false);
+  ThreadPool pool(1);
 
   std::atomic<bool> release{false};
   pool.post([&release] {
@@ -246,22 +201,6 @@ TEST(ThreadPoolTracingTest, JobsPostedBeforeAnyTracerAttachCarryNoStamp) {
     EXPECT_NE(e.name, "queue-wait")
         << "pre-attach job must not fabricate a queue-wait";
   }
-}
-
-TEST(ThreadPoolTopoTest, PinnedPoolOnHostTopologyStillRunsJobs) {
-  // Default ctor path: host topology + MDTASK_PIN_THREADS. Whatever the
-  // machine shape (1-CPU CI container included), jobs must run and the
-  // accessors must be coherent.
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.topology().logical_cpus(),
-            topo::CpuTopology::host().logical_cpus());
-  std::atomic<int> ran{0};
-  for (int j = 0; j < 128; ++j) {
-    pool.post([&ran] { ran.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 128);
-  EXPECT_GE(pool.locality_groups(), 1u);
 }
 
 }  // namespace

@@ -220,21 +220,6 @@ TEST(BatchEquivalenceTest, Rmsd2dPoliciesAgree) {
   }
 }
 
-TEST(BatchEquivalenceTest, Rmsd2dParallelMatchesSerial) {
-  const auto a = make_pack(77, 3 * kFrameTile + 5, 21);
-  const auto b = make_pack(78, 2 * kFrameTile + 3, 21);
-  ThreadPool pool(4);
-  for (const auto policy : kAllPolicies) {
-    const std::size_t n = a.frames() * b.frames();
-    std::vector<double> serial(n), parallel(n);
-    rmsd2d_packed(a, b, policy, serial);
-    rmsd2d_packed_parallel(a, b, policy, pool, nullptr, parallel);
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_DOUBLE_EQ(parallel[k], serial[k]) << to_string(policy);
-    }
-  }
-}
-
 TEST(BatchEquivalenceTest, CutoffPairListsIdenticalAcrossPolicies) {
   // Cloud sizes straddle kCutoffTile and the group width; the cutoff is
   // picked so a few percent of pairs hit.

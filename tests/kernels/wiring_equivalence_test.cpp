@@ -74,19 +74,6 @@ TEST(PsaPolicyTest, VectorizedMatrixWithinTolerance) {
   EXPECT_LE(vec.max_abs_diff(scalar), 1e-4);
 }
 
-TEST(PsaPolicyTest, ParallelMatchesReferenceUnderEveryPolicy) {
-  const auto ensemble = make_ensemble(7);
-  ThreadPool pool(4);
-  for (const auto policy : kernels::kAllPolicies) {
-    const auto serial =
-        psa_reference(ensemble, HausdorffKernel::kEarlyBreak, policy);
-    const auto parallel = psa_parallel(
-        ensemble, HausdorffKernel::kEarlyBreak, policy, pool);
-    EXPECT_EQ(serial.max_abs_diff(parallel), 0.0)
-        << kernels::to_string(policy);
-  }
-}
-
 struct LfFixture {
   traj::Bilayer bilayer;
   double cutoff;

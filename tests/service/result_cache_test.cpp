@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <vector>
 
 namespace mdtask::service {
 namespace {
@@ -32,9 +31,8 @@ TEST(ResultCacheTest, MissThenFulfillThenHit) {
 
   const auto hit = cache.lookup_or_join(key);
   ASSERT_EQ(hit.outcome, ResultCache::Outcome::kHit);
-  const CachedResult result = hit.future.get();
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result.value()->values.at(0), 3.5);
+  ASSERT_NE(hit.payload, nullptr);
+  EXPECT_DOUBLE_EQ(hit.payload->values.at(0), 3.5);
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -49,42 +47,15 @@ TEST(ResultCacheTest, SecondLookupJoinsInFlight) {
 
   const auto joined = cache.lookup_or_join(key);
   ASSERT_EQ(joined.outcome, ResultCache::Outcome::kJoined);
+  EXPECT_EQ(joined.payload, nullptr);
+  EXPECT_EQ(cache.stats().inflight_joins, 1u);
   cache.fulfill(key, payload_of(7.0));
 
-  const CachedResult result = joined.future.get();
-  ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result.value()->values.at(0), 7.0);
+  // Fulfilled: the key is no longer in flight, and its answer hits.
+  const auto hit = cache.lookup_or_join(key);
+  ASSERT_EQ(hit.outcome, ResultCache::Outcome::kHit);
+  EXPECT_DOUBLE_EQ(hit.payload->values.at(0), 7.0);
   EXPECT_EQ(cache.stats().inflight_joins, 1u);
-}
-
-TEST(ResultCacheTest, FailedOwnerFailsEveryWaiterWithoutPoisoning) {
-  ResultCache cache;
-  const RequestKey key = key_of(9);
-  ASSERT_EQ(cache.lookup_or_join(key).outcome, ResultCache::Outcome::kMiss);
-
-  // Several requests pile onto the in-flight computation...
-  std::vector<std::shared_future<CachedResult>> waiters;
-  for (int i = 0; i < 3; ++i) {
-    const auto joined = cache.lookup_or_join(key);
-    ASSERT_EQ(joined.outcome, ResultCache::Outcome::kJoined);
-    waiters.push_back(joined.future);
-  }
-  // ...and the owner fails.
-  cache.fulfill(key, CachedResult(Error(ErrorCode::kIoError, "store unreadable")));
-
-  for (auto& waiter : waiters) {
-    const CachedResult result = waiter.get();
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.error().code(), ErrorCode::kIoError);
-  }
-
-  // Nothing was cached: the next lookup is a fresh miss that can
-  // succeed, and a hit follows it.
-  EXPECT_EQ(cache.entries(), 0u);
-  ASSERT_EQ(cache.lookup_or_join(key).outcome, ResultCache::Outcome::kMiss);
-  cache.fulfill(key, payload_of(1.0));
-  EXPECT_EQ(cache.lookup_or_join(key).outcome, ResultCache::Outcome::kHit);
-  EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedOnEntryPressure) {
@@ -163,7 +134,7 @@ TEST(ResultCacheTest, ReorderedParamsShareTheCacheLine) {
   cache.fulfill(request_key(first), payload_of(4.0));
   const auto hit = cache.lookup_or_join(request_key(second));
   ASSERT_EQ(hit.outcome, ResultCache::Outcome::kHit);
-  EXPECT_DOUBLE_EQ(hit.future.get().value()->values.at(0), 4.0);
+  EXPECT_DOUBLE_EQ(hit.payload->values.at(0), 4.0);
 }
 
 TEST(ResultCacheTest, DisabledCacheAlwaysMisses) {

@@ -1,13 +1,15 @@
 // Round-trip property tests for the sharded store (MDS) format:
 // randomized seeded trajectories across shard sizes and compression
 // settings must decode byte-identically, and every corruption class
-// (truncation, bit-flip, bad magic) must be rejected with kFormatError
-// before any garbage reaches an analysis kernel.
+// (truncation, bit-flip, bad magic, shards that do not tile the frames)
+// must be rejected with a typed error before any garbage reaches an
+// analysis kernel.
 #include "mdtask/stream/shard_format.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "mdtask/stream/shard_reader.h"
 #include "mdtask/traj/generators.h"
 #include "support/temp_path.h"
+#include "support/mds_bytes.h"
 
 namespace mdtask::stream {
 namespace {
@@ -262,23 +265,86 @@ TEST_F(ShardFormatTest, MissingFileIsAnError) {
   ASSERT_FALSE(reader.ok());
 }
 
-TEST_F(ShardFormatTest, ShardPartitionsCoverAndBalance) {
-  const auto parts = shard_partitions(10, 4);  // 3,3,2,2
-  ASSERT_EQ(parts.size(), 4u);
-  std::size_t covered = 0;
-  std::size_t prev_end = 0;
-  for (const auto& p : parts) {
-    EXPECT_EQ(p.begin, prev_end);
-    prev_end = p.end;
-    covered += p.size();
-    EXPECT_GE(p.size(), 2u);
-    EXPECT_LE(p.size(), 3u);
-  }
-  EXPECT_EQ(covered, 10u);
-  // More parts than shards: one shard each, no empties.
-  const auto fine = shard_partitions(3, 8);
-  ASSERT_EQ(fine.size(), 3u);
-  for (const auto& p : fine) EXPECT_EQ(p.size(), 1u);
+TEST_F(ShardFormatTest, OpenRejectsShardsThatDoNotTileTheFrames) {
+  // read_frames() maps a frame to its shard by frames_per_shard alone,
+  // so open() must refuse any header whose shards do not tile exactly
+  // ceil(frames / frames_per_shard) shards.
+  const traj::Trajectory t = random_trajectory(16, 8, 4);
+  ShardStoreOptions opts;
+  opts.frames_per_shard = 4;  // 4 shards
+  auto expect_open_fails = [&](ErrorCode code, const char* what) {
+    for (const auto mode : {ShardReader::Mode::kStream,
+                            ShardReader::Mode::kMmap}) {
+      auto reader = ShardReader::open(path_, mode);
+      ASSERT_FALSE(reader.ok()) << what;
+      EXPECT_EQ(reader.error().code(), code)
+          << what << ": " << reader.error().to_string();
+    }
+  };
+
+  // Zero frames per shard, shard 0 a valid empty payload: every frame
+  // maps to shard 0, and read_frames(8, 8) would copy past it.
+  ASSERT_TRUE(write_sharded(path_, t, opts).ok());
+  testutil::zero_frames_per_shard(path_);
+  expect_open_fails(ErrorCode::kFormatError, "zero frames per shard");
+
+  // One indexed shard for 16 frames at 4 per shard.
+  ASSERT_TRUE(write_sharded(path_, t, opts).ok());
+  testutil::set_shard_count(path_, 1);
+  expect_open_fails(ErrorCode::kOutOfRange, "one shard");
+
+  // Four indexed shards where 8 frames per shard needs two.
+  ASSERT_TRUE(write_sharded(path_, t, opts).ok());
+  testutil::set_frames_per_shard(path_, 8);
+  expect_open_fails(ErrorCode::kFormatError, "surplus shards");
+
+  // The stores the writer produces still open, an empty one included.
+  ASSERT_TRUE(write_sharded(path_, t, opts).ok());
+  auto reader = ShardReader::open(path_);
+  ASSERT_TRUE(reader.ok()) << reader.error().to_string();
+  auto tail = reader.value().read_frames(8, 8);
+  ASSERT_TRUE(tail.ok());
+  EXPECT_EQ(tail.value().frames(), 8u);
+  ASSERT_TRUE(write_sharded(path_, traj::Trajectory(0, 8), opts).ok());
+  auto empty = ShardReader::open(path_);
+  ASSERT_TRUE(empty.ok()) << empty.error().to_string();
+  EXPECT_EQ(empty.value().shard_count(), 0u);
+}
+
+TEST_F(ShardFormatTest, OpenRejectsIndexSizesAndOffsetsThatWrap) {
+  const traj::Trajectory t = random_trajectory(16, 8, 5);
+  ShardStoreOptions opts;
+  opts.frames_per_shard = 4;
+  auto expect_open_fails = [&](const char* what) {
+    for (const auto mode : {ShardReader::Mode::kStream,
+                            ShardReader::Mode::kMmap}) {
+      auto reader = ShardReader::open(path_, mode);
+      ASSERT_FALSE(reader.ok()) << what;
+      EXPECT_EQ(reader.error().code(), ErrorCode::kFormatError)
+          << what << ": " << reader.error().to_string();
+    }
+  };
+
+  // 2^61 frames at 1 per shard tile 2^61 shards, whose index size
+  // (32 bytes each) wraps to 0.
+  ASSERT_TRUE(write_sharded(path_, t, opts).ok());
+  std::vector<char> bytes = testutil::read_store(path_);
+  testutil::put_u64(bytes, testutil::kFramesAt, 1ull << 61);
+  testutil::put_u64(bytes, testutil::kFramesPerShardAt, 1);
+  testutil::put_u64(bytes, testutil::kShardCountAt, 1ull << 61);
+  testutil::write_store(path_, bytes);
+  expect_open_fails("wrapping index size");
+
+  // Shard 0's offset + stored bytes wraps past 2^64 back into the file.
+  ASSERT_TRUE(write_sharded(path_, t, opts).ok());
+  bytes = testutil::read_store(path_);
+  ShardIndexEntry first;
+  std::memcpy(&first, bytes.data() + testutil::kIndexAt, sizeof(first));
+  first.offset = ~std::uint64_t{0} - 7;
+  first.stored_bytes = 16;
+  std::memcpy(bytes.data() + testutil::kIndexAt, &first, sizeof(first));
+  testutil::write_store(path_, bytes);
+  expect_open_fails("wrapping shard offset");
 }
 
 }  // namespace

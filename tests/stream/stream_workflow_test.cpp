@@ -7,8 +7,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <vector>
 
 #include "mdtask/kernels/batch.h"
@@ -18,6 +16,7 @@
 #include "mdtask/workflows/leaflet_runner.h"
 #include "mdtask/workflows/psa_runner.h"
 #include "support/temp_path.h"
+#include "support/mds_bytes.h"
 
 namespace mdtask::workflows {
 namespace {
@@ -34,16 +33,6 @@ class StreamWorkflowTest : public ::testing::Test {
   std::string path_ = testutil::unique_temp_path("mds");
   void TearDown() override { std::remove(path_.c_str()); }
 };
-
-std::vector<char> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), {}};
-}
-
-void write_file(const std::string& path, const std::vector<char>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 /// The PSA store layout: N trajectories concatenated frame-major.
 traj::Trajectory concatenate(const traj::Ensemble& ensemble) {
@@ -163,6 +152,41 @@ TEST_F(StreamWorkflowTest, PsaRejectsBadInputs) {
   ASSERT_FALSE(missing.ok());
 }
 
+TEST_F(StreamWorkflowTest, PsaStreamedRejectsShardsThatMissTheirFrames) {
+  // Block tasks read each trajectory's frame range through the header's
+  // shard map; a header whose shards do not tile the frames must fail
+  // typed on every engine instead of copying past a decoded shard.
+  traj::ProteinTrajectoryParams p;
+  p.atoms = 7;
+  p.frames = 8;
+  const traj::Ensemble ensemble = traj::make_protein_ensemble(4, p);
+  ShardStoreOptions opts;
+  opts.frames_per_shard = 4;  // 8 shards for 32 frames
+
+  StreamInput input;
+  input.path = path_;
+  input.trajectories = ensemble.size();
+  PsaRunConfig config;
+  config.workers = 2;
+  auto expect_every_engine_fails = [&](ErrorCode code, const char* what) {
+    for (const EngineKind engine : kEngines) {
+      auto streamed = run_psa_streamed(engine, input, config);
+      ASSERT_FALSE(streamed.ok()) << what << ", " << to_string(engine);
+      EXPECT_EQ(streamed.error().code(), code)
+          << what << ", " << to_string(engine) << ": "
+          << streamed.error().to_string();
+    }
+  };
+
+  ASSERT_TRUE(write_sharded(path_, concatenate(ensemble), opts).ok());
+  testutil::zero_frames_per_shard(path_);
+  expect_every_engine_fails(ErrorCode::kFormatError, "zero frames per shard");
+
+  ASSERT_TRUE(write_sharded(path_, concatenate(ensemble), opts).ok());
+  testutil::set_shard_count(path_, 1);
+  expect_every_engine_fails(ErrorCode::kOutOfRange, "one shard");
+}
+
 TEST_F(StreamWorkflowTest, LeafletBitIdenticalAcrossEnginesAndApproaches) {
   traj::BilayerParams p;
   p.atoms = 1024;
@@ -265,10 +289,10 @@ TEST_F(StreamWorkflowTest, LeafletStreamedCorruptShardFailsTyped) {
     ASSERT_GT(victim.stored_bytes, 0u);
     flip_at = victim.offset + victim.stored_bytes / 2;
   }
-  std::vector<char> bytes = read_file(path_);
+  std::vector<char> bytes = testutil::read_store(path_);
   ASSERT_LT(flip_at, bytes.size());
   bytes[flip_at] ^= 0x5a;
-  write_file(path_, bytes);
+  testutil::write_store(path_, bytes);
 
   StreamInput input;
   input.path = path_;
@@ -299,15 +323,6 @@ TEST_F(StreamWorkflowTest, LeafletStreamedRejectsShardsThatMissTheirFrames) {
   const double cutoff = traj::default_cutoff(p);
   ShardStoreOptions opts;
   opts.frames_per_shard = 100;
-  ASSERT_TRUE(write_sharded_points(path_, bilayer.positions, opts).ok());
-  // Layout (shard_format.h): magic[7] | u8 flags | u64 frames |
-  // u64 atoms | u64 frames_per_shard | u64 shard_count | index.
-  constexpr std::size_t kFramesPerShardAt = 7 + 1 + 8 + 8;
-  constexpr std::size_t kShardCountAt = kFramesPerShardAt + 8;
-  constexpr std::size_t kIndexAt = kShardCountAt + 8;
-  const std::vector<char> original = read_file(path_);
-  ASSERT_GT(original.size(), kIndexAt + sizeof(stream::ShardIndexEntry));
-
   StreamInput input;
   input.path = path_;
   LfRunConfig config;
@@ -330,23 +345,13 @@ TEST_F(StreamWorkflowTest, LeafletStreamedRejectsShardsThatMissTheirFrames) {
 
   // Zero frames per shard maps every atom to shard 0, rewritten as a
   // valid empty payload that passes its checks.
-  std::vector<char> bytes = original;
-  const std::uint64_t zero = 0;
-  std::memcpy(bytes.data() + kFramesPerShardAt, &zero, sizeof(zero));
-  stream::ShardIndexEntry first;
-  std::memcpy(&first, bytes.data() + kIndexAt, sizeof(first));
-  first.stored_bytes = 0;
-  first.raw_bytes = 0;
-  first.checksum = stream::fnv1a64({});
-  std::memcpy(bytes.data() + kIndexAt, &first, sizeof(first));
-  write_file(path_, bytes);
+  ASSERT_TRUE(write_sharded_points(path_, bilayer.positions, opts).ok());
+  testutil::zero_frames_per_shard(path_);
   expect_every_run_fails(ErrorCode::kFormatError, "empty shard 0");
 
   // One indexed shard for 1024 atoms at 100 per shard.
-  bytes = original;
-  const std::uint64_t one = 1;
-  std::memcpy(bytes.data() + kShardCountAt, &one, sizeof(one));
-  write_file(path_, bytes);
+  ASSERT_TRUE(write_sharded_points(path_, bilayer.positions, opts).ok());
+  testutil::set_shard_count(path_, 1);
   expect_every_run_fails(ErrorCode::kOutOfRange, "one shard");
 }
 
