@@ -36,3 +36,8 @@ mdtask_bench(bench_repex mdtask_repex)
 # The end-to-end benchmark (bench/e2e): its binary lands in
 # build/bench_e2e/, and ctest runs its --quick smoke and compare.py tests.
 include(${MDTASK_BENCH_DIR}/e2e/bench_e2e.cmake)
+# Watchdog on the two tests bench_e2e.cmake registers (the per-test
+# limits of tests/CMakeLists.txt): the smoke took 19.5 s under CI's
+# ASan+UBSan build, the compare.py tests 0.3 s.
+set_tests_properties(bench_e2e_quick PROPERTIES TIMEOUT 300)
+set_tests_properties(bench_e2e_compare_py PROPERTIES TIMEOUT 60)

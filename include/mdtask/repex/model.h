@@ -9,7 +9,8 @@
 //
 //  * the temperature ladder (ladder_beta),
 //  * the per-replica observable, split into an expensive static base
-//    (the Spark-cacheable replica state) and a cheap per-round advance,
+//    (the Spark-cacheable replica state) and a cheap per-round advance
+//    against the round's reference window, shared by all replicas,
 //  * the candidate-pair topology (nearest-neighbour parity alternation
 //    or all-pairs),
 //  * the seeded Metropolis acceptance draw (splitmix64 chain, no RNG
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mdtask/kernels/frame_pack.h"
 #include "mdtask/kernels/policy.h"
 
 namespace mdtask::repex {
@@ -91,15 +93,26 @@ struct RepexParams {
 /// files, MPI rank-local arrays).
 double base_observable(const RepexParams& params, std::size_t config);
 
+/// The round's reference window, packed for the kernels. It depends
+/// only on (params, round), so one pack serves every replica of the
+/// round; the engines build it once per round and share it read-only
+/// (Spark broadcast, Dask/RP task closures, MPI per rank).
+kernels::FramePack round_reference(const RepexParams& params,
+                                   std::size_t round);
+
 /// Cheap per-round advance: a small-window Hausdorff between the
 /// round-perturbed segment of `config` and the round's reference
-/// window.
+/// window. The four-argument form takes the window prebuilt by
+/// round_reference(params, round); the three-argument form builds it
+/// itself, and both return the same bits.
+double round_delta(const RepexParams& params, std::size_t config,
+                   std::size_t round, const kernels::FramePack& reference);
 double round_delta(const RepexParams& params, std::size_t config,
                    std::size_t round);
 
-/// The full observable: base_observable + round_delta. The engines
-/// compute the two parts separately (to reuse the cached base); the DES
-/// twin and tests use this composition.
+/// The full observable: base_observable + round_delta. The engines and
+/// the DES twin compute the two parts separately (to reuse the cached
+/// base and the round's shared reference); tests use this composition.
 double replica_energy(const RepexParams& params, std::size_t config,
                       std::size_t round);
 

@@ -7,19 +7,23 @@
 //
 //  * Spark — the static replica state is an RDD cached across rounds
 //    (cache_static toggles it for bench_repex's cache-hit axis); the
-//    exchange is a barrier-stage shuffle (reduce_by_key over pair keys)
-//    deciding each pair in the reduce stage.
+//    round's reference window is a broadcast variable; the exchange is
+//    a barrier-stage shuffle (reduce_by_key over pair keys) deciding
+//    each pair in the reduce stage.
 //  * Dask  — persistent base futures plus a per-round re-submitted
-//    dynamic graph: energy tasks depend on their base future, decision
+//    dynamic graph: energy tasks depend on their base future and share
+//    the round's reference window through their closures, decision
 //    tasks depend on the two member energies.
 //  * MPI   — one SPMD job holding rank-local replica state across
-//    rounds; nearest-neighbour rounds exchange boundary energies with
+//    rounds; each rank builds the round's reference window itself;
+//    nearest-neighbour rounds exchange boundary energies with
 //    sendrecv and allgather the decisions, all-pairs rounds allreduce
 //    the masked per-slot energy table. Under a fault plan the job runs
 //    in the checkpoint/abort/restart wrapper with per-round state
 //    checkpoints.
 //  * RP    — one compute unit per replica per round dispatched through
-//    the DB; the static base observable is staged through the shared
+//    the DB, the round's reference window shared by the units'
+//    closures; the static base observable is staged through the shared
 //    filesystem on round 0 and staged back instead of recomputed on
 //    later rounds.
 //

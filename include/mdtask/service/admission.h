@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 
 #include "mdtask/common/error.h"
@@ -28,9 +27,11 @@ struct AdmissionConfig {
   std::size_t max_tenant_requests = 64;
 };
 
-/// Thread-safe admission ledger. admit() reserves, release() returns
-/// the reservation when the request completes (or is rejected further
-/// down the line). Counters are cumulative since construction.
+/// Admission ledger. admit() reserves, release() returns the
+/// reservation when the request completes (or is rejected further down
+/// the line). Counters are cumulative since construction.
+/// Not thread-safe: ServicePipeline is its one caller, and the live
+/// AnalysisService makes every pipeline call under its own mutex.
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionConfig config) : config_(config) {}
@@ -62,7 +63,6 @@ class AdmissionController {
 
  private:
   AdmissionConfig config_;
-  mutable std::mutex mu_;
   std::size_t in_flight_ = 0;
   std::uint64_t in_flight_bytes_ = 0;
   std::unordered_map<std::uint64_t, std::size_t> per_tenant_;

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -49,6 +48,9 @@ struct BatchConfig {
   bool enabled = true;            ///< off: every request is its own job
 };
 
+/// Holds the open batch of each (store, family). Not thread-safe:
+/// ServicePipeline is its one caller, and the live AnalysisService makes
+/// every pipeline call under its own mutex.
 class Batcher {
  public:
   explicit Batcher(BatchConfig config) : config_(config) {}
@@ -90,10 +92,9 @@ class Batcher {
     double job_deadline_s = 0.0;  ///< tightest member deadline (0 = none)
   };
 
-  EngineJob seal(BatchKey key, Open&& open);  // mu_ held
+  EngineJob seal(BatchKey key, Open&& open);
 
   BatchConfig config_;
-  mutable std::mutex mu_;
   /// std::map: due()/flush_all() emit in key order, deterministically.
   std::map<BatchKey, Open> open_;
   std::size_t pending_ = 0;

@@ -15,15 +15,15 @@
 //    tenant), so one tenant's burst cannot monopolize its class.
 //
 // Deterministic: pop order is a pure function of the push sequence.
-// Single-consumer oriented but fully thread-safe (the live service's
-// dispatcher is one thread; the DES drives it single-threaded).
+// Not thread-safe: ServicePipeline is its one caller, and the live
+// AnalysisService makes every pipeline call under its own mutex (the DES
+// drives it single-threaded).
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <unordered_map>
 
 #include "mdtask/service/request.h"
@@ -73,7 +73,6 @@ class FairShareScheduler {
   AnalysisRequest pop_class(ClassQueue& q);
 
   FairShareConfig config_;
-  mutable std::mutex mu_;
   std::array<ClassQueue, kTenantClasses> classes_;
   std::size_t cursor_ = 0;       ///< class the next DRR visit starts at
   bool visit_pending_ = true;    ///< cursor class not yet credited

@@ -29,7 +29,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 
 #include "mdtask/fault/fault.h"
 #include "mdtask/fault/injector.h"
@@ -98,7 +97,9 @@ struct BrownoutConfig {
 
 /// Maps the observed backlog to a BrownoutLevel with hysteresis. Pure
 /// function of the observation sequence — no clock, no randomness — so
-/// the DES twin replays it.
+/// the DES twin replays it. Not thread-safe: ServicePipeline is its one
+/// caller, and the live AnalysisService makes every pipeline call under
+/// its own mutex.
 class DegradationController {
  public:
   explicit DegradationController(BrownoutConfig config) : config_(config) {}
@@ -121,7 +122,6 @@ class DegradationController {
   std::size_t enter_depth(BrownoutLevel level) const noexcept;
 
   BrownoutConfig config_;
-  mutable std::mutex mu_;
   BrownoutLevel level_ = BrownoutLevel::kNormal;
   Stats stats_;
 };

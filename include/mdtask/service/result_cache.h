@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -58,6 +57,8 @@ struct CacheConfig {
   bool enabled = true;
 };
 
+/// Not thread-safe: ServicePipeline is its one caller, and the live
+/// AnalysisService makes every pipeline call under its own mutex.
 class ResultCache {
  public:
   enum class Outcome : std::uint8_t { kHit, kJoined, kMiss };
@@ -116,11 +117,10 @@ class ResultCache {
     std::list<RequestKey>::iterator lru;  ///< position in lru_
   };
 
-  /// Evicts LRU entries until both capacity bounds hold. mu_ held.
+  /// Evicts LRU entries until both capacity bounds hold.
   void evict_to_capacity();
 
   CacheConfig config_;
-  mutable std::mutex mu_;
   std::unordered_map<RequestKey, Entry, RequestKeyHash> entries_;
   std::list<RequestKey> lru_;  ///< front = most recently used
   std::unordered_set<RequestKey, RequestKeyHash> inflight_;

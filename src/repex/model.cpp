@@ -5,6 +5,7 @@
 
 #include "mdtask/analysis/hausdorff.h"
 #include "mdtask/common/hash.h"
+#include "mdtask/kernels/batch.h"
 #include "mdtask/traj/generators.h"
 
 namespace mdtask::repex {
@@ -24,6 +25,11 @@ traj::Trajectory segment(std::size_t atoms, std::size_t frames,
   params.frames = frames;
   params.seed = seed;
   return traj::make_protein_trajectory(params);
+}
+
+/// Frames of the per-round advance and reference windows.
+std::size_t window_frames(const RepexParams& params) {
+  return std::max<std::size_t>(2, params.window_frames);
 }
 
 }  // namespace
@@ -55,18 +61,27 @@ double base_observable(const RepexParams& params, std::size_t config) {
   return analysis::hausdorff_naive(base, ref, params.kernel_policy);
 }
 
+kernels::FramePack round_reference(const RepexParams& params,
+                                   std::size_t round) {
+  return kernels::pack_trajectory(
+      segment(params.atoms, window_frames(params),
+              hash_combine(scoped(params.seed, "repex:refwin"), round)));
+}
+
 double round_delta(const RepexParams& params, std::size_t config,
-                   std::size_t round) {
-  const std::size_t frames = std::max<std::size_t>(2, params.window_frames);
-  const auto ref_window =
-      segment(params.atoms, frames,
-              hash_combine(scoped(params.seed, "repex:refwin"), round));
+                   std::size_t round, const kernels::FramePack& reference) {
   const auto advance = segment(
-      params.atoms, frames,
+      params.atoms, window_frames(params),
       hash_combine(hash_combine(scoped(params.seed, "repex:round"), config),
                    round));
-  return analysis::hausdorff_naive(advance, ref_window,
+  return kernels::hausdorff_packed(kernels::pack_trajectory(advance),
+                                   reference, /*early_break=*/false,
                                    params.kernel_policy);
+}
+
+double round_delta(const RepexParams& params, std::size_t config,
+                   std::size_t round) {
+  return round_delta(params, config, round, round_reference(params, round));
 }
 
 double replica_energy(const RepexParams& params, std::size_t config,

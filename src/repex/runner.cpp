@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -146,13 +147,17 @@ RepexResult run_repex_spark(const RepexConfig& config) {
       round_span.arg_num("round", static_cast<double>(round));
     }
     // Stage 1: per-replica advance on top of the (possibly cached)
-    // static state.
+    // static state, against the round's reference window shipped once
+    // per executor as a broadcast variable.
+    kernels::FramePack window = round_reference(p, round);
+    const std::uint64_t window_bytes = window.byte_size();
+    const auto reference = sc.broadcast(std::move(window), window_bytes);
     auto energies = bases
-                        .map([p, round](const BaseState& b) {
-                          return PairHalf{0, b.config,
-                                          b.base +
-                                              round_delta(p, b.config,
-                                                          round)};
+                        .map([p, round, reference](const BaseState& b) {
+                          return PairHalf{
+                              0, b.config,
+                              b.base + round_delta(p, b.config, round,
+                                                   *reference)};
                         })
                         .collect();
     const auto slot_of = slots_of(driver.configs);
@@ -238,13 +243,17 @@ RepexResult run_repex_dask(const RepexConfig& config) {
       round_span.arg_num("round", static_cast<double>(round));
     }
     // Dynamic-graph re-submission: a fresh energy task per replica
-    // depending on its base future...
+    // depending on its base future, all sharing the round's reference
+    // window (owned by the closures: a retried or speculative copy may
+    // outlive this round)...
+    const auto reference = std::make_shared<const kernels::FramePack>(
+        round_reference(p, round));
     std::vector<dask::Future<double>> energies;
     energies.reserve(p.replicas);
     for (std::size_t c = 0; c < p.replicas; ++c) {
       energies.push_back(client.submit(
-          [p, c, round](const double& base) {
-            return base + round_delta(p, c, round);
+          [p, c, round, reference](const double& base) {
+            return base + round_delta(p, c, round, *reference);
           },
           bases[c]));
     }
@@ -335,11 +344,15 @@ RepexResult run_repex_mpi(const RepexConfig& config) {
             config.tracer->span(driver.track, "repex:round", "repex");
         round_span.arg_num("round", static_cast<double>(round));
       }
+      // Every rank builds the round's reference window itself: the
+      // data is replicated, so no message carries it.
+      const kernels::FramePack reference = round_reference(p, round);
       const auto slot_of = slots_of(configs);
       std::vector<double> energy_by_slot(p.replicas, 0.0);
       for (std::size_t c = static_cast<std::size_t>(rank); c < p.replicas;
            c += static_cast<std::size_t>(size)) {
-        energy_by_slot[slot_of[c]] = base[c] + round_delta(p, c, round);
+        energy_by_slot[slot_of[c]] =
+            base[c] + round_delta(p, c, round, reference);
       }
 
       WallTimer barrier_timer;
@@ -469,6 +482,10 @@ RepexResult run_repex_rp(const RepexConfig& config) {
     // (latency-charged) DB. Round 0 writes the static base observable
     // to the shared filesystem; later rounds stage it back instead of
     // recomputing — RP's filesystem-mediated twin of Spark's cache.
+    // The round's units share one reference window, owned by their
+    // closures: the unit manager holds the executables past this scope.
+    const auto reference = std::make_shared<const kernels::FramePack>(
+        round_reference(p, round));
     std::vector<rp::ComputeUnitDescription> descriptions;
     descriptions.reserve(p.replicas);
     for (std::size_t c = 0; c < p.replicas; ++c) {
@@ -478,7 +495,8 @@ RepexResult run_repex_rp(const RepexConfig& config) {
           .name = "repex_r" + std::to_string(round) + "_c" +
                   std::to_string(c),
           .executable =
-              [p, c, round, in_path, out_path](rp::SharedFilesystem& fs) {
+              [p, c, round, in_path, out_path,
+               reference](rp::SharedFilesystem& fs) {
                 double base = 0.0;
                 bool have_base = false;
                 if (round > 0) {
@@ -498,7 +516,8 @@ RepexResult run_repex_rp(const RepexConfig& config) {
                   writer.put_span<double>(std::vector<double>{base});
                   fs.put(in_path, std::move(writer).take());
                 }
-                const double energy = base + round_delta(p, c, round);
+                const double energy =
+                    base + round_delta(p, c, round, *reference);
                 ByteWriter writer;
                 writer.put_span<double>(std::vector<double>{energy});
                 fs.put(out_path, std::move(writer).take());

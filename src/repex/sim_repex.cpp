@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "mdtask/common/hash.h"
 #include "mdtask/sim/simulation.h"
@@ -87,6 +88,7 @@ SimRepexOutcome simulate_repex_wave(const RepexConfig& config,
   SimRepexOutcome outcome;
   std::vector<std::size_t> configs(p.replicas);
   std::iota(configs.begin(), configs.end(), std::size_t{0});
+  std::vector<std::optional<double>> base(p.replicas);
 
   for (std::size_t round = 0; round < p.max_rounds; ++round) {
     // Advance wave: every replica holds a core for dispatch + compute;
@@ -124,9 +126,14 @@ SimRepexOutcome simulate_repex_wave(const RepexConfig& config,
     simulation.run();
     outcome.barrier_wait_s += exchange_s;
 
+    // The observables the live engines compute: each base once, on
+    // first use, and the round's reference window once per round.
+    const kernels::FramePack reference = round_reference(p, round);
     std::vector<double> energy_by_slot(p.replicas, 0.0);
     for (std::size_t slot = 0; slot < p.replicas; ++slot) {
-      energy_by_slot[slot] = replica_energy(p, configs[slot], round);
+      const std::size_t c = configs[slot];
+      if (!base[c]) base[c] = base_observable(p, c);
+      energy_by_slot[slot] = *base[c] + round_delta(p, c, round, reference);
     }
     const auto decisions =
         decide_exchanges(p, round, configs, energy_by_slot);

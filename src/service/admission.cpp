@@ -5,7 +5,6 @@
 namespace mdtask::service {
 
 Status AdmissionController::admit(const AnalysisRequest& request) {
-  std::lock_guard lk(mu_);
   if (in_flight_ >= config_.max_global_requests) {
     ++shed_requests_;
     return Error(ErrorCode::kOverloaded,
@@ -36,7 +35,6 @@ Status AdmissionController::admit(const AnalysisRequest& request) {
 }
 
 void AdmissionController::release(const AnalysisRequest& request) {
-  std::lock_guard lk(mu_);
   if (in_flight_ > 0) --in_flight_;
   in_flight_bytes_ -= request.input_bytes <= in_flight_bytes_
                           ? request.input_bytes
@@ -52,7 +50,6 @@ void AdmissionController::release(const AnalysisRequest& request) {
 }
 
 AdmissionController::Stats AdmissionController::stats() const {
-  std::lock_guard lk(mu_);
   Stats out;
   out.admitted = admitted_;
   out.shed_requests = shed_requests_;

@@ -16,7 +16,6 @@ EngineJob Batcher::seal(BatchKey key, Open&& open) {
 
 std::optional<EngineJob> Batcher::add(AnalysisRequest request,
                                       double now_s) {
-  std::lock_guard lk(mu_);
   const BatchKey key{request.store_fingerprint,
                      static_cast<std::uint8_t>(request.family)};
   const double member_deadline = request.deadline_s;
@@ -52,7 +51,6 @@ std::optional<EngineJob> Batcher::add(AnalysisRequest request,
 }
 
 std::vector<EngineJob> Batcher::due(double now_s) {
-  std::lock_guard lk(mu_);
   std::vector<EngineJob> jobs;
   for (auto it = open_.begin(); it != open_.end();) {
     if (it->second.deadline_s <= now_s) {
@@ -66,7 +64,6 @@ std::vector<EngineJob> Batcher::due(double now_s) {
 }
 
 std::optional<double> Batcher::next_deadline() const {
-  std::lock_guard lk(mu_);
   std::optional<double> earliest;
   for (const auto& [key, open] : open_) {
     if (!earliest || open.deadline_s < *earliest) {
@@ -77,7 +74,6 @@ std::optional<double> Batcher::next_deadline() const {
 }
 
 std::vector<EngineJob> Batcher::flush_all() {
-  std::lock_guard lk(mu_);
   std::vector<EngineJob> jobs;
   for (auto& [key, open] : open_) {
     jobs.push_back(seal(key, std::move(open)));
@@ -87,17 +83,14 @@ std::vector<EngineJob> Batcher::flush_all() {
 }
 
 std::size_t Batcher::pending() const {
-  std::lock_guard lk(mu_);
   return pending_;
 }
 
 std::size_t Batcher::open_batches() const {
-  std::lock_guard lk(mu_);
   return open_.size();
 }
 
 std::uint64_t Batcher::jobs() const {
-  std::lock_guard lk(mu_);
   return next_job_;
 }
 

@@ -5,7 +5,6 @@
 namespace mdtask::service {
 
 void FairShareScheduler::push(AnalysisRequest request) {
-  std::lock_guard lk(mu_);
   const auto c = static_cast<std::size_t>(request.tenant_class);
   ClassQueue& q = classes_[c < kTenantClasses ? c : kTenantClasses - 1];
   auto [it, inserted] = q.by_tenant.try_emplace(request.tenant);
@@ -30,7 +29,6 @@ AnalysisRequest FairShareScheduler::pop_class(ClassQueue& q) {
 }
 
 bool FairShareScheduler::pop(AnalysisRequest* out) {
-  std::lock_guard lk(mu_);
   std::size_t total = 0;
   for (const ClassQueue& q : classes_) total += q.size;
   if (total == 0) return false;
@@ -65,14 +63,12 @@ bool FairShareScheduler::pop(AnalysisRequest* out) {
 }
 
 std::size_t FairShareScheduler::queued() const {
-  std::lock_guard lk(mu_);
   std::size_t total = 0;
   for (const ClassQueue& q : classes_) total += q.size;
   return total;
 }
 
 std::size_t FairShareScheduler::queued(TenantClass tenant_class) const {
-  std::lock_guard lk(mu_);
   const auto c = static_cast<std::size_t>(tenant_class);
   return c < kTenantClasses ? classes_[c].size : 0;
 }

@@ -37,7 +37,6 @@ std::size_t DegradationController::enter_depth(
 
 BrownoutLevel DegradationController::update(std::size_t queue_depth) {
   if (!config_.enabled) return BrownoutLevel::kNormal;
-  std::lock_guard lk(mu_);
   BrownoutLevel target = BrownoutLevel::kNormal;
   if (queue_depth >= config_.stale_depth) {
     target = BrownoutLevel::kServeStale;
@@ -64,12 +63,10 @@ BrownoutLevel DegradationController::update(std::size_t queue_depth) {
 }
 
 BrownoutLevel DegradationController::level() const {
-  std::lock_guard lk(mu_);
   return level_;
 }
 
 DegradationController::Stats DegradationController::stats() const {
-  std::lock_guard lk(mu_);
   return stats_;
 }
 

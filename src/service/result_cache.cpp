@@ -3,7 +3,6 @@
 namespace mdtask::service {
 
 ResultCache::Lookup ResultCache::lookup_or_join(const RequestKey& key) {
-  std::lock_guard lk(mu_);
   if (!config_.enabled) {
     ++stats_.misses;
     return {Outcome::kMiss, nullptr};
@@ -27,7 +26,6 @@ ResultCache::Lookup ResultCache::lookup_or_join(const RequestKey& key) {
 
 void ResultCache::fulfill(const RequestKey& key, const CachedResult& result) {
   if (!config_.enabled) return;
-  std::lock_guard lk(mu_);
   inflight_.erase(key);
   if (result.ok() && result.value() != nullptr &&
       entries_.find(key) == entries_.end()) {
@@ -40,7 +38,6 @@ void ResultCache::fulfill(const RequestKey& key, const CachedResult& result) {
 }
 
 std::size_t ResultCache::invalidate_store(std::uint64_t store) {
-  std::lock_guard lk(mu_);
   std::size_t dropped = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (it->store != store) {
@@ -64,7 +61,6 @@ std::size_t ResultCache::invalidate_store(std::uint64_t store) {
 std::shared_ptr<const ResultPayload> ResultCache::lookup_stale(
     const RequestKey& key) {
   if (!config_.enabled) return nullptr;
-  std::lock_guard lk(mu_);
   // Front of lru_ is most recently used: the first match is the
   // freshest stale candidate.
   for (const RequestKey& cached : lru_) {
@@ -99,17 +95,14 @@ void ResultCache::evict_to_capacity() {
 }
 
 ResultCache::Stats ResultCache::stats() const {
-  std::lock_guard lk(mu_);
   return stats_;
 }
 
 std::size_t ResultCache::entries() const {
-  std::lock_guard lk(mu_);
   return entries_.size();
 }
 
 std::uint64_t ResultCache::bytes() const {
-  std::lock_guard lk(mu_);
   return bytes_;
 }
 

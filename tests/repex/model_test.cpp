@@ -88,6 +88,28 @@ TEST(RepexEnergyTest, EnergyComposesBasePlusDelta) {
   }
 }
 
+TEST(RepexModelTest, SharedReferenceDeltaIsBitIdentical) {
+  RepexParams p = tiny_params();
+  for (const kernels::KernelPolicy policy :
+       {kernels::KernelPolicy::kScalar, kernels::KernelPolicy::kVectorized}) {
+    p.kernel_policy = policy;
+    for (const std::size_t window : {0u, 1u, 2u, 4u, 7u}) {
+      p.window_frames = window;
+      for (std::size_t round = 0; round < 10; ++round) {
+        const kernels::FramePack reference = round_reference(p, round);
+        for (std::size_t c = 0; c < 6; ++c) {
+          // Bit-identical, not merely close: the engines share one
+          // reference per round and must reproduce the serial stream.
+          EXPECT_EQ(round_delta(p, c, round, reference),
+                    round_delta(p, c, round))
+              << kernels::to_string(policy) << " window=" << window
+              << " round=" << round << " config=" << c;
+        }
+      }
+    }
+  }
+}
+
 TEST(RepexEnergyTest, BaseEvaluationCounterInstrumented) {
   RepexParams p = tiny_params();
   std::atomic<std::uint64_t> evals{0};

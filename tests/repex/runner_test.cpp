@@ -223,6 +223,45 @@ TEST(RepexFaultTest, MpiRestartPreservesDecisionStream) {
   EXPECT_GT(log.canonical().size(), exchange_lines(log).size());
 }
 
+/// Every task of the run (each engine's energy tasks included) fails its
+/// first attempt; the engine's own recovery must still produce the
+/// serial reference stream, with the faults on record.
+void expect_faults_preserve_decision_stream(EngineKind engine) {
+  RepexConfig config = tiny_config();
+  fault::FaultPlan plan;
+  plan.schedule.push_back(
+      {fault::FaultKind::kWorkerOomKill, fault::FaultSpec::kEveryTask, 0});
+  fault::RecoveryLog log;
+  config.fault_plan = &plan;
+  config.recovery_log = &log;
+  const auto result = run_repex(engine, config);
+  EXPECT_EQ(result.rounds, config.params.max_rounds) << engine_id(engine);
+  EXPECT_EQ(exchange_lines(log), reference_lines(config.params))
+      << engine_id(engine);
+  EXPECT_GT(log.canonical().size(), exchange_lines(log).size())
+      << engine_id(engine);
+}
+
+TEST(RepexFaultTest, SparkFaultsPreserveDecisionStream) {
+  expect_faults_preserve_decision_stream(EngineKind::kSpark);
+}
+
+TEST(RepexFaultTest, DaskFaultsPreserveDecisionStream) {
+  expect_faults_preserve_decision_stream(EngineKind::kDask);
+}
+
+TEST(RepexFaultTest, RpFaultsPreserveDecisionStream) {
+  expect_faults_preserve_decision_stream(EngineKind::kRp);
+}
+
+TEST(RepexSparkBroadcastTest, ShipsOneReferencePerRoundPerExecutor) {
+  const RepexConfig config = tiny_config();
+  const auto result = run_repex(EngineKind::kSpark, config);
+  EXPECT_EQ(result.metrics.broadcast_bytes,
+            result.rounds * round_reference(config.params, 0).byte_size() *
+                config.workers);
+}
+
 TEST(RepexCompositionTest, ElasticAndAdaptiveRunsStayDeterministic) {
   for (const EngineKind engine : {EngineKind::kSpark, EngineKind::kDask,
                                   EngineKind::kRp}) {

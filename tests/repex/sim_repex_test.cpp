@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,16 @@ TEST_P(SimRepexEngineTest, DifferentSeedsDiverge) {
   simulate_repex_wave(a, GetParam(), &log_a);
   simulate_repex_wave(b, GetParam(), &log_b);
   EXPECT_NE(log_a.canonical(), log_b.canonical());
+}
+
+TEST_P(SimRepexEngineTest, EvaluatesEachBaseOnce) {
+  RepexConfig config = tiny_config();
+  std::atomic<std::uint64_t> evaluations{0};
+  config.params.base_evaluations = &evaluations;
+  const auto outcome = simulate_repex_wave(config, GetParam());
+  EXPECT_EQ(outcome.rounds, config.params.max_rounds);
+  EXPECT_EQ(evaluations.load(), config.params.replicas)
+      << engine_id(GetParam());
 }
 
 TEST_P(SimRepexEngineTest, MakespanAndBarriersArePositive) {
