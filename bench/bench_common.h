@@ -54,7 +54,7 @@ inline std::size_t parse_churn(int argc, char** argv) {
 /// Parses `--adaptive` (default off, which keeps the published CSVs
 /// byte-identical). When set, the elasticity benches add closed-loop
 /// tables driven by the mdtask::autoscale policies: adaptive-vs-static
-/// DES replays and live-engine speculation latency studies.
+/// DES replays.
 inline bool parse_adaptive(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--adaptive") == 0) return true;

@@ -12,10 +12,6 @@
 // framework is replayed once more with virtual-time span recording and
 // exported as a Chrome/Perfetto trace (one process group per framework,
 // one thread track per simulated core).
-// `--adaptive` appends a live addendum: approach 3 executed by the
-// real mini-engines with the mdtask::autoscale control loop closed
-// over them (`--churn N` stirs seeded membership events into the same
-// runs). Default flags keep the published CSV byte-identical.
 // `--stream` appends the streamed-I/O addendum: the approach-3 131k
 // task wave replayed out-of-core over Wrangler's FileSystemModel, each
 // task first pulling its `--shard-frames` shard through the shared
@@ -26,14 +22,11 @@
 #include <cstring>
 
 #include "bench_common.h"
-#include "mdtask/fault/membership.h"
 #include "mdtask/perf/workloads.h"
 #include "mdtask/stream/sim_io.h"
 #include "mdtask/trace/chrome_export.h"
 #include "mdtask/trace/summary.h"
 #include "mdtask/traj/catalog.h"
-#include "mdtask/traj/generators.h"
-#include "mdtask/workflows/leaflet_runner.h"
 
 using namespace mdtask;
 using namespace mdtask::perf;
@@ -44,8 +37,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--trace") == 0) trace_path = argv[i + 1];
   }
   const std::uint64_t seed = bench::parse_seed(argc, argv);
-  const std::size_t churn = bench::parse_churn(argc, argv);
-  const bool adaptive = bench::parse_adaptive(argc, argv);
   const bool stream = bench::parse_stream(argc, argv);
   const std::size_t shard_frames = bench::parse_shard_frames(argc, argv);
   bench::print_seed(seed);
@@ -147,72 +138,6 @@ int main(int argc, char** argv) {
                   Table::fmt(cold.makespan_s / warm.makespan_s, 2)});
     }
     bench::emit(io, "fig7_leaflet_stream");
-  }
-
-  if (adaptive) {
-    // Live addendum: the real mini-engines run approach 3 with an
-    // AutoscaleController resizing their pools (MPI only records rigid
-    // vetoes) and speculating on stragglers. The canonical RecoveryLog
-    // length is reported so same-seed reruns are comparable at a glance.
-    traj::BilayerParams params;
-    params.atoms = 24000;
-    const auto bilayer = traj::make_bilayer(params);
-    const double cutoff = traj::default_cutoff(params);
-    Table live("Fig. 7 addendum: live adaptive Leaflet Finder "
-               "(approach 3, 24k-atom membrane, policy-driven pool)");
-    live.set_header({"engine", "leaflet_sizes", "tasks", "wall_s",
-                     "autoscale_events", "canonical_log"});
-    const struct {
-      workflows::EngineKind kind;
-      fault::EngineId id;
-    } engines[] = {{workflows::EngineKind::kMpi, fault::EngineId::kMpi},
-                   {workflows::EngineKind::kSpark, fault::EngineId::kSpark},
-                   {workflows::EngineKind::kDask, fault::EngineId::kDask},
-                   {workflows::EngineKind::kRp, fault::EngineId::kRp}};
-    for (const auto& engine : engines) {
-      fault::RecoveryLog log;
-      workflows::LfRunConfig config;
-      config.workers = 2;
-      config.target_tasks = 64;
-      config.recovery_log = &log;
-      if (trace_path != nullptr) {
-        // Mirror autoscale:*/elastic:* decisions as trace instants on
-        // a per-engine controller track, next to the engine's spans.
-        config.tracer = &tracer;
-        log.attach_tracer(
-            &tracer, tracer.thread(tracer.process("autoscale"),
-                                   workflows::to_string(engine.kind)));
-      }
-      config.adaptive.enabled = true;
-      config.adaptive.tick_interval_s = 0.005;
-      config.adaptive.utilization.min_pool = 2;
-      config.adaptive.utilization.max_pool = 8;
-      config.adaptive.utilization.max_step = 2;
-      config.adaptive.utilization.cooldown_s = 0.01;
-      config.adaptive.speculation.min_threshold_s = 0.05;
-      fault::MembershipPlan churned;
-      if (churn > 0) {
-        churned = fault::churn_plan(seed, engine.id, churn, churn,
-                                    /*horizon_s=*/0.2);
-        config.membership_plan = &churned;
-      }
-      const auto result = workflows::run_leaflet_finder(
-          engine.kind, 3, bilayer.positions, cutoff, config);
-      if (!result.ok()) {
-        live.add_row({workflows::to_string(engine.kind), "FAIL",
-                      result.error().to_string(), "-", "-", "-"});
-        continue;
-      }
-      live.add_row(
-          {workflows::to_string(engine.kind),
-           std::to_string(result.value().leaflets.leaflet_a_size) + "/" +
-               std::to_string(result.value().leaflets.leaflet_b_size),
-           std::to_string(result.value().metrics.tasks),
-           Table::fmt(result.value().metrics.wall_seconds, 3),
-           std::to_string(log.autoscale_events().size()),
-           std::to_string(log.canonical().size())});
-    }
-    bench::emit(live, "fig7_leaflet_adaptive");
   }
 
   if (trace_path != nullptr) {

@@ -10,25 +10,18 @@
 //      Daly optimum, with write/restore costs calibrated to the
 //      shared-filesystem alpha-beta model.
 //
-// `--adaptive` appends the closed-loop studies (CSV rows appear only
+// `--adaptive` appends the closed-loop study (CSV rows appear only
 // with the flag, keeping the default outputs byte-identical):
 //  (e) policy-driven elasticity (mdtask::autoscale) against the best
-//      fixed membership schedule on a straggler-heavy wave;
-//  (f) live straggler speculation on the real Spark and Dask engines —
-//      p99 task latency with and without backup copies.
+//      fixed membership schedule on a straggler-heavy wave.
 #include <algorithm>
 #include <limits>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "mdtask/autoscale/task_wave.h"
-#include "mdtask/engines/dask/dask.h"
-#include "mdtask/engines/spark/spark.h"
 #include "mdtask/fault/sim_faults.h"
 #include "mdtask/perf/workloads.h"
-#include "mdtask/workflows/common.h"
 
 using namespace mdtask;
 using namespace mdtask::perf;
@@ -199,7 +192,6 @@ int main(int argc, char** argv) {
 
     autoscale::AdaptiveConfig control;
     control.enabled = true;
-    control.tick_interval_s = 0.5;  // virtual seconds
     control.utilization.low_watermark = 0.20;
     control.utilization.cooldown_s = 1.0;
     control.utilization.max_pool = 64;
@@ -235,102 +227,6 @@ int main(int argc, char** argv) {
       add_adaptive("adaptive both", engine, control);
     }
     bench::emit(table, "future_adaptive");
-  }
-  if (adaptive) {
-    // (f) Live straggler speculation: the same map workload on the real
-    // Spark and Dask engines, with four tasks slowed 50x through
-    // scheduled FaultSpecs (delay_s sleeps on the worker). The "on" rows
-    // run an AdaptiveDriver in speculation-only mode; backups skip the
-    // injected sleep (the relaunch lands on a healthy executor), so the
-    // windowed p99 task latency is the speculation win.
-    Table table(
-        "Future work (f): live straggler speculation "
-        "(48 x ~5 ms tasks, 8 workers, 4 x 250 ms injected stragglers)");
-    table.set_header(
-        {"engine", "speculation", "p50_task_ms", "p99_task_ms", "copies"});
-
-    constexpr std::uint64_t kStragglerParts[] = {5, 17, 29, 41};
-    constexpr double kStragglerDelayS = 0.25;
-    autoscale::AdaptiveConfig driver_config;
-    driver_config.scaling_enabled = false;
-    driver_config.speculation_enabled = true;
-    driver_config.tick_interval_s = 0.02;
-    driver_config.speculation.threshold_factor = 3.0;
-    driver_config.speculation.min_completed = 8;
-    driver_config.speculation.min_threshold_s = 0.05;
-
-    struct LiveRow {
-      autoscale::MetricsSnapshot snapshot;
-      std::uint64_t copies = 0;
-    };
-    const auto add_row = [&](const char* engine, bool spec_on,
-                             const LiveRow& row) {
-      table.add_row({engine, spec_on ? "on" : "off",
-                     Table::fmt(row.snapshot.p50_s * 1e3, 1),
-                     Table::fmt(row.snapshot.p99_s * 1e3, 1),
-                     std::to_string(row.copies)});
-    };
-
-    const auto run_spark = [&](bool spec_on) {
-      fault::FaultPlan plan{.seed = seed};
-      for (const std::uint64_t p : kStragglerParts) {
-        // Spark task ids are (stage_id << 20) | partition; the single
-        // map stage of this run is stage 1.
-        plan.schedule.push_back({fault::FaultKind::kStraggler,
-                                 (std::uint64_t{1} << 20) | p, 0, 1.0,
-                                 kStragglerDelayS});
-      }
-      autoscale::MetricsWindow window(256);
-      spark::SparkContext sc({.executor_threads = 8, .fault_plan = &plan,
-                              .metrics_window = &window});
-      autoscale::AdaptiveConfig cfg = driver_config;
-      cfg.enabled = spec_on;
-      workflows::AdaptiveDriver driver(cfg, autoscale::spark_adapter(sc),
-                                       &window);
-      std::vector<int> items(48);
-      for (int i = 0; i < 48; ++i) items[static_cast<std::size_t>(i)] = i;
-      auto mapped =
-          sc.parallelize(std::move(items), 48).map([](int x) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-            return x;
-          });
-      (void)mapped.collect();
-      return LiveRow{window.snapshot(), sc.speculative_copies()};
-    };
-    const auto run_dask = [&](bool spec_on) {
-      fault::FaultPlan plan{.seed = seed};
-      for (const std::uint64_t id : kStragglerParts) {
-        // Dask task ids are submission order, starting at 0.
-        plan.schedule.push_back({fault::FaultKind::kStraggler, id, 0, 1.0,
-                                 kStragglerDelayS});
-      }
-      autoscale::MetricsWindow window(256);
-      dask::DaskClient client(
-          {.workers = 8, .fault_plan = &plan, .metrics_window = &window});
-      autoscale::AdaptiveConfig cfg = driver_config;
-      cfg.enabled = spec_on;
-      workflows::AdaptiveDriver driver(cfg, autoscale::dask_adapter(client),
-                                       &window);
-      std::vector<dask::Future<int>> futures;
-      futures.reserve(48);
-      for (int i = 0; i < 48; ++i) {
-        futures.push_back(client.submit([i] {
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          return i;
-        }));
-      }
-      for (const auto& future : futures) (void)future.get();
-      client.wait_all();
-      return LiveRow{window.snapshot(), client.speculative_copies()};
-    };
-
-    for (const bool spec_on : {false, true}) {
-      add_row("spark", spec_on, run_spark(spec_on));
-    }
-    for (const bool spec_on : {false, true}) {
-      add_row("dask", spec_on, run_dask(spec_on));
-    }
-    bench::emit(table, "future_speculation_live");
   }
   return 0;
 }

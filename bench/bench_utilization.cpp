@@ -169,7 +169,6 @@ int main(int argc, char** argv) {
     const std::vector<double> durations(1024, 1.0);
     autoscale::AdaptiveConfig control;
     control.enabled = true;
-    control.tick_interval_s = 0.5;  // virtual seconds
     control.utilization.low_watermark = 0.20;
     control.utilization.cooldown_s = 1.0;
     control.utilization.max_pool = 256;

@@ -17,7 +17,7 @@ mdtask_bench(bench_fig3_throughput_nodes mdtask_perf)
 mdtask_bench(bench_fig4_psa_wrangler mdtask_perf)
 mdtask_bench(bench_fig5_psa_machines mdtask_perf)
 mdtask_bench(bench_fig6_cpptraj mdtask_perf)
-mdtask_bench(bench_fig7_leaflet mdtask_perf mdtask_workflows)
+mdtask_bench(bench_fig7_leaflet mdtask_perf mdtask_stream)
 mdtask_bench(bench_fig8_broadcast mdtask_perf)
 mdtask_bench(bench_fig9_rp_leaflet mdtask_perf)
 mdtask_bench(bench_tab1_properties mdtask_perf)
@@ -27,7 +27,7 @@ mdtask_bench(bench_ablations mdtask_workflows mdtask_cpptraj)
 mdtask_bench(bench_pool mdtask_common)
 mdtask_bench(bench_kernels mdtask_analysis mdtask_cpptraj)
 target_link_libraries(bench_kernels PRIVATE benchmark::benchmark)
-mdtask_bench(bench_future_work mdtask_perf mdtask_workflows)
+mdtask_bench(bench_future_work mdtask_perf)
 mdtask_bench(bench_iterative_caching mdtask_analysis mdtask_engines)
 mdtask_bench(bench_utilization mdtask_perf mdtask_autoscale)
 mdtask_bench(bench_service mdtask_service)

@@ -6,20 +6,15 @@
 // the RecoveryLog (AutoscaleRecord, mirrored as `autoscale:*` trace
 // instants when the log has a tracer attached).
 //
-// Per-engine actuation (docs/AUTOSCALING.md):
-//  * Spark — add_executors / decommission_executors + speculate_inflight
-//  * Dask  — add_workers / retire_workers + speculate_inflight
-//  * RP    — grow_pilot / shrink_pilot (no unit-level speculation: a CU
-//            is atomic at the pilot level)
-//  * MPI   — rigid: the controller records the decision it cannot act
-//            on as a rigid-veto, mirroring the paper's rigid baseline.
-//
-// Who calls tick() decides the clock: the DES ticks in virtual time
-// (simulate_task_wave, autoscale/task_wave.h), live runs tick from a
-// wall-clock AdaptiveDriver thread. Both build the controller from the
-// same AdaptiveConfig. The controller itself never reads a clock, so
-// decision sequences are a deterministic function of the observed
-// snapshots.
+// The controller acts on a simulated pool: the DES task-wave replay
+// (simulate_task_wave, autoscale/task_wave.h) builds it from an
+// AdaptiveConfig and ticks it in virtual time, handing it actions that
+// grow, shrink and backup-copy on its sim::Resource with each engine's
+// departure semantics (docs/AUTOSCALING.md). MPI is rigid: the
+// controller records the decision it cannot act on as a rigid-veto,
+// mirroring the paper's rigid baseline. The controller itself never
+// reads a clock, so decision sequences are a deterministic function of
+// the observed snapshots.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +37,8 @@ struct EngineActions {
   bool rigid = false;
   /// Adds `count` servers; returns how many joined.
   std::function<std::size_t(std::size_t count)> grow;
-  /// Removes `count` servers (with the departure semantics the adapter
-  /// was built with); returns how many actually left.
+  /// Removes `count` servers (with the departure semantics the actions
+  /// were built with); returns how many actually left.
   std::function<std::size_t(std::size_t count)> shrink;
   /// Backup-submits every in-flight task older than `threshold_s`;
   /// returns the number of copies submitted.
@@ -53,19 +48,18 @@ struct EngineActions {
   std::function<std::size_t()> pool_size;
 };
 
-/// Knobs of one closed control loop, shared by the live AdaptiveDriver
-/// (workflows/common.h) and the DES replay (simulate_task_wave).
-/// Scaling and speculation can be gated independently so benches can
-/// attribute wins to one mechanism.
+/// Knobs of one closed control loop in the DES replay
+/// (simulate_task_wave). Scaling and speculation can be gated
+/// independently so benches can attribute wins to one mechanism.
 struct AdaptiveConfig {
   bool enabled = false;
   TargetUtilizationPolicy::Config utilization;
   StragglerSpeculationPolicy::Config speculation;
   bool scaling_enabled = true;
   bool speculation_enabled = true;
-  /// Seconds between control ticks: wall seconds live, virtual seconds
-  /// in the DES (the published replays tick every 0.5 s).
-  double tick_interval_s = 0.05;
+  /// Virtual seconds between control ticks (the published replays use
+  /// this default).
+  double tick_interval_s = 0.5;
 };
 
 /// Result of one control tick (what the bench tables report).

@@ -1,20 +1,18 @@
 // Observation side of the mdtask::autoscale control loop.
 //
-// A MetricsWindow aggregates the live signals a scaling policy feeds on:
+// A MetricsWindow aggregates the signals a scaling policy feeds on:
 // the latest pool/queue observation (pool size, busy servers, queue
 // depth) and a sliding window of completed-task durations from which the
-// per-tick snapshot derives p50/p95/p99. Producers are the engines
-// (task-completion hooks) and the controller's tick (pool observation);
-// the only consumer is Policy::decide/speculation_threshold_s via
+// per-tick snapshot derives p50/p95/p99. Producers are the DES replays
+// (task completions, and the pool observation before each tick); the
+// only consumer is Policy::decide/speculation_threshold_s via
 // snapshot().
 //
 // Percentiles use the nearest-rank definition: a snapshot is a pure
 // function of the multiset of windowed samples, so the DES — which
 // records completions in virtual-time order — gets byte-identical
-// snapshots for the same seed. Live engines feed the window from worker
-// threads (the window is thread-safe); their snapshots depend on wall
-// clock timing, which is why the determinism guarantees in
-// docs/AUTOSCALING.md are stated for the DES replays.
+// snapshots for the same seed. The window is thread-safe: concurrent
+// producers may feed it while another thread takes snapshots.
 #pragma once
 
 #include <cstddef>
@@ -55,11 +53,11 @@ class MetricsWindow {
                     std::size_t queue_depth);
 
   /// One completed task took `seconds` from first dispatch to
-  /// completion (engines call this from their completion paths).
+  /// completion.
   void record_task_duration(double seconds);
 
-  /// Coherent snapshot stamped with `now_s` (the caller's clock —
-  /// virtual seconds in the DES, wall seconds in live drivers).
+  /// Coherent snapshot stamped with `now_s` (the caller's clock; the
+  /// DES replays pass virtual seconds).
   MetricsSnapshot snapshot(double now_s = 0.0) const;
 
   /// Completions recorded since construction/reset.

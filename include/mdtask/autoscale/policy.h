@@ -5,8 +5,8 @@
 // are pure functions of the snapshot and their own configuration (no
 // wall clock, no randomness): the only state a policy keeps is the
 // timestamp of its last action, and that timestamp comes from the
-// snapshot's clock — virtual seconds in the DES, wall seconds in live
-// drivers. Same observations in, same decisions out.
+// snapshot's clock (virtual seconds in the DES). Same observations in,
+// same decisions out.
 //
 //  * TargetUtilizationPolicy — Dask-adaptive-style resizing: size the
 //    pool for the observed demand (busy + queued) at a target
@@ -14,8 +14,8 @@
 //    cooldown, and a bounded step per tick.
 //  * StragglerSpeculationPolicy — Spark-speculation-style backup
 //    submission: any in-flight task older than k x p95 of the completed
-//    window earns a backup copy (first-completion-wins on the engine
-//    side). Holds until enough completions exist for p95 to mean
+//    window earns a backup copy (first completion wins in the
+//    replay). Holds until enough completions exist for p95 to mean
 //    anything.
 #pragma once
 

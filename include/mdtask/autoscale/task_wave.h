@@ -13,8 +13,8 @@
 // and backup-submitting tasks older than k x p95
 // (StragglerSpeculationPolicy; first completion wins, the other copy
 // is cancelled). Membership events and controller decisions act
-// through one simulated-pool EngineActions, the DES twin of the live
-// adapters (autoscale/adapters.h): departures follow departure_for()
+// through one simulated-pool EngineActions: departures follow
+// departure_for()
 // — drain (Dask, RP) lets in-flight holds finish, kill (Spark lineage
 // loss, MPI checkpoint-restart) preempts the youngest holds, which
 // restart from scratch — MPI is rigid (joins are logged without

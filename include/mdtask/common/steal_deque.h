@@ -94,8 +94,7 @@ class alignas(64) StealQueue {
     return taken;
   }
 
-  /// Drains everything into `out` (appended, oldest first): a retiring
-  /// worker hands its queued jobs to the survivors this way.
+  /// Drains everything into `out` (appended, oldest first).
   std::size_t drain(std::vector<T>& out) {
     return steal_batch(out, ~std::size_t{0});
   }

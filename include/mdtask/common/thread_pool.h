@@ -1,10 +1,8 @@
-// A resizable thread pool used as the real execution backend for the
+// A fixed-size thread pool used as the real execution backend for the
 // task-parallel engines (Spark/Dask/RP mini-runtimes run their partitions
 // here when executing for correctness rather than in simulated time).
-// Elastic membership events grow it with add_workers and shrink it with
-// retire_workers (drain semantics: a retiring worker finishes its
-// current job, stops taking new ones, and exits; its queued jobs are
-// handed to the survivors).
+// The workers are spawned once, in the constructor, and live until the
+// pool is destroyed.
 //
 // Execution model (docs/TOPOLOGY.md): plain work stealing, one task per
 // worker at a time. Each worker owns a cache-line-padded StealQueue; a
@@ -33,7 +31,7 @@
 
 namespace mdtask {
 
-/// Resizable work-stealing thread pool. Tasks are std::function<void()>;
+/// Fixed-size work-stealing thread pool. Tasks are std::function<void()>;
 /// submit() also offers a future-returning overload for result-bearing
 /// jobs.
 class ThreadPool {
@@ -66,31 +64,12 @@ class ThreadPool {
   /// Blocks until every queued and running job has finished.
   void wait_idle();
 
-  /// Elastic grow: spawns `count` additional workers, which start
-  /// draining the queues immediately. If tracing is enabled they get
-  /// their own "<worker_prefix>-<i>" tracks.
-  void add_workers(std::size_t count);
-
-  /// Elastic shrink with drain semantics: flags `count` workers
-  /// (highest indices first — deterministic) to exit after their
-  /// current job; their queued jobs are flushed to the overflow queue
-  /// for the survivors. Clamped so at least one active worker remains.
-  /// Returns the indices of the retired workers, which engines use to
-  /// find the tasks that were in flight on departed executors.
-  std::vector<std::size_t> retire_workers(std::size_t count);
-
-  /// Active (non-retired) workers. Counts a retiring worker out as soon
-  /// as it is flagged, even if it is still finishing its last job.
-  std::size_t size() const;
+  /// Worker threads (fixed at construction).
+  std::size_t size() const noexcept { return slots_.size(); }
 
   /// Jobs enqueued (across worker deques and the overflow queue) but
-  /// not yet picked up by a worker. Together with busy() this is the
-  /// observation an autoscale MetricsWindow samples.
+  /// not yet picked up by a worker.
   std::size_t queued() const;
-
-  /// Workers currently executing a job (including retiring workers
-  /// still finishing their last one).
-  std::size_t busy() const;
 
   /// Starts emitting spans to `tracer` under process track `pid`: one
   /// thread track per worker ("<worker_prefix>-<i>"), a "queue-wait"
@@ -109,9 +88,6 @@ class ThreadPool {
   /// caller is not a traced pool worker. Engines use this to put task
   /// spans on the executing worker's timeline.
   static const trace::Track* current_worker_track() noexcept;
-
-  /// The calling worker thread's index in its pool, or -1 off-pool.
-  static std::ptrdiff_t current_worker_index() noexcept;
 
   /// Cumulative work-stealing statistics: how often idle workers found
   /// work by stealing from another worker's deque or by grabbing from
@@ -138,22 +114,14 @@ class ThreadPool {
     double enqueue_us = -1.0;  ///< tracer timestamp; -1 = not stamped
   };
 
-  /// One worker's scheduling state. Slots are created once and kept for
-  /// the pool's lifetime (index == worker index), so thieves can hold
-  /// references across membership changes.
+  /// One worker's scheduling state, created in the constructor and kept
+  /// for the pool's lifetime (index == worker index).
   struct Slot {
     StealQueue<Job> deque;
-    std::atomic<bool> retired{false};
     std::atomic<bool> traced{false};
     trace::Track track{};  ///< written before traced is released
   };
 
-  /// Immutable membership snapshot (index = worker index), swapped
-  /// atomically under roster_mu_; workers refresh their copy when
-  /// epoch_ changes.
-  using Roster = std::vector<std::shared_ptr<Slot>>;
-
-  std::shared_ptr<const Roster> snapshot_roster() const;
   void enqueue(StealQueue<Job>& queue, std::function<void()> fn);
   void wake_one();
   void note_deque_steal(double latency_us, Slot* thief);
@@ -161,24 +129,22 @@ class ThreadPool {
   void run_job(Job& job, Slot* slot);
   void worker_loop(std::size_t index);
 
-  mutable std::mutex roster_mu_;       ///< guards roster_ swaps only
-  std::shared_ptr<const Roster> roster_;
-  std::atomic<std::uint64_t> epoch_{0};  ///< bumped after roster swaps
+  /// Index == worker index; filled before any worker starts and never
+  /// resized, so workers and posters read it without a lock.
+  std::vector<std::unique_ptr<Slot>> slots_;
 
-  StealQueue<Job> overflow_;  ///< non-worker posts, retiree drains
+  StealQueue<Job> overflow_;  ///< posts from non-worker threads
 
-  mutable std::mutex mu_;  ///< sleep/wake handshake + membership calls
+  std::mutex mu_;  ///< sleep/wake and idle handshakes
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
   std::atomic<int> sleepers_{0};
   std::atomic<bool> stop_{false};
-  std::size_t alive_ = 0;  ///< workers not flagged to retire; under mu_
 
   std::atomic<std::size_t> queued_{0};       ///< jobs waiting in queues
-  std::atomic<std::size_t> active_{0};       ///< jobs being executed
-  std::atomic<std::size_t> outstanding_{0};  ///< queued + active
+  std::atomic<std::size_t> outstanding_{0};  ///< queued + running
 
-  std::vector<std::thread> workers_;  ///< under mu_; joined at teardown
+  std::vector<std::thread> workers_;  ///< joined at teardown
 
   /// Cumulative steal statistics (steal_counters()); latencies are
   /// kept in integer nanoseconds so the hot path stays fetch_add-only.
@@ -189,8 +155,6 @@ class ThreadPool {
   std::atomic<std::uint64_t> steal_latency_max_ns_{0};
 
   std::atomic<trace::Tracer*> tracer_{nullptr};
-  std::uint32_t trace_pid_ = 0;       ///< under mu_
-  std::string worker_prefix_ = "worker";  ///< under mu_
 };
 
 }  // namespace mdtask

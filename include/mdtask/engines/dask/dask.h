@@ -28,10 +28,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "mdtask/autoscale/metrics.h"
 #include "mdtask/engines/core.h"
 #include "mdtask/fault/injector.h"
-#include "mdtask/fault/membership.h"
 #include "mdtask/fault/recovery.h"
 #include "mdtask/trace/tracer.h"
 
@@ -50,24 +48,11 @@ struct DaskConfig {
   const fault::FaultPlan* fault_plan = nullptr;
   /// Optional sink for fault/recovery events (not owned).
   fault::RecoveryLog* recovery_log = nullptr;
-  /// Optional autoscale observation sink (not owned). When set, every
-  /// first completion of a task records its wall-clock duration (first
-  /// dispatch to first completion), feeding the straggler-speculation
-  /// policy's percentile window.
-  autoscale::MetricsWindow* metrics_window = nullptr;
 };
 
 class DaskClient;
 
 namespace detail {
-
-/// Monotonic wall-clock in seconds, for straggler detection (elapsed
-/// comparisons only; never serialized into results or logs).
-inline double steady_seconds() noexcept {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct TaskNode {
   std::function<void()> run;             ///< set at submit time
@@ -76,14 +61,9 @@ struct TaskNode {
   std::uint64_t id = 0;
   std::atomic<int> pending_deps{0};
   std::vector<std::shared_ptr<TaskNode>> dependents;
-  std::mutex mu;                         ///< guards dependents/submitted
+  std::mutex mu;  ///< guards dependents, finished and scheduled
   bool finished = false;
   bool scheduled = false;
-  /// A speculative backup copy has been enqueued for this task. A copy
-  /// that starts with this flag already set knows it IS the backup (it
-  /// skips injected slowdowns — the relaunch lands on a healthy worker).
-  bool speculated = false;
-  double start_s = -1.0;  ///< first dispatch, steady clock; guarded by mu
   double enqueue_us = -1.0;  ///< tracer stamp at ready time; -1 = untraced
 };
 
@@ -97,11 +77,9 @@ struct SharedState {
   alignas(T) unsigned char storage[sizeof(T)];
 
   T& value() { return *reinterpret_cast<T*>(storage); }
-  // First completion wins: a task rescheduled off a departed worker, or
-  // a speculative backup copy, can race its original execution, so
-  // publication must be idempotent — duplicates compute the identical
-  // value and are dropped here. Returns true iff this call published
-  // (i.e. this execution won the race).
+  // Publishes once: the first set_value or set_error makes the state
+  // ready and any later call is dropped, so a value is never
+  // overwritten under a reader. Returns true iff this call published.
   bool set_value(T v) {
     std::lock_guard lk(mu);
     if (ready) return false;
@@ -223,52 +201,6 @@ class DaskClient {
     return worker_restarts_.load();
   }
 
-  /// Elastic grow: spawns `count` additional workers that start pulling
-  /// from the ready queue immediately. Recorded as elastic:node-join.
-  void add_workers(std::size_t count);
-
-  /// Elastic shrink: removes `count` workers (at least one survives).
-  /// Dask's engine default is a graceful leave — departing workers
-  /// finish their in-flight task first (drain). With kKill the
-  /// in-flight tasks of the departed workers are immediately
-  /// re-enqueued for the survivors; first completion wins, so results
-  /// are byte-identical to a static-pool run. Returns the number of
-  /// workers actually removed.
-  std::size_t retire_workers(
-      std::size_t count,
-      fault::DeparturePolicy policy = fault::DeparturePolicy::kEngineDefault);
-
-  /// Active (non-retired) workers.
-  std::size_t workers() const;
-
-  /// Ready tasks waiting for a worker. With busy() and workers() this
-  /// is the observation an autoscale MetricsWindow samples.
-  std::size_t queued() const;
-
-  /// Tasks executing right now.
-  std::size_t busy() const;
-
-  /// Tasks re-enqueued because their worker departed mid-flight.
-  std::uint64_t rescheduled_tasks() const noexcept {
-    return rescheduled_.load(std::memory_order_relaxed);
-  }
-
-  /// Straggler mitigation: re-enqueues every in-flight task that has
-  /// been executing longer than `threshold_s` and has not been
-  /// speculated yet, as a backup copy racing the original through the
-  /// same re-enqueue machinery worker departures use. Publication is
-  /// idempotent (first completion wins), so results are byte-identical
-  /// to an unspeculated run. Each copy is recorded as a
-  /// speculative-copy recovery event. Returns the number of backups
-  /// submitted.
-  std::size_t speculate_inflight(double threshold_s);
-
-  /// Backup copies submitted by speculate_inflight over the client's
-  /// lifetime.
-  std::uint64_t speculative_copies() const noexcept {
-    return speculative_copies_.load(std::memory_order_relaxed);
-  }
-
  private:
   template <typename F>
   auto submit_after(F fn, std::vector<std::shared_ptr<detail::TaskNode>> deps)
@@ -286,21 +218,11 @@ class DaskClient {
   }
 
   /// Runs `make` with the memory-restart / fault-recovery retry loop and
-  /// publishes the result into `state`. The winning execution (first
-  /// publication) records its duration into the autoscale window.
+  /// publishes the result into `state`.
   template <typename R, typename Make>
   void run_guarded(detail::TaskNode& node, detail::SharedState<R>& state,
                    Make&& make) {
     const std::uint64_t task_id = node.id;
-    bool backup = false;
-    double start_s = -1.0;
-    {
-      // A copy that starts after the speculation flag was raised is the
-      // backup (the original copy read the flag as false at its start).
-      std::lock_guard lk(node.mu);
-      backup = node.speculated;
-      start_s = node.start_s;
-    }
     metrics_.tasks_executed += 1;
     int attempts_left = config_.allowed_failures;
     const fault::FaultPlan* plan = config_.fault_plan;
@@ -313,10 +235,7 @@ class DaskClient {
           const fault::FaultSpec spec = injector.decide(task_id, attempt);
           if (spec.kind == fault::FaultKind::kStraggler ||
               spec.kind == fault::FaultKind::kFilesystemStall) {
-            // A speculative backup skips the injected delay: the
-            // slowdown belonged to the original's worker, and the
-            // backup relaunches on a healthy one.
-            if (!backup && spec.delay_s > 0.0) {
+            if (spec.delay_s > 0.0) {
               std::this_thread::sleep_for(
                   std::chrono::duration<double>(spec.delay_s));
             }
@@ -324,11 +243,7 @@ class DaskClient {
             throw fault::InjectedFault(spec.kind, task_id, attempt);
           }
         }
-        if (state.set_value(make()) && config_.metrics_window != nullptr &&
-            start_s >= 0.0) {
-          config_.metrics_window->record_task_duration(
-              detail::steady_seconds() - start_s);
-        }
+        state.set_value(make());
         return;
       } catch (const engines::TaskMemoryExceeded&) {
         worker_restarts_ += 1;
@@ -379,36 +294,23 @@ class DaskClient {
   void enqueue_ready(std::shared_ptr<detail::TaskNode> node);
   void on_finished(const std::shared_ptr<detail::TaskNode>& node);
   void worker_loop(std::size_t index);
-  void record_membership(fault::MembershipKind kind, std::size_t count,
-                         std::size_t preempted);
 
   DaskConfig config_;
   engines::EngineMetrics metrics_;
   std::atomic<std::uint64_t> worker_restarts_{0};
-  std::atomic<std::uint64_t> rescheduled_{0};
-  std::atomic<std::uint64_t> speculative_copies_{0};
 
   std::vector<std::thread> workers_;
   std::deque<std::shared_ptr<detail::TaskNode>> ready_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
   std::size_t inflight_ = 0;
   std::uint64_t outstanding_ = 0;  ///< submitted but not finished
   std::uint64_t next_task_id_ = 0;  ///< submission-order ids; guarded by mu_
-  std::size_t alive_ = 0;             ///< non-retired workers; guarded by mu_
-  std::size_t membership_seq_ = 0;    ///< guarded by mu_
-  std::vector<std::uint8_t> retire_flags_;  ///< per worker; guarded by mu_
-  /// What each worker is executing right now (null = idle); guarded by
-  /// mu_. Lets retire_workers(kKill) find the in-flight tasks to save.
-  std::vector<std::shared_ptr<detail::TaskNode>> running_;
   bool stop_ = false;
   trace::Tracer* tracer_ = nullptr;        ///< guarded by mu_
-  std::uint32_t trace_pid_ = 0;
   trace::Track client_track_{};
   std::vector<trace::Track> tracks_;       ///< per worker; guarded by mu_
-
-  friend struct DaskClientAccess;
 };
 
 /// A partitioned collection, Dask-Bag style.

@@ -27,12 +27,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "mdtask/autoscale/metrics.h"
 #include "mdtask/common/error.h"
 #include "mdtask/common/thread_pool.h"
 #include "mdtask/engines/core.h"
 #include "mdtask/fault/injector.h"
-#include "mdtask/fault/membership.h"
 #include "mdtask/fault/recovery.h"
 
 namespace mdtask::rp {
@@ -132,11 +130,6 @@ struct PilotDescription {
   const fault::FaultPlan* fault_plan = nullptr;
   /// Optional sink for fault/recovery events (not owned).
   fault::RecoveryLog* recovery_log = nullptr;
-  /// Optional autoscale observation sink (not owned). When set, every
-  /// unit that reaches DONE records its EXECUTING-phase wall-clock
-  /// duration. RP has no unit-level speculation (a CU is atomic at the
-  /// pilot level), so the window only drives pilot resizing.
-  autoscale::MetricsWindow* metrics_window = nullptr;
 };
 
 /// Client-side manager: owns the pilot's agent (a thread pool), the DB
@@ -161,31 +154,10 @@ class UnitManager {
   SharedFilesystem& filesystem() noexcept { return fs_; }
   MongoDbStore& database() noexcept { return db_; }
   engines::EngineMetrics& metrics() noexcept { return metrics_; }
-  /// Live pilot size — follows grow_pilot/shrink_pilot.
-  std::size_t cores() const { return agent_.size(); }
-
-  /// Units waiting for an agent core, and cores executing one — the
-  /// observation an autoscale MetricsWindow samples.
-  std::size_t queued_units() const { return agent_.queued(); }
-  std::size_t busy_cores() const { return agent_.busy(); }
-
-  /// Pilot resize, grow side: the agent picks up `cores` additional
-  /// agent cores, which start draining queued units immediately.
-  /// Recorded as elastic:node-join.
-  void grow_pilot(std::size_t cores);
-
-  /// Pilot resize, shrink side. RP's pilot decommissions cores
-  /// gracefully regardless of the requested policy: a unit is atomic at
-  /// the pilot level (there is no lineage to replay and no per-unit
-  /// checkpoint), so a departing agent core always finishes its current
-  /// unit before exiting. At least one core survives; returns how many
-  /// were actually released.
-  std::size_t shrink_pilot(std::size_t cores);
 
  private:
   void run_unit(const std::shared_ptr<ComputeUnit>& unit);
   void transition(ComputeUnit& unit, UnitState next);
-  void record_membership(fault::MembershipKind kind, std::size_t count);
 
   PilotDescription pilot_;
   MongoDbStore db_;
@@ -195,9 +167,7 @@ class UnitManager {
   /// Client-side submission counter; atomic because concurrent
   /// pipelines (AppManager driver threads) submit to the same pilot.
   std::atomic<std::uint64_t> next_unit_index_{0};
-  std::atomic<std::size_t> membership_seq_{0};
   trace::Tracer* tracer_ = nullptr;
-  std::uint32_t trace_pid_ = 0;
   trace::Track client_track_{};
 };
 

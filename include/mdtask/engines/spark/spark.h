@@ -32,11 +32,9 @@
 #include <utility>
 #include <vector>
 
-#include "mdtask/autoscale/metrics.h"
 #include "mdtask/common/thread_pool.h"
 #include "mdtask/engines/core.h"
 #include "mdtask/fault/injector.h"
-#include "mdtask/fault/membership.h"
 #include "mdtask/fault/recovery.h"
 
 namespace mdtask::spark {
@@ -52,10 +50,6 @@ struct SparkConfig {
   const fault::FaultPlan* fault_plan = nullptr;
   /// Optional sink for fault/recovery events (not owned).
   fault::RecoveryLog* recovery_log = nullptr;
-  /// Optional autoscale observation sink (not owned). When set, every
-  /// first completion of a partition records its wall-clock duration,
-  /// feeding the straggler-speculation policy's percentile window.
-  autoscale::MetricsWindow* metrics_window = nullptr;
 };
 
 class SparkContext;
@@ -76,14 +70,6 @@ class TaskContext {
 };
 
 namespace detail {
-
-/// Monotonic wall-clock in seconds, for straggler detection (elapsed
-/// comparisons only; never serialized into results or logs).
-inline double steady_seconds() noexcept {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Type-erased base so SparkContext can hold heterogeneous cached RDDs.
 struct RddBase {
@@ -188,104 +174,14 @@ class SparkContext {
   /// executor thread per pool worker, and starts emitting stage/task
   /// spans and shuffle/broadcast counters.
   void enable_tracing(trace::Tracer& tracer) {
-    trace_pid_ = tracer.process("spark");
-    driver_track_ = tracer.thread(trace_pid_, "driver");
-    pool_.enable_tracing(tracer, trace_pid_, "executor");
+    const std::uint32_t pid = tracer.process("spark");
+    driver_track_ = tracer.thread(pid, "driver");
+    pool_.enable_tracing(tracer, pid, "executor");
     tracer_ = &tracer;
   }
 
   engines::EngineMetrics& metrics() noexcept { return metrics_; }
   const SparkConfig& config() const noexcept { return config_; }
-  mdtask::ThreadPool& pool() noexcept { return pool_; }
-
-  /// Dynamic executor allocation, grow side: adds `count` executor
-  /// threads. Recorded in the recovery log as an elastic:node-join.
-  void add_executors(std::size_t count) {
-    pool_.add_workers(count);
-    record_membership(fault::MembershipKind::kNodeJoin, count, 0);
-  }
-
-  /// Dynamic executor allocation, shrink side: decommissions `count`
-  /// executors (at least one survives). With kill semantics (Spark's
-  /// engine default), the partitions that were running on the departed
-  /// executors are marked lost and re-executed from lineage after the
-  /// stage barrier — their recomputed outputs are byte-identical, so
-  /// results never diverge from a static-pool run. kDrain merely stops
-  /// the executors after their current task.
-  void decommission_executors(
-      std::size_t count,
-      fault::DeparturePolicy policy = fault::DeparturePolicy::kEngineDefault) {
-    const std::vector<std::size_t> retired = pool_.retire_workers(count);
-    const bool kill =
-        fault::departure_for(fault::EngineId::kSpark, policy) ==
-        fault::DeparturePolicy::kKill;
-    std::size_t preempted = 0;
-    if (kill) {
-      std::lock_guard lk(elastic_mu_);
-      if (stage_ != nullptr) {
-        for (std::size_t p = 0; p < stage_->owner.size(); ++p) {
-          for (const std::size_t idx : retired) {
-            if (stage_->owner[p] ==
-                static_cast<std::ptrdiff_t>(idx)) {
-              stage_->lost[p] = 1;
-              ++preempted;
-            }
-          }
-        }
-      }
-    }
-    record_membership(fault::MembershipKind::kNodeLeave, retired.size(),
-                      preempted);
-  }
-
-  /// Partitions recomputed from lineage after executor decommissions.
-  std::uint64_t lineage_reexecutions() const noexcept {
-    return lineage_reexecutions_.load(std::memory_order_relaxed);
-  }
-
-  /// Straggler mitigation (Spark's `spark.speculation`): backup-submits
-  /// every partition of the active stage that has been executing longer
-  /// than `threshold_s` and has neither published nor been speculated
-  /// yet. The backup races the original through the same lineage
-  /// closure; publication into the stage output is idempotent (first
-  /// completion wins, the loser's result is discarded), so outputs are
-  /// byte-identical to an unspeculated run. Each copy is recorded as a
-  /// speculative-copy recovery event. Returns the number of backups
-  /// submitted; 0 between stages.
-  std::size_t speculate_inflight(double threshold_s) {
-    const double now_s = detail::steady_seconds();
-    std::lock_guard lk(elastic_mu_);
-    if (stage_ == nullptr || stage_->speculation_closed) return 0;
-    StageOwners& stage = *stage_;
-    std::size_t copies = 0;
-    for (std::size_t p = 0; p < stage.owner.size(); ++p) {
-      if (stage.owner[p] < 0) continue;  // not executing right now
-      if (stage.published[p] || stage.speculated[p]) continue;
-      if (stage.start_s[p] < 0.0 ||
-          now_s - stage.start_s[p] <= threshold_s) {
-        continue;
-      }
-      stage.speculated[p] = 1;
-      ++copies;
-      speculative_copies_.fetch_add(1, std::memory_order_relaxed);
-      if (config_.recovery_log != nullptr) {
-        config_.recovery_log->record(
-            {fault::EngineId::kSpark, (stage.stage_id << 20) | p, 0,
-             fault::FaultKind::kStraggler,
-             fault::RecoveryAction::kSpeculativeCopy, 0.0,
-             tracer_ != nullptr ? tracer_->now_us() : 0.0});
-      }
-      stage.backups.push_back(
-          pool_.submit([run = stage.run_partition, p] { run(p, true); }));
-    }
-    return copies;
-  }
-
-  /// Backup copies submitted by speculate_inflight over the context's
-  /// lifetime.
-  std::uint64_t speculative_copies() const noexcept {
-    return speculative_copies_.load(std::memory_order_relaxed);
-  }
 
   /// Runs one stage: computes every partition of `node` on the pool.
   /// Returns all partition outputs. Respects caching.
@@ -293,53 +189,11 @@ class SparkContext {
   std::vector<std::vector<T>> run_stage(detail::RddNode<T>& node);
 
  private:
-  /// Live bookkeeping of the active stage, for decommission: which
-  /// worker is executing each partition right now. Guarded by
-  /// elastic_mu_; null between stages.
-  struct StageOwners {
-    std::vector<std::ptrdiff_t> owner;  ///< executing worker, -1 = none
-    std::vector<std::uint8_t> lost;     ///< owner was decommissioned
-    std::vector<std::uint8_t> published;   ///< output landed (first wins)
-    std::vector<std::uint8_t> speculated;  ///< backup copy submitted
-    std::vector<double> start_s;        ///< first dispatch, steady clock
-    std::uint64_t stage_id = 0;
-    /// True once the stage barrier started draining backups: no further
-    /// speculation may target this stage.
-    bool speculation_closed = false;
-    /// The stage's task closure, so speculate_inflight can submit
-    /// backup copies of it (second arg: backup copy — skips injected
-    /// slowdowns, modeling a relaunch on a healthy executor). Captures
-    /// run_stage locals by reference; backups are drained before that
-    /// frame returns.
-    std::function<void(std::size_t, bool)> run_partition;
-    std::vector<std::future<void>> backups;
-  };
-
-  void record_membership(fault::MembershipKind kind, std::size_t count,
-                         std::size_t preempted) {
-    std::size_t seq;
-    {
-      std::lock_guard lk(elastic_mu_);
-      seq = membership_seq_++;
-    }
-    if (config_.recovery_log != nullptr) {
-      config_.recovery_log->record_membership(
-          {fault::EngineId::kSpark, kind, seq, count, pool_.size(),
-           preempted, tracer_ != nullptr ? tracer_->now_us() : 0.0});
-    }
-  }
-
   SparkConfig config_;
   mdtask::ThreadPool pool_;
   engines::EngineMetrics metrics_;
   trace::Tracer* tracer_ = nullptr;
-  std::uint32_t trace_pid_ = 0;
   trace::Track driver_track_{};
-  std::mutex elastic_mu_;
-  std::size_t membership_seq_ = 0;
-  StageOwners* stage_ = nullptr;  ///< guarded by elastic_mu_
-  std::atomic<std::uint64_t> lineage_reexecutions_{0};
-  std::atomic<std::uint64_t> speculative_copies_{0};
 };
 
 /// The Resilient Distributed Dataset handle. Cheap to copy (shared node).
@@ -466,7 +320,7 @@ class RDD {
   /// folds the rest. Buckets are contiguous partition ranges and every
   /// fold runs in partition order, so the result is the left fold in
   /// partition order. The level is an ordinary stage (its own span,
-  /// fault injection, lineage re-execution and speculation) and counts
+  /// fault injection and lineage re-execution) and counts
   /// its shuffled values' bytes. An empty RDD returns default-constructed
   /// T, as reduce does.
   template <typename F>
@@ -536,49 +390,11 @@ std::vector<std::vector<T>> SparkContext::run_stage(
                        static_cast<double>(node.partitions));
   }
   std::vector<std::vector<T>> outputs(node.partitions);
-  // Register the stage with the elastic layer so decommission_executors
-  // can see which worker is running which partition. RAII keeps the
-  // registration exception-safe across the barrier's rethrow.
-  StageOwners owners;
-  owners.owner.assign(node.partitions, -1);
-  owners.lost.assign(node.partitions, 0);
-  owners.published.assign(node.partitions, 0);
-  owners.speculated.assign(node.partitions, 0);
-  owners.start_s.assign(node.partitions, -1.0);
-  owners.stage_id = stage_id;
-  struct StageScope {
-    SparkContext* ctx;
-    ~StageScope() {
-      std::lock_guard lk(ctx->elastic_mu_);
-      ctx->stage_ = nullptr;
-    }
-  } stage_scope{this};
-  {
-    std::lock_guard lk(elastic_mu_);
-    stage_ = &owners;
-  }
-  // The whole per-partition task, reused verbatim by lineage
-  // re-execution below and by speculate_inflight's backup copies — a
-  // recomputed partition takes the same fault decisions and produces
-  // byte-identical output.
-  const auto run_partition = [this, &node, &outputs, &owners,
-                              stage_id](std::size_t p, bool backup) {
-      struct OwnerScope {
-        SparkContext* ctx;
-        StageOwners* owners;
-        std::size_t p;
-        ~OwnerScope() {
-          std::lock_guard lk(ctx->elastic_mu_);
-          owners->owner[p] = -1;
-        }
-      } owner_scope{this, &owners, p};
-      {
-        std::lock_guard lk(elastic_mu_);
-        owners.owner[p] = ThreadPool::current_worker_index();
-        if (owners.start_s[p] < 0.0) {
-          owners.start_s[p] = detail::steady_seconds();
-        }
-      }
+  // One task per partition, writing only outputs[p]. Under a fault
+  // plan a lost attempt is re-executed from lineage by the retry loop
+  // below; the recomputed partition is byte-identical.
+  const auto run_partition = [this, &node, &outputs,
+                              stage_id](std::size_t p) {
       metrics_.tasks_executed += 1;
       trace::Span task_span;
       if (tracer_ != nullptr) {
@@ -587,42 +403,19 @@ std::vector<std::vector<T>> SparkContext::run_stage(
                                   "task", "task");
         task_span.arg_num("partition", static_cast<double>(p));
       }
-      const auto execute = [this, &node, &outputs, &owners, p] {
-        TaskContext tc(*this, p);
-        std::vector<T> data;
-        bool have = false;
+      const auto execute = [this, &node, &outputs, p] {
         if (node.cached) {
           std::lock_guard lk(node.cache_mu);
           if (node.cache_slots[p]) {
-            data = *node.cache_slots[p];
-            have = true;
+            outputs[p] = *node.cache_slots[p];
+            return;
           }
         }
-        if (!have) {
-          data = node.compute(tc);
-          if (node.cached) {
-            std::lock_guard lk(node.cache_mu);
-            if (!node.cache_slots[p]) node.cache_slots[p] = data;
-          }
-        }
-        // Publication is idempotent: a speculative backup (or a lineage
-        // redo racing a decommissioned executor's completing thread)
-        // may compute the same partition twice; the first completion
-        // wins and the duplicate is discarded, so outputs never tear.
-        bool won = false;
-        double started_s = -1.0;
-        {
-          std::lock_guard lk(elastic_mu_);
-          if (!owners.published[p]) {
-            owners.published[p] = 1;
-            outputs[p] = std::move(data);
-            won = true;
-            started_s = owners.start_s[p];
-          }
-        }
-        if (won && config_.metrics_window != nullptr && started_s >= 0.0) {
-          config_.metrics_window->record_task_duration(
-              detail::steady_seconds() - started_s);
+        TaskContext tc(*this, p);
+        outputs[p] = node.compute(tc);
+        if (node.cached) {
+          std::lock_guard lk(node.cache_mu);
+          if (!node.cache_slots[p]) node.cache_slots[p] = outputs[p];
         }
       };
       if (config_.fault_plan == nullptr || config_.fault_plan->empty()) {
@@ -642,11 +435,8 @@ std::vector<std::vector<T>> SparkContext::run_stage(
         }
         if (spec.kind == fault::FaultKind::kStraggler ||
             spec.kind == fault::FaultKind::kFilesystemStall) {
-          // Slowdowns complete; they just take longer. A speculative
-          // backup skips the injected delay: the slowdown belonged to
-          // the original's executor, and the backup relaunches on a
-          // healthy one — which is exactly why speculation cuts p99.
-          if (!backup && spec.delay_s > 0.0) {
+          // Slowdowns complete; they just take longer.
+          if (spec.delay_s > 0.0) {
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(spec.delay_s));
           }
@@ -671,17 +461,10 @@ std::vector<std::vector<T>> SparkContext::run_stage(
         metrics_.tasks_executed += 1;  // the re-execution is a new task
       }
   };
-  {
-    // Hand the closure to the elastic layer so speculate_inflight can
-    // submit backup copies while the stage is live.
-    std::lock_guard lk(elastic_mu_);
-    owners.run_partition = run_partition;
-  }
   std::vector<std::future<void>> futures;
   futures.reserve(node.partitions);
   for (std::size_t p = 0; p < node.partitions; ++p) {
-    futures.push_back(
-        pool_.submit([&run_partition, p] { run_partition(p, false); }));
+    futures.push_back(pool_.submit([&run_partition, p] { run_partition(p); }));
   }
   // Stage barrier: drain EVERY task before surfacing an error, so no
   // in-flight task can touch `outputs` after this frame unwinds.
@@ -693,56 +476,7 @@ std::vector<std::vector<T>> SparkContext::run_stage(
       if (!first_error) first_error = std::current_exception();
     }
   }
-  // Close the speculation window and drain backup copies before any
-  // rethrow or return: a backup still in flight writes into this
-  // frame's outputs. Losers publish-and-discard, so draining them is
-  // purely a lifetime matter.
-  std::vector<std::future<void>> backups;
-  {
-    std::lock_guard lk(elastic_mu_);
-    owners.speculation_closed = true;
-    backups = std::move(owners.backups);
-  }
-  for (auto& f : backups) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  // Partitions whose executor was decommissioned mid-flight are lost
-  // with the executor; lineage makes them recomputable, so re-run them
-  // on the surviving pool. A partition that raced to completion anyway
-  // recomputes to the identical value — results never diverge.
-  std::vector<std::size_t> lost;
-  {
-    std::lock_guard lk(elastic_mu_);
-    for (std::size_t p = 0; p < owners.lost.size(); ++p) {
-      if (owners.lost[p]) {
-        owners.lost[p] = 0;
-        lost.push_back(p);
-      }
-    }
-  }
   if (first_error) std::rethrow_exception(first_error);
-  if (!lost.empty()) {
-    lineage_reexecutions_.fetch_add(lost.size(),
-                                    std::memory_order_relaxed);
-    std::vector<std::future<void>> redo;
-    redo.reserve(lost.size());
-    for (const std::size_t p : lost) {
-      redo.push_back(
-          pool_.submit([&run_partition, p] { run_partition(p, false); }));
-    }
-    for (auto& f : redo) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  }
   if (tracer_ != nullptr) {
     const double now = tracer_->now_us();
     tracer_->counter(driver_track_, "shuffle_bytes", now,
@@ -783,7 +517,7 @@ std::vector<T> materialize_node(SparkContext& ctx, RddNode<T>& node,
 /// stage's records in partition order) and adds the records and their
 /// bytes to the shuffle metrics; its compute applies `reduce` to the
 /// partition's bucket. `reduce` only reads the bucket, so a re-executed
-/// or speculative task finds it intact.
+/// task finds it intact.
 template <typename T, typename Route, typename Reduce>
 std::shared_ptr<RddNode<T>> shuffle_node(SparkContext& ctx,
                                          std::shared_ptr<RddNode<T>> parent,

@@ -3,10 +3,11 @@
 // The paper's Sec.-6 future-work item — "dynamically scale the resource
 // pool" — is the pilot-job elasticity story that motivated RADICAL-Pilot.
 // A MembershipPlan is the arrival-side twin of FaultPlan: a seeded,
-// deterministic schedule of NodeJoin/NodeLeave events that the DES and
-// all four engine runtimes apply to their worker pools mid-run, in the
-// spirit of Dask's adaptive deployments and Spark's dynamic executor
-// allocation.
+// deterministic schedule of NodeJoin/NodeLeave events that the DES
+// task-wave replay (autoscale::simulate_task_wave) applies to its
+// simulated pool mid-run, in the spirit of Dask's adaptive deployments
+// and Spark's dynamic executor allocation. Each engine's departure
+// semantics are modelled there; the live engines keep fixed-size pools.
 //
 // Determinism contract: churn_plan() draws event times through the same
 // pure splitmix64 avalanche as FaultInjector — a function of (seed,
@@ -31,11 +32,11 @@ const char* to_string(MembershipKind kind) noexcept;
 
 /// How departing nodes treat their in-flight work.
 ///
-/// kEngineDefault resolves per engine: Spark kills (decommissioned
-/// executors lose running tasks; lineage recomputes them), Dask and RP
-/// drain (graceful leave: the current task finishes, then the worker
-/// exits), MPI is rigid and always pays the kill + checkpoint-restart
-/// path on any shrink.
+/// kEngineDefault resolves per engine, as the DES models each engine's
+/// departures: Spark kills (decommissioned executors lose running
+/// tasks; lineage recomputes them), Dask and RP drain (graceful leave:
+/// the current task finishes, then the worker exits), MPI is rigid and
+/// always pays the kill + checkpoint-restart path on any shrink.
 enum class DeparturePolicy {
   kEngineDefault,
   kDrain,  ///< finish the current task, then leave; no work lost
@@ -43,9 +44,8 @@ enum class DeparturePolicy {
 };
 const char* to_string(DeparturePolicy policy) noexcept;
 
-/// One scheduled membership event. `at_s` is virtual seconds from run
-/// start under the DES, wall seconds from run start for the live
-/// engines.
+/// One scheduled membership event. `at_s` is virtual seconds from the
+/// start of the replay.
 struct MembershipEvent {
   MembershipKind kind = MembershipKind::kNodeJoin;
   double at_s = 0.0;
@@ -54,8 +54,7 @@ struct MembershipEvent {
 
 /// A complete elasticity scenario: seed + schedule + departure policy +
 /// join warm-up cost. Consumed by the DES task-wave replay
-/// (autoscale::simulate_task_wave), the engine runtimes (via
-/// workflows::ElasticDriver) and the benches.
+/// (autoscale::simulate_task_wave) and the benches that drive it.
 struct MembershipPlan {
   /// Same default as FaultPlan: the seed every bench prints.
   std::uint64_t seed = 42;

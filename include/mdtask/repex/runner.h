@@ -45,8 +45,7 @@ namespace mdtask::repex {
 
 /// One RepEx run: the science parameters plus RepEx's engine knobs, on
 /// top of the infrastructure every workflow runner carries
-/// (workflows::EngineOptions: workers, tracing, faults, elasticity,
-/// closed-loop autoscaling).
+/// (workflows::EngineOptions: workers, tracing, faults, recovery log).
 struct RepexConfig : workflows::EngineOptions {
   RepexParams params;
   /// Spark only: cache() the static replica-state RDD across rounds.

@@ -34,7 +34,11 @@ class ShardReader {
   /// a header whose shards do not tile its frames: 0 frames per shard
   /// for a non-empty store, or a shard count other than
   /// ceil(frames / frames_per_shard) (kOutOfRange when too few shards
-  /// are indexed, kFormatError otherwise).
+  /// are indexed, kFormatError otherwise). Also kFormatError: a shape
+  /// whose frames x atoms x 12 bytes overflow, an entry whose raw_bytes
+  /// is not its shard's frames x atoms x 12, and a delta-coded entry
+  /// claiming more than 128 x its stored bytes (the codec's largest
+  /// expansion). Every buffer a read sizes is then backed by the file.
   static Result<ShardReader> open(const std::string& path,
                                   Mode mode = Mode::kStream);
 
@@ -60,7 +64,8 @@ class ShardReader {
   Result<traj::Trajectory> read_shard(std::size_t s) const;
 
   /// Reads an arbitrary frame range, touching only the shards that
-  /// overlap it.
+  /// overlap it. A range past the last frame (including one whose end
+  /// wraps) is kOutOfRange.
   Result<traj::Trajectory> read_frames(std::size_t first,
                                        std::size_t count) const;
 

@@ -23,10 +23,14 @@ Status write_mdt(const std::string& path, const Trajectory& trajectory);
 Result<Trajectory> read_mdt(const std::string& path);
 
 /// Reads only frames [first, first+count), e.g. one rank's frame block.
+/// A header whose frames x atoms x 12 bytes overflow or exceed the
+/// file's payload is a kFormatError; a range past the last frame
+/// (including one whose end wraps) is kOutOfRange.
 Result<Trajectory> read_mdt_frames(const std::string& path,
                                    std::size_t first, std::size_t count);
 
-/// Shape of an MDT file without reading the payload.
+/// Shape of an MDT file without reading the payload (the header is
+/// checked against the payload size as in read_mdt_frames).
 struct MdtInfo {
   std::size_t frames = 0;
   std::size_t atoms = 0;

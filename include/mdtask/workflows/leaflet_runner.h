@@ -32,8 +32,7 @@
 namespace mdtask::workflows {
 
 /// The Leaflet Finder's own knobs on top of the shared EngineOptions
-/// (workers, tracer, fault/membership plans, recovery log, adaptive; see
-/// common.h).
+/// (workers, tracer, fault plan, recovery log; see common.h).
 struct LfRunConfig : EngineOptions {
   /// Map-task count target (the paper uses 1024; 42k for 4M + approach 3).
   std::size_t target_tasks = 64;

@@ -11,8 +11,7 @@
 //             shared filesystem (RP has no collectives).
 //
 // Each engine is built through the workflows harness (common.h), so
-// faults, membership plans, autoscaling and tracing apply to PSA as to
-// every other runner.
+// faults and tracing apply to PSA as to every other runner.
 #pragma once
 
 #include "mdtask/analysis/psa.h"
@@ -29,7 +28,7 @@ enum class PsaMetric {
 };
 
 /// PSA's own knobs on top of the shared EngineOptions (workers, tracer,
-/// fault/membership plans, recovery log, adaptive; see common.h).
+/// fault plan, recovery log; see common.h).
 struct PsaRunConfig : EngineOptions {
   /// Alg. 2 block size n1; 0 picks n1 so the block count ~= 2x workers
   /// (the paper generates one task per core).

@@ -16,8 +16,7 @@ namespace mdtask::repex {
 /// One RepEx workflow behind one config: construct with the full
 /// RepexConfig (science params + engine/infrastructure knobs), then run
 /// on any engine. The config's pointer members (tracer, fault plan,
-/// recovery log, membership plan) are borrowed and must outlive the
-/// Runner's calls.
+/// recovery log) are borrowed and must outlive the Runner's calls.
 class Runner {
  public:
   explicit Runner(RepexConfig config) : config_(std::move(config)) {}

@@ -214,8 +214,8 @@ TaskWaveOutcome simulate_task_wave(
     return submitted;
   };
 
-  // The simulated pool as membership events and the controller see it:
-  // the DES twin of the live adapters, one per departure policy.
+  // The simulated pool as membership events and the controller see it,
+  // one set of actions per departure policy.
   const auto pool_actions = [&](fault::DeparturePolicy policy) {
     const fault::DeparturePolicy departure =
         fault::departure_for(engine, policy);

@@ -13,7 +13,6 @@ namespace {
 // current_worker_track() without touching the pool.
 thread_local trace::Track tls_worker_track{};
 thread_local bool tls_worker_traced = false;
-thread_local std::ptrdiff_t tls_worker_index = -1;
 thread_local ThreadPool* tls_worker_pool = nullptr;
 // Points at the worker's own Slot (a private pool type, hence void*).
 thread_local void* tls_worker_slot = nullptr;
@@ -27,13 +26,10 @@ constexpr std::size_t kOverflowBatch = 16;
 
 ThreadPool::ThreadPool(std::size_t threads) {
   threads = std::max<std::size_t>(1, threads);
-  auto roster = std::make_shared<Roster>();
-  roster->reserve(threads);
+  slots_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    roster->push_back(std::make_shared<Slot>());
+    slots_.push_back(std::make_unique<Slot>());
   }
-  roster_ = std::move(roster);
-  alive_ = threads;
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -47,12 +43,6 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-std::shared_ptr<const ThreadPool::Roster> ThreadPool::snapshot_roster()
-    const {
-  std::lock_guard lk(roster_mu_);
-  return roster_;
 }
 
 void ThreadPool::enqueue(StealQueue<Job>& queue,
@@ -89,7 +79,7 @@ void ThreadPool::post(std::function<void()> job) {
   Slot* local = tls_worker_pool == this
                     ? static_cast<Slot*>(tls_worker_slot)
                     : nullptr;
-  if (local != nullptr && !local->retired.load(std::memory_order_relaxed)) {
+  if (local != nullptr) {
     enqueue(local->deque, std::move(job));
     return;
   }
@@ -105,81 +95,17 @@ void ThreadPool::wait_idle() {
 
 void ThreadPool::enable_tracing(trace::Tracer& tracer, std::uint32_t pid,
                                 const std::string& worker_prefix) {
-  const std::shared_ptr<const Roster> roster = snapshot_roster();
-  std::vector<trace::Track> tracks;
-  tracks.reserve(roster->size());
-  for (std::size_t i = 0; i < roster->size(); ++i) {
-    tracks.push_back(
-        tracer.thread(pid, worker_prefix + "-" + std::to_string(i)));
-  }
-  std::lock_guard lk(mu_);
-  trace_pid_ = pid;
-  worker_prefix_ = worker_prefix;
-  for (std::size_t i = 0; i < roster->size(); ++i) {
-    (*roster)[i]->track = tracks[i];
-    (*roster)[i]->traced.store(true, std::memory_order_release);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = *slots_[i];
+    slot.track =
+        tracer.thread(pid, worker_prefix + "-" + std::to_string(i));
+    slot.traced.store(true, std::memory_order_release);
   }
   tracer_.store(&tracer, std::memory_order_release);
 }
 
-std::size_t ThreadPool::size() const {
-  std::lock_guard lk(mu_);
-  return alive_;
-}
-
 std::size_t ThreadPool::queued() const {
   return queued_.load(std::memory_order_seq_cst);
-}
-
-std::size_t ThreadPool::busy() const {
-  return active_.load(std::memory_order_seq_cst);
-}
-
-void ThreadPool::add_workers(std::size_t count) {
-  std::lock_guard lk(mu_);
-  auto next = std::make_shared<Roster>(*snapshot_roster());
-  trace::Tracer* tracer = tracer_.load(std::memory_order_acquire);
-  const std::size_t first = next->size();
-  for (std::size_t n = 0; n < count; ++n) {
-    auto slot = std::make_shared<Slot>();
-    if (tracer != nullptr) {
-      slot->track = tracer->thread(
-          trace_pid_, worker_prefix_ + "-" + std::to_string(first + n));
-      slot->traced.store(true, std::memory_order_release);
-    }
-    next->push_back(std::move(slot));
-  }
-  {
-    std::lock_guard rlk(roster_mu_);
-    roster_ = std::move(next);
-  }
-  // Publish the roster before the epoch bump: a worker that sees the
-  // new epoch must snapshot a roster at least as new.
-  epoch_.fetch_add(1, std::memory_order_release);
-  for (std::size_t n = 0; n < count; ++n) {
-    workers_.emplace_back([this, index = first + n] { worker_loop(index); });
-    ++alive_;
-  }
-}
-
-std::vector<std::size_t> ThreadPool::retire_workers(std::size_t count) {
-  std::vector<std::size_t> retired;
-  {
-    std::lock_guard lk(mu_);
-    // A pool that retired every worker could never drain its queue.
-    const std::size_t ceiling = alive_ > 1 ? alive_ - 1 : 0;
-    count = std::min(count, ceiling);
-    const std::shared_ptr<const Roster> roster = snapshot_roster();
-    for (std::size_t i = roster->size(); i-- > 0 && retired.size() < count;) {
-      if (!(*roster)[i]->retired.load(std::memory_order_relaxed)) {
-        (*roster)[i]->retired.store(true, std::memory_order_seq_cst);
-        retired.push_back(i);
-      }
-    }
-    alive_ -= retired.size();
-  }
-  cv_.notify_all();
-  return retired;
 }
 
 ThreadPool::StealCounters ThreadPool::steal_counters() const {
@@ -236,12 +162,7 @@ const trace::Track* ThreadPool::current_worker_track() noexcept {
   return tls_worker_traced ? &tls_worker_track : nullptr;
 }
 
-std::ptrdiff_t ThreadPool::current_worker_index() noexcept {
-  return tls_worker_index;
-}
-
 void ThreadPool::run_job(Job& job, Slot* slot) {
-  active_.fetch_add(1, std::memory_order_seq_cst);
   trace::Tracer* tracer = tracer_.load(std::memory_order_acquire);
   if (tracer != nullptr && slot->traced.load(std::memory_order_acquire)) {
     tls_worker_track = slot->track;
@@ -262,7 +183,6 @@ void ThreadPool::run_job(Job& job, Slot* slot) {
   } else {
     job.fn();
   }
-  active_.fetch_sub(1, std::memory_order_seq_cst);
   if (outstanding_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
     // Last outstanding job: release wait_idle callers. The empty
     // critical section orders against a waiter between its predicate
@@ -274,30 +194,11 @@ void ThreadPool::run_job(Job& job, Slot* slot) {
 
 void ThreadPool::worker_loop(std::size_t index) {
   tls_worker_pool = this;
-  tls_worker_index = static_cast<std::ptrdiff_t>(index);
-  std::shared_ptr<const Roster> roster = snapshot_roster();
-  std::uint64_t my_epoch = epoch_.load(std::memory_order_acquire);
-  const std::shared_ptr<Slot> slot = (*roster)[index];
-  tls_worker_slot = slot.get();
+  Slot* const slot = slots_[index].get();
+  tls_worker_slot = slot;
   std::vector<Job> batch;
 
   for (;;) {
-    if (slot->retired.load(std::memory_order_seq_cst)) {
-      // Drain semantics: hand queued jobs to the survivors, then exit.
-      batch.clear();
-      slot->deque.drain(batch);
-      for (auto& j : batch) overflow_.push(std::move(j));
-      if (!batch.empty()) {
-        { std::lock_guard lk(mu_); }
-        cv_.notify_all();
-      }
-      return;
-    }
-    if (epoch_.load(std::memory_order_acquire) != my_epoch) {
-      my_epoch = epoch_.load(std::memory_order_acquire);
-      roster = snapshot_roster();
-    }
-
     Job job;
     bool got = slot->deque.pop(job);
     if (!got) {
@@ -310,34 +211,33 @@ void ThreadPool::worker_loop(std::size_t index) {
         job = std::move(batch.front());
         // One lock for the whole re-push; the jobs stay stealable.
         slot->deque.push_batch(batch, 1);
-        note_overflow_grab(grabbed, slot.get());
+        note_overflow_grab(grabbed, slot);
       }
     }
     if (!got) {
       // Steal FIFO from the other workers, swept in rotation from this
       // worker's own index so thieves spread over different victims.
       const auto sweep_start = std::chrono::steady_clock::now();
-      const std::size_t n = roster->size();
+      const std::size_t n = slots_.size();
       for (std::size_t k = 1; k < n; ++k) {
-        if ((*roster)[(index + k) % n]->deque.steal(job)) {
+        if (slots_[(index + k) % n]->deque.steal(job)) {
           got = true;
           note_deque_steal(std::chrono::duration<double, std::micro>(
                                std::chrono::steady_clock::now() -
                                sweep_start)
                                .count(),
-                           slot.get());
+                           slot);
           break;
         }
       }
     }
     if (got) {
       queued_.fetch_sub(1, std::memory_order_seq_cst);
-      run_job(job, slot.get());
+      run_job(job, slot);
       continue;
     }
 
-    // Nothing anywhere: sleep until a post, a membership change, or
-    // shutdown. The queued_ term of the predicate plus the poster's
+    // Nothing anywhere: sleep until a post or shutdown. The queued_ term of the predicate plus the poster's
     // fenced wake makes a lost wakeup impossible (see enqueue).
     std::unique_lock lk(mu_);
     if (stop_.load(std::memory_order_seq_cst) &&
@@ -345,11 +245,9 @@ void ThreadPool::worker_loop(std::size_t index) {
       return;
     }
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    cv_.wait(lk, [&] {
+    cv_.wait(lk, [this] {
       return stop_.load(std::memory_order_seq_cst) ||
-             slot->retired.load(std::memory_order_seq_cst) ||
-             queued_.load(std::memory_order_seq_cst) > 0 ||
-             epoch_.load(std::memory_order_acquire) != my_epoch;
+             queued_.load(std::memory_order_seq_cst) > 0;
     });
     sleepers_.fetch_sub(1, std::memory_order_seq_cst);
   }

@@ -5,9 +5,6 @@ namespace mdtask::dask {
 DaskClient::DaskClient(DaskConfig config) : config_(config) {
   const std::size_t n = std::max<std::size_t>(1, config_.workers);
   workers_.reserve(n);
-  retire_flags_.assign(n, 0);
-  running_.resize(n);
-  alive_ = n;
   for (std::size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
@@ -32,7 +29,6 @@ void DaskClient::enable_tracing(trace::Tracer& tracer) {
     tracks.push_back(tracer.thread(pid, "worker-" + std::to_string(i)));
   }
   std::lock_guard lk(mu_);
-  trace_pid_ = pid;
   client_track_ = client;
   tracks_ = std::move(tracks);
   tracer_ = &tracer;
@@ -81,24 +77,20 @@ void DaskClient::enqueue_ready(std::shared_ptr<detail::TaskNode> node) {
 }
 
 void DaskClient::on_finished(const std::shared_ptr<detail::TaskNode>& node) {
-  // A task rescheduled off a departed worker can complete twice; only
-  // the first completion releases dependents and retires the node. The
-  // idle check still runs for duplicates — the last in-flight execution
-  // to drain may be one of them.
-  bool first = false;
+  // Each task completes exactly once: release its dependents and retire
+  // the node.
   std::vector<std::shared_ptr<detail::TaskNode>> dependents;
   {
     std::lock_guard lk(node->mu);
-    first = !node->finished;
     node->finished = true;
-    if (first) dependents.swap(node->dependents);
+    dependents.swap(node->dependents);
   }
   for (auto& dep : dependents) {
     if (dep->pending_deps.fetch_sub(1) == 1) enqueue_ready(dep);
   }
   {
     std::lock_guard lk(mu_);
-    if (first) --outstanding_;
+    --outstanding_;
     if (outstanding_ == 0 && ready_.empty() && inflight_ == 0) {
       idle_cv_.notify_all();
     }
@@ -133,31 +125,15 @@ void DaskClient::worker_loop(std::size_t index) {
     trace::Track track{};
     {
       std::unique_lock lk(mu_);
-      cv_.wait(lk, [this, index] {
-        return stop_ || retire_flags_[index] || !ready_.empty();
-      });
+      cv_.wait(lk, [this] { return stop_ || !ready_.empty(); });
       if (stop_ && ready_.empty()) return;
-      if (retire_flags_[index]) {
-        // Retired: exit without taking new work. Hand any wakeup we may
-        // have consumed on to a surviving worker.
-        if (!ready_.empty()) cv_.notify_one();
-        return;
-      }
       node = std::move(ready_.front());
       ready_.pop_front();
       ++inflight_;
-      running_[index] = node;
       if (tracer_ != nullptr && index < tracks_.size()) {
         tracer = tracer_;
         track = tracks_[index];
       }
-    }
-    {
-      // First-dispatch stamp (kept across kill-requeues and backup
-      // copies): the latency epoch for straggler detection and for the
-      // duration the winning execution records.
-      std::lock_guard lk(node->mu);
-      if (node->start_s < 0.0) node->start_s = detail::steady_seconds();
     }
     if (tracer != nullptr && tracer->enabled()) {
       if (node->enqueue_us >= 0.0) {
@@ -175,137 +151,8 @@ void DaskClient::worker_loop(std::size_t index) {
     {
       std::lock_guard lk(mu_);
       --inflight_;
-      running_[index].reset();
     }
     on_finished(node);
-  }
-}
-
-void DaskClient::add_workers(std::size_t count) {
-  {
-    std::lock_guard lk(mu_);
-    for (std::size_t n = 0; n < count; ++n) {
-      const std::size_t index = workers_.size();
-      retire_flags_.push_back(0);
-      running_.emplace_back();
-      if (tracer_ != nullptr) {
-        tracks_.push_back(
-            tracer_->thread(trace_pid_, "worker-" + std::to_string(index)));
-      }
-      // The new thread blocks on mu_ at the top of worker_loop until
-      // this call releases it, so spawning under the lock is safe.
-      workers_.emplace_back([this, index] { worker_loop(index); });
-      ++alive_;
-    }
-  }
-  record_membership(fault::MembershipKind::kNodeJoin, count, 0);
-}
-
-std::size_t DaskClient::retire_workers(std::size_t count,
-                                       fault::DeparturePolicy policy) {
-  const bool kill = fault::departure_for(fault::EngineId::kDask, policy) ==
-                    fault::DeparturePolicy::kKill;
-  // Phase 1 (under mu_): flag departing workers, snapshot what they are
-  // running. Phase 2 (locks dropped): re-enqueue the victims — enqueue
-  // takes node->mu then mu_, the opposite order, so it must not run
-  // while mu_ is held.
-  std::vector<std::shared_ptr<detail::TaskNode>> victims;
-  std::size_t retired = 0;
-  {
-    std::lock_guard lk(mu_);
-    const std::size_t ceiling = alive_ > 1 ? alive_ - 1 : 0;
-    count = std::min(count, ceiling);
-    for (std::size_t i = workers_.size(); i-- > 0 && retired < count;) {
-      if (retire_flags_[i]) continue;
-      retire_flags_[i] = 1;
-      ++retired;
-      if (kill && running_[i] != nullptr) victims.push_back(running_[i]);
-    }
-    alive_ -= retired;
-  }
-  cv_.notify_all();
-  std::size_t preempted = 0;
-  for (auto& node : victims) {
-    {
-      std::lock_guard lk(node->mu);
-      if (node->finished) continue;  // raced to completion — nothing lost
-      node->scheduled = false;       // allow a second enqueue
-    }
-    enqueue_ready(node);
-    ++preempted;
-  }
-  rescheduled_.fetch_add(preempted, std::memory_order_relaxed);
-  record_membership(fault::MembershipKind::kNodeLeave, retired, preempted);
-  return retired;
-}
-
-std::size_t DaskClient::workers() const {
-  std::lock_guard lk(mu_);
-  return alive_;
-}
-
-std::size_t DaskClient::queued() const {
-  std::lock_guard lk(mu_);
-  return ready_.size();
-}
-
-std::size_t DaskClient::busy() const {
-  std::lock_guard lk(mu_);
-  return inflight_;
-}
-
-std::size_t DaskClient::speculate_inflight(double threshold_s) {
-  const double now_s = detail::steady_seconds();
-  // Phase 1 (under mu_): snapshot the in-flight tasks. Phase 2 (locks
-  // dropped): flag and re-enqueue stragglers — enqueue takes node->mu
-  // then mu_, the opposite order, so it must not run while mu_ is held.
-  std::vector<std::shared_ptr<detail::TaskNode>> inflight;
-  double at_us = 0.0;
-  {
-    std::lock_guard lk(mu_);
-    for (const auto& node : running_) {
-      if (node != nullptr) inflight.push_back(node);
-    }
-    if (tracer_ != nullptr && tracer_->enabled()) at_us = tracer_->now_us();
-  }
-  std::size_t copies = 0;
-  for (const auto& node : inflight) {
-    {
-      std::lock_guard lk(node->mu);
-      if (node->finished || node->speculated) continue;
-      if (node->start_s < 0.0 || now_s - node->start_s <= threshold_s) {
-        continue;
-      }
-      node->speculated = true;
-      node->scheduled = false;  // allow the backup enqueue
-    }
-    if (config_.recovery_log != nullptr) {
-      config_.recovery_log->record(
-          {fault::EngineId::kDask, node->id, 0, fault::FaultKind::kStraggler,
-           fault::RecoveryAction::kSpeculativeCopy, 0.0, at_us});
-    }
-    enqueue_ready(node);
-    ++copies;
-  }
-  speculative_copies_.fetch_add(copies, std::memory_order_relaxed);
-  return copies;
-}
-
-void DaskClient::record_membership(fault::MembershipKind kind,
-                                   std::size_t count, std::size_t preempted) {
-  if (count == 0) return;
-  std::size_t seq;
-  std::size_t pool;
-  double at_us = 0.0;
-  {
-    std::lock_guard lk(mu_);
-    seq = membership_seq_++;
-    pool = alive_;
-    if (tracer_ != nullptr && tracer_->enabled()) at_us = tracer_->now_us();
-  }
-  if (config_.recovery_log != nullptr) {
-    config_.recovery_log->record_membership(
-        {fault::EngineId::kDask, kind, seq, count, pool, preempted, at_us});
   }
 }
 

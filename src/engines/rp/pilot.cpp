@@ -81,38 +81,10 @@ void UnitManager::wait_units() {
 void UnitManager::enable_tracing(trace::Tracer& tracer) {
   // Call before submit_units: the pool's enable_tracing publishes the
   // tracer to agent threads; units already in flight stay untraced.
-  trace_pid_ = tracer.process("rp");
-  client_track_ = tracer.thread(trace_pid_, "client");
-  agent_.enable_tracing(tracer, trace_pid_, "agent-core");
+  const std::uint32_t pid = tracer.process("rp");
+  client_track_ = tracer.thread(pid, "client");
+  agent_.enable_tracing(tracer, pid, "agent-core");
   tracer_ = &tracer;
-}
-
-void UnitManager::grow_pilot(std::size_t cores) {
-  agent_.add_workers(cores);
-  // Growing the allocation is itself a client<->DB negotiation in RP.
-  db_.roundtrip();
-  metrics_.db_roundtrips += 1;
-  record_membership(fault::MembershipKind::kNodeJoin, cores);
-}
-
-std::size_t UnitManager::shrink_pilot(std::size_t cores) {
-  const std::size_t released = agent_.retire_workers(cores).size();
-  db_.roundtrip();
-  metrics_.db_roundtrips += 1;
-  if (released > 0) {
-    record_membership(fault::MembershipKind::kNodeLeave, released);
-  }
-  return released;
-}
-
-void UnitManager::record_membership(fault::MembershipKind kind,
-                                    std::size_t count) {
-  if (pilot_.recovery_log == nullptr) return;
-  pilot_.recovery_log->record_membership(
-      {fault::EngineId::kRp, kind,
-       membership_seq_.fetch_add(1, std::memory_order_relaxed), count,
-       agent_.size(), 0,
-       tracer_ != nullptr ? tracer_->now_us() : 0.0});
 }
 
 void UnitManager::transition(ComputeUnit& unit, UnitState next) {
@@ -170,7 +142,6 @@ void UnitManager::run_unit(const std::shared_ptr<ComputeUnit>& unit) {
   }
   transition(*unit, UnitState::kAgentScheduling);
   transition(*unit, UnitState::kExecuting);
-  const auto exec_begin = std::chrono::steady_clock::now();
   {
     trace::Span exec_span;
     if (tracer_ != nullptr) {
@@ -237,12 +208,6 @@ void UnitManager::run_unit(const std::shared_ptr<ComputeUnit>& unit) {
         return;
       }
     }
-  }
-  if (pilot_.metrics_window != nullptr) {
-    pilot_.metrics_window->record_task_duration(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      exec_begin)
-            .count());
   }
   transition(*unit, UnitState::kStagingOutput);
   {

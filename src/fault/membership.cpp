@@ -50,7 +50,7 @@ DeparturePolicy departure_for(EngineId engine,
     case EngineId::kDask:
     case EngineId::kRp:
     case EngineId::kService:
-      // Dask's retire_workers, RP's pilot shrink and the serving
+      // Dask's worker retirement, RP's pilot shrink and the serving
       // front end's drain protocol are graceful.
       return DeparturePolicy::kDrain;
     case EngineId::kMpi:

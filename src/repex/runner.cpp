@@ -244,8 +244,8 @@ RepexResult run_repex_dask(const RepexConfig& config) {
     }
     // Dynamic-graph re-submission: a fresh energy task per replica
     // depending on its base future, all sharing the round's reference
-    // window (owned by the closures: a retried or speculative copy may
-    // outlive this round)...
+    // window (owned by the closures, so it lives as long as the last
+    // task that reads it)...
     const auto reference = std::make_shared<const kernels::FramePack>(
         round_reference(p, round));
     std::vector<dask::Future<double>> energies;

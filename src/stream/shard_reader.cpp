@@ -13,6 +13,11 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = sizeof(kShardMagic) + 1 + 4 * 8;
 
+/// The most one zero-RLE control byte decodes to (shard_format.h): a
+/// run of 128 zeros or 128 literal bytes. A delta-coded shard cannot
+/// decode to more than this many times its stored bytes.
+constexpr std::uint64_t kMaxExpansion = 128;
+
 /// Full positional read; retries on short pread (signals, page cache).
 bool pread_exact(int fd, void* dst, std::size_t len, std::uint64_t offset) {
   auto* out = static_cast<std::uint8_t*>(dst);
@@ -87,6 +92,17 @@ Result<ShardReader> ShardReader::open(const std::string& path, Mode mode) {
     return Error(ErrorCode::kFormatError,
                  "truncated shard index: " + path);
   }
+  // Every decoded size is a product of frames and atoms; none may wrap.
+  std::uint64_t frame_bytes = 0;
+  std::uint64_t store_bytes = 0;
+  if (__builtin_mul_overflow(fields[1], std::uint64_t{sizeof(traj::Vec3)},
+                             &frame_bytes) ||
+      __builtin_mul_overflow(fields[0], frame_bytes, &store_bytes)) {
+    return Error(ErrorCode::kFormatError,
+                 std::to_string(fields[0]) + " frames x " +
+                     std::to_string(fields[1]) +
+                     " atoms overflow the store size: " + path);
+  }
   const std::size_t index_bytes = shard_count * sizeof(ShardIndexEntry);
   reader.info_.index.resize(shard_count);
   if (index_bytes > 0 &&
@@ -94,11 +110,34 @@ Result<ShardReader> ShardReader::open(const std::string& path, Mode mode) {
                    kHeaderBytes)) {
     return Error(ErrorCode::kIoError, "cannot read shard index: " + path);
   }
-  for (const ShardIndexEntry& entry : reader.info_.index) {
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    const ShardIndexEntry& entry = reader.info_.index[s];
     if (entry.offset > reader.file_bytes_ ||
         entry.stored_bytes > reader.file_bytes_ - entry.offset) {
       return Error(ErrorCode::kFormatError,
                    "shard index points past end of file: " + path);
+    }
+    // shard_frames(s) <= frames, so this product cannot wrap either.
+    const std::uint64_t shard_bytes =
+        reader.info_.shard_frames(s) * frame_bytes;
+    if (entry.raw_bytes != shard_bytes) {
+      return Error(ErrorCode::kFormatError,
+                   "shard " + std::to_string(s) + " claims " +
+                       std::to_string(entry.raw_bytes) +
+                       " raw bytes, not its shape's " +
+                       std::to_string(shard_bytes) + ": " + path);
+    }
+    const bool delta_coded = reader.info_.compressed() &&
+                             entry.stored_bytes != entry.raw_bytes;
+    if (delta_coded && entry.raw_bytes / kMaxExpansion +
+                               (entry.raw_bytes % kMaxExpansion != 0) >
+                           entry.stored_bytes) {
+      return Error(ErrorCode::kFormatError,
+                   "shard " + std::to_string(s) + " claims " +
+                       std::to_string(entry.raw_bytes) +
+                       " raw bytes from " +
+                       std::to_string(entry.stored_bytes) +
+                       " delta-coded bytes: " + path);
     }
   }
 
@@ -214,7 +253,7 @@ Result<traj::Trajectory> ShardReader::read_shard(std::size_t s) const {
 
 Result<traj::Trajectory> ShardReader::read_frames(std::size_t first,
                                                   std::size_t count) const {
-  if (first + count > info_.frames) {
+  if (count > info_.frames || first > info_.frames - count) {
     return Error(ErrorCode::kOutOfRange,
                  "frame range beyond store: " + path_);
   }

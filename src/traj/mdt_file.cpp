@@ -23,6 +23,12 @@ struct Header {
   std::uint64_t atoms;
 };
 
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 1 + 8 + 8;
+
+/// Reads the header and checks that the payload holds the shape it
+/// claims: frames x atoms x 12 bytes must neither overflow nor exceed
+/// the bytes after the header, so no reader sizes a buffer from a
+/// header the file cannot back.
 Result<Header> read_header(std::FILE* f, const std::string& path) {
   Header h{};
   if (std::fread(h.magic, 1, sizeof(h.magic), f) != sizeof(h.magic) ||
@@ -34,10 +40,26 @@ Result<Header> read_header(std::FILE* f, const std::string& path) {
   if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0) {
     return Error(ErrorCode::kFormatError, "bad MDT magic: " + path);
   }
+  if (std::fseek(f, 0, SEEK_END) != 0) {
+    return Error(ErrorCode::kIoError, "seek failed: " + path);
+  }
+  const long file_end = std::ftell(f);
+  if (file_end < static_cast<long>(kHeaderBytes)) {
+    return Error(ErrorCode::kIoError, "cannot size: " + path);
+  }
+  const auto payload = static_cast<std::uint64_t>(file_end) - kHeaderBytes;
+  std::uint64_t bytes = 0;
+  if (__builtin_mul_overflow(h.frames, h.atoms, &bytes) ||
+      __builtin_mul_overflow(bytes, std::uint64_t{sizeof(Vec3)}, &bytes) ||
+      bytes > payload) {
+    return Error(ErrorCode::kFormatError,
+                 "MDT header claims " + std::to_string(h.frames) +
+                     " frames x " + std::to_string(h.atoms) +
+                     " atoms, more than its " + std::to_string(payload) +
+                     " payload bytes: " + path);
+  }
   return h;
 }
-
-constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 1 + 8 + 8;
 
 }  // namespace
 
@@ -77,7 +99,7 @@ Result<Trajectory> read_mdt_frames(const std::string& path,
   auto h = read_header(f.get(), path);
   if (!h.ok()) return h.error();
   const auto& hdr = h.value();
-  if (first + count > hdr.frames) {
+  if (count > hdr.frames || first > hdr.frames - count) {
     return Error(ErrorCode::kOutOfRange,
                  "frame range beyond trajectory: " + path);
   }

@@ -63,7 +63,7 @@ FrameSeriesResult run_frame_series(EngineKind engine,
   result.series.assign(trajectory.frames(), 0.0);
   if (trajectory.frames() == 0) return result;
   const auto blocks = plan(trajectory.frames(), config);
-  // Default infrastructure: no tracer, faults, membership or autoscaling.
+  // Default infrastructure: no tracer and no faults.
   const EngineOptions options{.workers = config.workers};
   WallTimer timer;
 

@@ -1,14 +1,12 @@
 // Tests for the work-stealing internals of ThreadPool: an idle worker
-// stealing from a busy one, elastic membership races, contended
-// external posts (the notify-after-unlock path), and the late-enable
-// tracing stamp guarantee. The drain/retire and tracing CONTRACT tests
-// live in thread_pool_test.cpp; these exercise the stealing layer.
+// stealing from a busy one, contended external posts (the
+// notify-after-unlock path), and the late-enable tracing stamp
+// guarantee. The drain and tracing CONTRACT tests live in
+// thread_pool_test.cpp; these exercise the stealing layer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -60,93 +58,6 @@ TEST(ThreadPoolTopoTest, ContendedExternalPostsRunEverything) {
   pool.wait_idle();
   EXPECT_EQ(ran.load(), kPosters * kJobsEach);
   EXPECT_EQ(pool.queued(), 0u);
-}
-
-// Satellite: retire_workers racing a full queue — the retiring workers'
-// queued jobs must be flushed to survivors, and every job must run.
-TEST(ThreadPoolTopoTest, RetireWorkersWithFullQueueRunsEverything) {
-  ThreadPool pool(8);
-  constexpr int kJobs = 4000;
-  std::atomic<int> ran{0};
-  std::thread retirer;
-  {
-    // Seed jobs from a worker so they land in per-worker deques (the
-    // path a retiree must drain), then retire concurrently.
-    for (int j = 0; j < kJobs; ++j) {
-      pool.post([&ran, &pool, j] {
-        ran.fetch_add(1);
-        if (j % 16 == 0) {
-          pool.post([&ran] { ran.fetch_add(1); });
-        }
-      });
-    }
-    retirer = std::thread([&pool] {
-      for (int i = 0; i < 3; ++i) {
-        pool.retire_workers(2);
-        std::this_thread::yield();
-      }
-    });
-  }
-  retirer.join();
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), kJobs + kJobs / 16);
-  EXPECT_EQ(pool.size(), 2u);  // 8 - 3*2
-}
-
-// Satellite: concurrent add_workers while jobs flow and while another
-// thread retires. Membership swaps are serialized under mu_; no job may
-// be lost and the pool must end at the expected size.
-TEST(ThreadPoolTopoTest, ConcurrentAddAndRetireKeepsAllJobs) {
-  // Three starting workers keep both retires above the one-worker clamp
-  // of retire_workers whatever the interleaving with the grower.
-  ThreadPool pool(3);
-  constexpr int kJobs = 2000;
-  std::atomic<int> ran{0};
-  std::thread poster([&pool, &ran] {
-    for (int j = 0; j < kJobs; ++j) {
-      pool.post([&ran] { ran.fetch_add(1); });
-    }
-  });
-  std::thread grower([&pool] {
-    for (int i = 0; i < 4; ++i) {
-      pool.add_workers(1);
-      std::this_thread::yield();
-    }
-  });
-  std::thread shrinker([&pool] {
-    for (int i = 0; i < 2; ++i) {
-      pool.retire_workers(1);
-      std::this_thread::yield();
-    }
-  });
-  poster.join();
-  grower.join();
-  shrinker.join();
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), kJobs);
-  EXPECT_EQ(pool.size(), 5u);  // 3 + 4 - 2
-}
-
-TEST(ThreadPoolTopoTest, WorkersAddedAfterEnableTracingGetTracks) {
-  trace::Tracer tracer;
-  tracer.set_enabled(true);
-  ThreadPool pool(1);
-  pool.enable_tracing(tracer, 7, "w");
-  pool.add_workers(2);
-  std::atomic<int> ran{0};
-  for (int j = 0; j < 64; ++j) {
-    pool.post([&ran] { ran.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 64);
-  // Track names w-0..w-2 all registered.
-  std::set<std::string> names;
-  for (const auto& tn : tracer.track_names()) {
-    if (!tn.is_process) names.insert(tn.name);
-  }
-  EXPECT_TRUE(names.count("w-0"));
-  EXPECT_TRUE(names.count("w-1"));
-  EXPECT_TRUE(names.count("w-2"));
 }
 
 // Satellite: the late-enable gap. Once a tracer is ATTACHED, posts stamp

@@ -7,9 +7,8 @@
 #   adaptive_churn3  bench_future_work, bench_utilization (--adaptive --churn 3)
 #   chaos            bench_service --chaos
 #
-# Stems that depend on wall time or host calibration
-# (future_speculation_live, utilization) are not committed, so they are
-# not compared.
+# Stems that depend on host calibration (utilization) are not
+# committed, so they are not compared.
 #
 #   cmake -DFUTURE_WORK=<exe> -DUTILIZATION=<exe> -DSERVICE=<exe>
 #         -DGOLDEN_DIR=<dir> -DWORK_DIR=<dir> -P check_des_tables.cmake

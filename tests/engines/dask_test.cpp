@@ -126,6 +126,15 @@ TEST(DaskTest, MemoryGuardExhaustsRetriesAndFails) {
   EXPECT_EQ(client.worker_restarts(), 3u);  // initial + 2 retries
 }
 
+TEST(DaskSpeculationTest, SetValueIsFirstCompletionWins) {
+  // A future's state publishes once: only the first set_value lands,
+  // a later one is dropped.
+  detail::SharedState<int> state;
+  EXPECT_TRUE(state.set_value(7));
+  EXPECT_FALSE(state.set_value(9));
+  EXPECT_EQ(state.value(), 7);
+}
+
 TEST(BagTest, FromSequenceComputeRoundTrip) {
   DaskClient client;
   std::vector<int> data(37);

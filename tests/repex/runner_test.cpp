@@ -262,24 +262,6 @@ TEST(RepexSparkBroadcastTest, ShipsOneReferencePerRoundPerExecutor) {
                 config.workers);
 }
 
-TEST(RepexCompositionTest, ElasticAndAdaptiveRunsStayDeterministic) {
-  for (const EngineKind engine : {EngineKind::kSpark, EngineKind::kDask,
-                                  EngineKind::kRp}) {
-    RepexConfig config = tiny_config();
-    const auto plan = fault::churn_plan(7, fault::EngineId::kSpark,
-                                        1, 1, 0.05, 1);
-    config.membership_plan = &plan;
-    config.adaptive.enabled = true;
-    config.adaptive.tick_interval_s = 0.01;
-    fault::RecoveryLog log;
-    config.recovery_log = &log;
-    const auto result = run_repex(engine, config);
-    EXPECT_EQ(result.rounds, config.params.max_rounds);
-    EXPECT_EQ(exchange_lines(log), reference_lines(config.params))
-        << engine_id(engine);
-  }
-}
-
 TEST(RepexRunnerFacadeTest, RunnerWrapsConfigVerbatim) {
   RepexConfig config = tiny_config();
   fault::RecoveryLog direct_log, runner_log;

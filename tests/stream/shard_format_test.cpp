@@ -1,9 +1,9 @@
 // Round-trip property tests for the sharded store (MDS) format:
 // randomized seeded trajectories across shard sizes and compression
 // settings must decode byte-identically, and every corruption class
-// (truncation, bit-flip, bad magic, shards that do not tile the frames)
-// must be rejected with a typed error before any garbage reaches an
-// analysis kernel.
+// (truncation, bit-flip, bad magic, shards that do not tile the frames,
+// shapes and raw sizes the file cannot back) must be rejected with a
+// typed error before any garbage reaches an analysis kernel.
 #include "mdtask/stream/shard_format.h"
 
 #include <gtest/gtest.h>
@@ -345,6 +345,73 @@ TEST_F(ShardFormatTest, OpenRejectsIndexSizesAndOffsetsThatWrap) {
   std::memcpy(bytes.data() + testutil::kIndexAt, &first, sizeof(first));
   testutil::write_store(path_, bytes);
   expect_open_fails("wrapping shard offset");
+}
+
+void expect_open_fails_in_both_modes(const std::string& path,
+                                     const char* what) {
+  for (const auto mode :
+       {ShardReader::Mode::kStream, ShardReader::Mode::kMmap}) {
+    auto reader = ShardReader::open(path, mode);
+    ASSERT_FALSE(reader.ok()) << what;
+    EXPECT_EQ(reader.error().code(), ErrorCode::kFormatError)
+        << what << ": " << reader.error().to_string();
+  }
+}
+
+TEST_F(ShardFormatTest, OpenRejectsAtomCountsThatWrap) {
+  // A 4-frame, 1-atom store whose header claims 2^62 + 1 atoms: the
+  // frame size (atoms x 12 bytes) wraps to 12, so every shard would
+  // still match a size check computed from it.
+  const traj::Trajectory t = random_trajectory(4, 1, 6);
+  for (const bool compress : {true, false}) {
+    for (const std::size_t per_shard : {4u, 1u}) {
+      ShardStoreOptions opts;
+      opts.frames_per_shard = per_shard;
+      opts.delta_compress = compress;
+      ASSERT_TRUE(write_sharded(path_, t, opts).ok());
+      testutil::set_atoms(path_, (1ull << 62) + 1);
+      expect_open_fails_in_both_modes(path_, "wrapping atom count");
+    }
+  }
+
+  // A frame range whose end wraps is out of range, not a huge read.
+  ASSERT_TRUE(write_sharded(path_, t).ok());
+  auto reader = ShardReader::open(path_);
+  ASSERT_TRUE(reader.ok()) << reader.error().to_string();
+  auto range = reader.value().read_frames(1, ~std::size_t{0});
+  ASSERT_FALSE(range.ok());
+  EXPECT_EQ(range.error().code(), ErrorCode::kOutOfRange);
+}
+
+TEST_F(ShardFormatTest, OpenRejectsRawSizesTheShardCannotHold) {
+  // Shard 0 of a 4 x 8 store at 4 frames per shard holds 4 x 8 x 12
+  // raw bytes; any other claim is refused before a read sizes a buffer
+  // from it.
+  const traj::Trajectory t = random_trajectory(16, 8, 7);
+  const std::uint64_t shard_bytes = 4 * 8 * sizeof(traj::Vec3);
+  for (const bool compress : {true, false}) {
+    ShardStoreOptions opts;
+    opts.frames_per_shard = 4;
+    opts.delta_compress = compress;
+    for (const std::uint64_t raw :
+         {std::uint64_t{1} << 62, shard_bytes + 12, shard_bytes - 12}) {
+      ASSERT_TRUE(write_sharded(path_, t, opts).ok());
+      testutil::set_raw_bytes(path_, 0, raw);
+      expect_open_fails_in_both_modes(path_, "raw size off the shape");
+    }
+  }
+
+  // A delta-coded shard decodes to at most 128 bytes per stored byte.
+  // Claim 1000 atoms with raw sizes to match: the shape agrees, but the
+  // stored bytes cannot expand that far.
+  ShardStoreOptions opts;
+  opts.frames_per_shard = 4;
+  ASSERT_TRUE(write_sharded(path_, t, opts).ok());
+  testutil::set_atoms(path_, 1000);
+  for (std::size_t s = 0; s < 4; ++s) {
+    testutil::set_raw_bytes(path_, s, 4 * 1000 * sizeof(traj::Vec3));
+  }
+  expect_open_fails_in_both_modes(path_, "raw size past the codec's reach");
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Byte-level rewrites of a written .mds store's header and index: the
 // bad headers ShardReader::open must reject before any read maps a
-// frame to a shard that does not hold it or goes past the file.
+// frame to a shard that does not hold it, goes past the file or sizes a
+// buffer the file cannot back.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -17,7 +19,8 @@ namespace mdtask::testutil {
 // Layout (shard_format.h): magic[7] | u8 flags | u64 frames |
 // u64 atoms | u64 frames_per_shard | u64 shard_count | index.
 inline constexpr std::size_t kFramesAt = 7 + 1;
-inline constexpr std::size_t kFramesPerShardAt = kFramesAt + 8 + 8;
+inline constexpr std::size_t kAtomsAt = kFramesAt + 8;
+inline constexpr std::size_t kFramesPerShardAt = kAtomsAt + 8;
 inline constexpr std::size_t kShardCountAt = kFramesPerShardAt + 8;
 inline constexpr std::size_t kIndexAt = kShardCountAt + 8;
 
@@ -66,6 +69,25 @@ inline void set_frames_per_shard(const std::string& path,
                                  std::uint64_t per_shard) {
   std::vector<char> bytes = read_store(path);
   put_u64(bytes, kFramesPerShardAt, per_shard);
+  write_store(path, bytes);
+}
+
+/// An atom count of `atoms`, leaving the index as written.
+inline void set_atoms(const std::string& path, std::uint64_t atoms) {
+  std::vector<char> bytes = read_store(path);
+  put_u64(bytes, kAtomsAt, atoms);
+  write_store(path, bytes);
+}
+
+/// Shard `shard`'s index entry claiming `raw` decoded bytes, leaving its
+/// offset, stored size and checksum as written.
+inline void set_raw_bytes(const std::string& path, std::size_t shard,
+                          std::uint64_t raw) {
+  std::vector<char> bytes = read_store(path);
+  put_u64(bytes,
+          kIndexAt + shard * sizeof(stream::ShardIndexEntry) +
+              offsetof(stream::ShardIndexEntry, raw_bytes),
+          raw);
   write_store(path, bytes);
 }
 

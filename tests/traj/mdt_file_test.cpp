@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <unistd.h>
@@ -90,6 +91,46 @@ TEST_F(MdtFileTest, TruncatedPayloadFails) {
   f.close();
   ::truncate(path_.c_str(), 24 + 4 * 8 * 12 / 2);
   EXPECT_FALSE(read_mdt(path_).ok());
+}
+
+/// Rewrites the header's frame and atom counts, leaving the payload.
+void rewrite_shape(const std::string& path, std::uint64_t frames,
+                   std::uint64_t atoms) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(8);  // after magic[7] and the flags byte
+  f.write(reinterpret_cast<const char*>(&frames), sizeof(frames));
+  f.write(reinterpret_cast<const char*>(&atoms), sizeof(atoms));
+}
+
+void expect_fails(const Result<Trajectory>& r, ErrorCode code) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code(), code) << r.error().to_string();
+}
+
+TEST_F(MdtFileTest, HeaderWhoseShapeWrapsFails) {
+  // 4 positions of payload under a header of (2^62 + 1) x 4: the
+  // product wraps to 4, so only the overflow check can refuse it.
+  ASSERT_TRUE(write_mdt(path_, Trajectory(4, 1)).ok());
+  rewrite_shape(path_, (1ull << 62) + 1, 4);
+  expect_fails(read_mdt(path_), ErrorCode::kFormatError);
+  expect_fails(read_mdt_frames(path_, 0, 1), ErrorCode::kFormatError);
+  ASSERT_FALSE(stat_mdt(path_).ok());
+
+  // A frame range whose end wraps is out of range, not a huge read.
+  ASSERT_TRUE(write_mdt(path_, Trajectory(4, 2)).ok());
+  expect_fails(read_mdt_frames(path_, 1, ~std::size_t{0}),
+               ErrorCode::kOutOfRange);
+}
+
+TEST_F(MdtFileTest, HeaderLargerThanItsPayloadFails) {
+  // 4 positions of payload under headers claiming 2^40 and 5 frames:
+  // the reader must refuse before sizing a buffer from the header.
+  for (const std::uint64_t frames : {1ull << 40, 5ull}) {
+    ASSERT_TRUE(write_mdt(path_, Trajectory(4, 1)).ok());
+    rewrite_shape(path_, frames, 1);
+    expect_fails(read_mdt(path_), ErrorCode::kFormatError);
+    expect_fails(read_mdt_frames(path_, 0, 2), ErrorCode::kFormatError);
+  }
 }
 
 TEST_F(MdtFileTest, EmptyTrajectoryRoundTrips) {
