@@ -35,9 +35,6 @@ class BallTree {
   void query_radius(traj::Vec3 q, double radius,
                     std::vector<std::uint32_t>& out) const;
 
-  /// Convenience wrapper returning a fresh vector.
-  std::vector<std::uint32_t> query_radius(traj::Vec3 q, double radius) const;
-
   /// Number of tree nodes (exposed for tests/ablation).
   std::size_t node_count() const noexcept { return nodes_.size(); }
 

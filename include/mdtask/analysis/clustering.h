@@ -40,13 +40,8 @@ struct Dendrogram {
 Result<Dendrogram> hierarchical_cluster(const DistanceMatrix& distances,
                                         Linkage linkage);
 
-/// Cuts the dendrogram at `threshold`: leaves whose connecting merge
-/// distance is <= threshold share a cluster. Labels are canonical
-/// (smallest leaf index per cluster).
-std::vector<std::uint32_t> cut_dendrogram(const Dendrogram& dendrogram,
-                                          double threshold);
-
 /// Cuts the dendrogram into exactly `k` clusters (1 <= k <= leaves).
+/// Labels are canonical (smallest leaf index per cluster).
 std::vector<std::uint32_t> cut_into_clusters(const Dendrogram& dendrogram,
                                              std::size_t k);
 

@@ -104,11 +104,6 @@ PartialComponents merge_partials_pairwise(const PartialComponents& a,
 PartialComponents merge_partials_by_edges(const PartialComponents& a,
                                           const PartialComponents& b);
 
-/// Expands a (fully merged) partial summary into global labels;
-/// untouched vertices become singletons.
-ComponentLabels labels_from_partial(std::size_t n_vertices,
-                                    const PartialComponents& part);
-
 /// Normalizes arbitrary labels to canonical min-id labels (helper shared
 /// by the implementations; exposed for tests).
 void canonicalize_labels(ComponentLabels& labels);

@@ -69,10 +69,6 @@ struct HausdorffProfile {
   std::size_t metric_evals = 0;
 };
 HausdorffProfile hausdorff_naive_profiled(const traj::Trajectory& t1,
-                                          const traj::Trajectory& t2);
-HausdorffProfile hausdorff_early_break_profiled(const traj::Trajectory& t1,
-                                                const traj::Trajectory& t2);
-HausdorffProfile hausdorff_naive_profiled(const traj::Trajectory& t1,
                                           const traj::Trajectory& t2,
                                           kernels::KernelPolicy policy);
 HausdorffProfile hausdorff_early_break_profiled(const traj::Trajectory& t1,

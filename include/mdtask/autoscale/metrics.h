@@ -60,9 +60,6 @@ class MetricsWindow {
   /// DES replays pass virtual seconds).
   MetricsSnapshot snapshot(double now_s = 0.0) const;
 
-  /// Completions recorded since construction/reset.
-  std::uint64_t completed() const;
-
   void reset();
 
  private:

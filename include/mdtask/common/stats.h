@@ -1,43 +1,13 @@
-// Streaming and batch summary statistics used by the benchmark harness.
-//
-// The paper reports means over multiple runs with standard-deviation error
-// bars; RunningStats implements Welford's online algorithm so the harness
-// can accumulate repeated trials without storing samples.
+// Batch summary statistics used by the benchmark harness.
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace mdtask {
 
-/// Welford online mean/variance accumulator.
-class RunningStats {
- public:
-  void add(double x) noexcept;
-  /// Merge another accumulator (parallel reduction of partial stats).
-  void merge(const RunningStats& other) noexcept;
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than 2 samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Arithmetic mean of a sample; 0 for empty input.
 double mean(std::span<const double> xs) noexcept;
-/// Sample standard deviation (n-1); 0 for fewer than 2 samples.
-double stddev(std::span<const double> xs) noexcept;
 /// Linear-interpolated percentile, p in [0,100]. Sorts a copy.
 double percentile(std::vector<double> xs, double p) noexcept;
 

@@ -94,11 +94,6 @@ class alignas(64) StealQueue {
     return taken;
   }
 
-  /// Drains everything into `out` (appended, oldest first).
-  std::size_t drain(std::vector<T>& out) {
-    return steal_batch(out, ~std::size_t{0});
-  }
-
   /// Advisory size: exact after the last completed operation, stale
   /// only while another thread is mid-operation.
   std::size_t size() const {

@@ -67,10 +67,6 @@ class ThreadPool {
   /// Worker threads (fixed at construction).
   std::size_t size() const noexcept { return slots_.size(); }
 
-  /// Jobs enqueued (across worker deques and the overflow queue) but
-  /// not yet picked up by a worker.
-  std::size_t queued() const;
-
   /// Starts emitting spans to `tracer` under process track `pid`: one
   /// thread track per worker ("<worker_prefix>-<i>"), a "queue-wait"
   /// span from enqueue to pickup and a "job" span around each run.

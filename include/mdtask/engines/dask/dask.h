@@ -1,5 +1,5 @@
 // Mini-Dask: a delayed task graph with a dynamic dependency-driven
-// distributed scheduler, plus the Bag collection API (Sec. 3.2).
+// distributed scheduler (Sec. 3.2).
 //
 // Semantics reproduced from Dask:
 //  * delayed() wraps a function call into a graph node; nothing runs
@@ -7,7 +7,6 @@
 //  * The scheduler is dynamic: a task becomes runnable the moment its
 //    inputs finish — there are no stage barriers (contrast with Spark's
 //    stage-oriented DAGScheduler, Sec. 3.4 "Scheduling").
-//  * Bag<T> provides map/filter/fold over partitioned collections.
 //
 // Tasks run for real on worker threads; the client records task counts
 // and data-movement volumes for the comparison benches. A configurable
@@ -15,7 +14,6 @@
 // 95% memory (Sec. 4.3.3).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -25,7 +23,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "mdtask/engines/core.h"
@@ -311,178 +308,6 @@ class DaskClient {
   trace::Tracer* tracer_ = nullptr;        ///< guarded by mu_
   trace::Track client_track_{};
   std::vector<trace::Track> tracks_;       ///< per worker; guarded by mu_
-};
-
-/// A partitioned collection, Dask-Bag style.
-template <typename T>
-class Bag {
- public:
-  /// Builds a bag of `partitions` slices of `data`.
-  static Bag from_sequence(DaskClient& client, std::vector<T> data,
-                           std::size_t partitions) {
-    partitions = std::max<std::size_t>(1, partitions);
-    Bag bag(&client);
-    auto shared = std::make_shared<std::vector<T>>(std::move(data));
-    const std::size_t n = shared->size();
-    for (std::size_t p = 0; p < partitions; ++p) {
-      bag.parts_.push_back(client.submit([shared, p, partitions, n] {
-        const std::size_t base = n / partitions;
-        const std::size_t extra = n % partitions;
-        const std::size_t begin = p * base + std::min(p, extra);
-        const std::size_t len = base + (p < extra ? 1 : 0);
-        return std::vector<T>(
-            shared->begin() + static_cast<std::ptrdiff_t>(begin),
-            shared->begin() + static_cast<std::ptrdiff_t>(begin + len));
-      }));
-    }
-    return bag;
-  }
-
-  std::size_t partitions() const noexcept { return parts_.size(); }
-
-  /// Element-wise map; each partition becomes one task (no barrier:
-  /// downstream tasks start as soon as their partition is ready).
-  template <typename F>
-  auto map(F f) const -> Bag<std::invoke_result_t<F, const T&>> {
-    using U = std::invoke_result_t<F, const T&>;
-    Bag<U> out(client_);
-    for (const auto& part : parts_) {
-      out.parts_.push_back(
-          client_->submit(
-              [f](const std::vector<T>& xs) {
-                std::vector<U> ys;
-                ys.reserve(xs.size());
-                for (const T& x : xs) ys.push_back(f(x));
-                return ys;
-              },
-              part));
-    }
-    return out;
-  }
-
-  /// Whole-partition map (the PSA/LF kernel entry point).
-  template <typename F>
-  auto map_partitions(F f) const
-      -> Bag<typename std::invoke_result_t<F, const std::vector<T>&>::
-                 value_type> {
-    using U =
-        typename std::invoke_result_t<F, const std::vector<T>&>::value_type;
-    Bag<U> out(client_);
-    for (const auto& part : parts_) {
-      out.parts_.push_back(client_->submit(f, part));
-    }
-    return out;
-  }
-
-  template <typename F>
-  Bag<T> filter(F pred) const {
-    Bag<T> out(client_);
-    for (const auto& part : parts_) {
-      out.parts_.push_back(
-          client_->submit(
-              [pred](const std::vector<T>& xs) {
-                std::vector<T> ys;
-                for (const T& x : xs) {
-                  if (pred(x)) ys.push_back(x);
-                }
-                return ys;
-              },
-              part));
-    }
-    return out;
-  }
-
-  /// Tree-fold: per-partition fold tasks, then pairwise combine tasks —
-  /// the aggregation runs inside the graph, not on the client.
-  template <typename Acc, typename FoldF, typename CombineF>
-  Future<Acc> fold(Acc init, FoldF fold_f, CombineF combine_f) const {
-    std::vector<Future<Acc>> layer;
-    layer.reserve(parts_.size());
-    for (const auto& part : parts_) {
-      layer.push_back(client_->submit(
-          [init, fold_f](const std::vector<T>& xs) {
-            Acc acc = init;
-            for (const T& x : xs) acc = fold_f(std::move(acc), x);
-            return acc;
-          },
-          part));
-    }
-    if (layer.empty()) {
-      return client_->submit([init] { return init; });
-    }
-    while (layer.size() > 1) {
-      std::vector<Future<Acc>> next;
-      for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
-        next.push_back(client_->submit(
-            [combine_f](const Acc& a, const Acc& b) {
-              return combine_f(a, b);
-            },
-            layer[i], layer[i + 1]));
-      }
-      if (layer.size() % 2 == 1) next.push_back(layer.back());
-      layer = std::move(next);
-    }
-    return layer.front();
-  }
-
-  /// Per-distinct-value counts (Dask Bag's frequencies): per-partition
-  /// hash maps merged by a tree of combine tasks, all inside the graph.
-  /// Requires std::hash<T> and operator==.
-  Future<std::unordered_map<T, std::size_t>> frequencies() const {
-    using Counts = std::unordered_map<T, std::size_t>;
-    std::vector<Future<Counts>> layer;
-    layer.reserve(parts_.size());
-    for (const auto& part : parts_) {
-      layer.push_back(client_->submit(
-          [](const std::vector<T>& xs) {
-            Counts counts;
-            for (const T& x : xs) ++counts[x];
-            return counts;
-          },
-          part));
-    }
-    if (layer.empty()) {
-      return client_->submit([] { return Counts{}; });
-    }
-    while (layer.size() > 1) {
-      std::vector<Future<Counts>> next;
-      for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
-        next.push_back(client_->submit(
-            [](const Counts& a, const Counts& b) {
-              Counts merged = a;
-              for (const auto& [k, n] : b) merged[k] += n;
-              return merged;
-            },
-            layer[i], layer[i + 1]));
-      }
-      if (layer.size() % 2 == 1) next.push_back(layer.back());
-      layer = std::move(next);
-    }
-    return layer.front();
-  }
-
-  /// Gathers every partition to the client (Dask's compute()).
-  std::vector<T> compute() const {
-    std::vector<T> out;
-    for (const auto& part : parts_) {
-      const auto& xs = part.get();
-      out.insert(out.end(), xs.begin(), xs.end());
-    }
-    return out;
-  }
-
-  /// The per-partition futures (for custom graph wiring).
-  const std::vector<Future<std::vector<T>>>& partitions_futures() const {
-    return parts_;
-  }
-
- private:
-  template <typename U>
-  friend class Bag;
-  explicit Bag(DaskClient* client) : client_(client) {}
-
-  DaskClient* client_;
-  std::vector<Future<std::vector<T>>> parts_;
 };
 
 }  // namespace mdtask::dask

@@ -4,7 +4,7 @@
 // the same SPMD programming model inside one process: run_spmd() launches
 // one thread per rank, each executing the same function, communicating
 // via typed point-to-point messages and collectives (Bcast, Gather,
-// Reduce, Allreduce, Scatter, Barrier, Alltoall).
+// Reduce, Allreduce, Allgather, Barrier).
 //
 // Two broadcast algorithms are provided — linear (root sends to each
 // rank, cost growing linearly with P, the behaviour the paper observes
@@ -48,12 +48,6 @@ struct CommStats {
 namespace detail {
 class World;  // shared mailboxes + barrier state
 
-/// Probes a mailbox without blocking; used by RecvRequest::test().
-bool world_try_collect(World& world, int dest, int source, int tag,
-                       std::vector<std::uint8_t>& out);
-std::vector<std::uint8_t> world_collect(World& world, int dest, int source,
-                                        int tag);
-
 /// Unpacks a received payload into whole elements of T. An empty payload
 /// copies nothing: its data() may be null, which memcpy forbids even for
 /// zero bytes.
@@ -66,32 +60,6 @@ std::vector<T> unpack(const std::vector<std::uint8_t>& bytes) {
   return out;
 }
 }  // namespace detail
-
-class Communicator;
-
-/// Handle to a posted nonblocking receive (MPI_Irecv analogue). wait()
-/// blocks for the message; test() polls. Single-consumer: call wait()
-/// or a successful test() exactly once.
-template <typename T>
-class RecvRequest {
- public:
-  /// True once the message has arrived (and retrieves it).
-  bool test();
-  /// Blocks until the message arrives and returns the payload.
-  std::vector<T> wait();
-
- private:
-  friend class Communicator;
-  RecvRequest(detail::World* world, int dest, int source, int tag)
-      : world_(world), dest_(dest), source_(source), tag_(tag) {}
-
-  detail::World* world_;
-  int dest_;
-  int source_;
-  int tag_;
-  bool done_ = false;
-  std::vector<T> payload_;
-};
 
 /// A rank's handle to the communicator. Each rank's function receives its
 /// own Communicator; all methods are callable only from that rank's
@@ -131,22 +99,6 @@ class Communicator {
     return recv<T>(source, tag);
   }
 
-  /// Buffered nonblocking send (MPI_Ibsend analogue): the payload is
-  /// delivered to the destination mailbox immediately, so the "request"
-  /// completes at once; provided for source-code symmetry with irecv.
-  template <typename T>
-  void isend(int dest, int tag, std::span<const T> data) {
-    send<T>(dest, tag, data);
-  }
-
-  /// Posts a nonblocking receive; the returned request can be tested or
-  /// waited on while the rank does other work (communication/compute
-  /// overlap).
-  template <typename T>
-  RecvRequest<T> irecv(int source, int tag) {
-    return RecvRequest<T>(world_, rank_, source, tag);
-  }
-
   /// Blocks until every rank has entered the barrier.
   void barrier();
 
@@ -176,22 +128,6 @@ class Communicator {
       send<T>(root, kGatherTag, mine);
     }
     return out;
-  }
-
-  /// Scatters `parts` (root-only, one per rank) and returns this rank's
-  /// part. (MPI_Scatterv.)
-  template <typename T>
-  std::vector<T> scatter(const std::vector<std::vector<T>>& parts, int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto span = collective_span("scatter");
-    if (rank_ == root) {
-      for (int r = 0; r < size_; ++r) {
-        if (r == root) continue;
-        send<T>(r, kScatterTag, parts[static_cast<std::size_t>(r)]);
-      }
-      return parts[static_cast<std::size_t>(root)];
-    }
-    return recv<T>(root, kScatterTag);
   }
 
   /// Element-wise reduce of equal-length vectors to root with `op`.
@@ -251,39 +187,6 @@ class Communicator {
     return out;
   }
 
-  /// All-to-all personalized exchange: send[i] goes to rank i; returns
-  /// the buffers received from every rank (the shuffle primitive).
-  template <typename T>
-  std::vector<std::vector<T>> alltoall(
-      const std::vector<std::vector<T>>& send_parts) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto span = collective_span("alltoall");
-    std::vector<std::vector<T>> out(static_cast<std::size_t>(size_));
-    out[static_cast<std::size_t>(rank_)] =
-        send_parts[static_cast<std::size_t>(rank_)];
-    // Pairwise XOR exchange rounds avoid head-of-line blocking deadlock.
-    // Rounds run to the next power of two so every pair (i, j) meets at
-    // round i ^ j even for non-power-of-two communicator sizes.
-    int rounds = 1;
-    while (rounds < size_) rounds <<= 1;
-    for (int round = 1; round < rounds; ++round) {
-      const int peer = rank_ ^ round;
-      if (peer >= size_) continue;
-      if (rank_ < peer) {
-        send<T>(peer, kAlltoallTag + round,
-                std::span<const T>(send_parts[static_cast<std::size_t>(peer)]));
-        out[static_cast<std::size_t>(peer)] =
-            recv<T>(peer, kAlltoallTag + round);
-      } else {
-        out[static_cast<std::size_t>(peer)] =
-            recv<T>(peer, kAlltoallTag + round);
-        send<T>(peer, kAlltoallTag + round,
-                std::span<const T>(send_parts[static_cast<std::size_t>(peer)]));
-      }
-    }
-    return out;
-  }
-
   /// Communication counters for this rank so far.
   const CommStats& stats() const noexcept { return stats_; }
 
@@ -297,10 +200,8 @@ class Communicator {
         bcast_algorithm_(bcast_algorithm) {}
 
   static constexpr int kGatherTag = -2;
-  static constexpr int kScatterTag = -3;
   static constexpr int kReduceTag = -4;
   static constexpr int kBcastTag = -5;
-  static constexpr int kAlltoallTag = 1 << 20;
 
   template <typename T>
   void bcast_bytes_typed(std::vector<T>& data, int root);
@@ -417,28 +318,6 @@ void Communicator::bcast_bytes_typed(std::vector<T>& data, int root) {
     }
     mask >>= 1;
   }
-}
-
-template <typename T>
-bool RecvRequest<T>::test() {
-  if (done_) return true;
-  std::vector<std::uint8_t> bytes;
-  if (!detail::world_try_collect(*world_, dest_, source_, tag_, bytes)) {
-    return false;
-  }
-  payload_ = detail::unpack<T>(bytes);
-  done_ = true;
-  return true;
-}
-
-template <typename T>
-std::vector<T> RecvRequest<T>::wait() {
-  if (!done_) {
-    payload_ = detail::unpack<T>(
-        detail::world_collect(*world_, dest_, source_, tag_));
-    done_ = true;
-  }
-  return std::move(payload_);
 }
 
 }  // namespace mdtask::mpi

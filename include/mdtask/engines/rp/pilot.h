@@ -164,8 +164,8 @@ class UnitManager {
   SharedFilesystem fs_;
   engines::EngineMetrics metrics_;
   mdtask::ThreadPool agent_;
-  /// Client-side submission counter; atomic because concurrent
-  /// pipelines (AppManager driver threads) submit to the same pilot.
+  /// Client-side submission counter; atomic because several client
+  /// threads may call submit_units on the same pilot at once.
   std::atomic<std::uint64_t> next_unit_index_{0};
   trace::Tracer* tracer_ = nullptr;
   trace::Track client_track_{};

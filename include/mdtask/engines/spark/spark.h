@@ -2,12 +2,12 @@
 // shuffle, broadcast variables and caching (Sec. 3.1 of the paper).
 //
 // Semantics reproduced from Spark:
-//  * RDDs are lazy; transformations (map/filter/flatMap/mapPartitions)
-//    build lineage and fuse into one stage.
-//  * Wide dependencies (reduceByKey/groupByKey) cut stage boundaries:
+//  * RDDs are lazy; transformations (map/mapPartitions) build lineage
+//    and fuse into one stage.
+//  * Wide dependencies (reduceByKey) cut stage boundaries:
 //    the parent stage runs to completion (a barrier), its output is hash
 //    partitioned and "written" for the shuffle, then the child stage runs.
-//  * Actions (collect/reduce/tree_reduce/count) trigger execution.
+//  * Actions (collect/reduce/tree_reduce) trigger execution.
 //    tree_reduce runs Spark's treeReduce shape: each partition folds
 //    inside its own stage, one shuffle stage folds groups of partitions,
 //    and the driver folds what is left.
@@ -90,8 +90,7 @@ struct RddNode : RddBase {
   std::vector<std::optional<std::vector<T>>> cache_slots;
 };
 
-/// Computes one partition of a node honouring its cache; shared by the
-/// member transformations and the free-function transformations below.
+/// Computes one partition of a node honouring its cache.
 template <typename T>
 std::vector<T> materialize_node(SparkContext& ctx, RddNode<T>& node,
                                 std::size_t partition);
@@ -221,46 +220,6 @@ class RDD {
     return RDD<U>(ctx_, std::move(child));
   }
 
-  /// Narrow transformation: keep elements satisfying the predicate.
-  template <typename F>
-  RDD<T> filter(F pred) const {
-    auto parent = node_;
-    auto child = std::make_shared<detail::RddNode<T>>();
-    child->partitions = parent->partitions;
-    child->prepare = parent->prepare;
-    auto* ctx = ctx_;
-    child->compute = [ctx, parent, pred](TaskContext& tc) {
-      std::vector<T> out;
-      for (T& x : materialize(*ctx, *parent, tc)) {
-        if (pred(x)) out.push_back(std::move(x));
-      }
-      return out;
-    };
-    return RDD<T>(ctx_, std::move(child));
-  }
-
-  /// Narrow transformation: one-to-many map.
-  template <typename F>
-  auto flat_map(F f) const
-      -> RDD<typename std::invoke_result_t<F, const T&>::value_type> {
-    using U = typename std::invoke_result_t<F, const T&>::value_type;
-    auto parent = node_;
-    auto child = std::make_shared<detail::RddNode<U>>();
-    child->partitions = parent->partitions;
-    child->prepare = parent->prepare;
-    auto* ctx = ctx_;
-    child->compute = [ctx, parent, f](TaskContext& tc) {
-      std::vector<U> out;
-      for (const T& x : materialize(*ctx, *parent, tc)) {
-        auto ys = f(x);
-        out.insert(out.end(), std::make_move_iterator(ys.begin()),
-                   std::make_move_iterator(ys.end()));
-      }
-      return out;
-    };
-    return RDD<U>(ctx_, std::move(child));
-  }
-
   /// Narrow transformation over whole partitions (the PSA/LF map kernel
   /// entry point; receives the TaskContext for memory accounting).
   template <typename F>
@@ -326,18 +285,10 @@ class RDD {
   template <typename F>
   T tree_reduce(F f) const;
 
-  std::size_t count() const {
-    if (node_->prepare) node_->prepare();
-    auto parts = ctx_->run_stage(*node_);
-    std::size_t n = 0;
-    for (const auto& p : parts) n += p.size();
-    return n;
-  }
-
   SparkContext& context() const noexcept { return *ctx_; }
 
-  // Wide transformations are free functions (need pair detection):
-  // see reduce_by_key / group_by_key below.
+  // The wide transformation is a free function (needs pair detection):
+  // see reduce_by_key below.
   RDD(SparkContext* ctx, std::shared_ptr<detail::RddNode<T>> node)
       : ctx_(ctx), node_(std::move(node)) {}
 
@@ -511,10 +462,9 @@ std::vector<T> materialize_node(SparkContext& ctx, RddNode<T>& node,
 }
 
 /// A shuffle child of `parent` with `buckets` partitions: the stage
-/// boundary of reduce_by_key, repartition and tree_reduce's level. Its
-/// prepare runs the parent's stage, moves each record to bucket
-/// `route(source partition, record index, record)` (the index counts the
-/// stage's records in partition order) and adds the records and their
+/// boundary of reduce_by_key and tree_reduce's level. Its prepare runs
+/// the parent's stage, moves each record to bucket
+/// `route(source partition, record)` and adds the records and their
 /// bytes to the shuffle metrics; its compute applies `reduce` to the
 /// partition's bucket. `reduce` only reads the bucket, so a re-executed
 /// task finds it intact.
@@ -535,7 +485,7 @@ std::shared_ptr<RddNode<T>> shuffle_node(SparkContext& ctx,
     for (std::size_t source = 0; source < map_outputs.size(); ++source) {
       for (T& x : map_outputs[source]) {
         bytes += record_bytes(x);
-        (*shuffle)[route(source, records, x)].push_back(std::move(x));
+        (*shuffle)[route(source, x)].push_back(std::move(x));
         records += 1;
       }
     }
@@ -563,76 +513,13 @@ T RDD<T>::tree_reduce(F f) const {
   const std::size_t buckets = n / scale;
   auto level = detail::shuffle_node(
       *ctx_, folded.node(), buckets,
-      [n, buckets](std::size_t source, std::size_t, const T&) {
+      [n, buckets](std::size_t source, const T&) {
         return source * buckets / n;
       },
       [f](const std::vector<T>& bucket) {
         return detail::fold_values(bucket, f);
       });
   return RDD<T>(ctx_, std::move(level)).reduce(f);
-}
-
-/// Narrow transformation (free function): lazily concatenates two RDDs'
-/// partitions (Spark's union — no shuffle, partition counts add).
-template <typename T>
-RDD<T> union_rdd(const RDD<T>& left, const RDD<T>& right) {
-  auto ln = left.node();
-  auto rn = right.node();
-  auto child = std::make_shared<detail::RddNode<T>>();
-  child->partitions = ln->partitions + rn->partitions;
-  auto lp = ln->prepare;
-  auto rp = rn->prepare;
-  child->prepare = [lp, rp] {
-    if (lp) lp();
-    if (rp) rp();
-  };
-  SparkContext* ctx = &left.context();
-  const std::size_t left_parts = ln->partitions;
-  child->compute = [ctx, ln, rn, left_parts](TaskContext& tc) {
-    if (tc.partition() < left_parts) {
-      return detail::materialize_node(*ctx, *ln, tc.partition());
-    }
-    return detail::materialize_node(*ctx, *rn, tc.partition() - left_parts);
-  };
-  return RDD<T>(ctx, std::move(child));
-}
-
-/// Deterministic Bernoulli sample (Spark's sample(false, fraction, seed)):
-/// keeps each element with probability `fraction`, reproducibly.
-template <typename T>
-RDD<T> sample_rdd(const RDD<T>& rdd, double fraction, std::uint64_t seed) {
-  auto parent = rdd.node();
-  auto child = std::make_shared<detail::RddNode<T>>();
-  child->partitions = parent->partitions;
-  child->prepare = parent->prepare;
-  SparkContext* ctx = &rdd.context();
-  child->compute = [ctx, parent, fraction, seed](TaskContext& tc) {
-    auto in = detail::materialize_node(*ctx, *parent, tc.partition());
-    std::vector<T> out;
-    std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL *
-                                  (tc.partition() + 1));
-    for (T& x : in) {
-      state ^= state << 13;
-      state ^= state >> 7;
-      state ^= state << 17;
-      const double u =
-          static_cast<double>(state >> 11) * 0x1.0p-53;
-      if (u < fraction) out.push_back(std::move(x));
-    }
-    return out;
-  };
-  return RDD<T>(ctx, std::move(child));
-}
-
-/// Wide transformation: removes duplicates via a hash shuffle (Spark's
-/// distinct). Requires std::hash<T> and operator==.
-template <typename T>
-RDD<T> distinct(const RDD<T>& rdd, std::size_t num_partitions) {
-  auto keyed = rdd.map([](const T& x) { return std::make_pair(x, 0); });
-  auto merged =
-      reduce_by_key(keyed, [](int a, int) { return a; }, num_partitions);
-  return merged.map(
-      [](const std::pair<T, int>& kv) { return kv.first; });
 }
 
 /// Wide transformation: groups (K, V) pairs by key with a hash shuffle
@@ -644,7 +531,7 @@ RDD<std::pair<K, V>> reduce_by_key(const RDD<std::pair<K, V>>& rdd, F f,
   num_partitions = std::max<std::size_t>(1, num_partitions);
   auto child = detail::shuffle_node(
       rdd.context(), rdd.node(), num_partitions,
-      [num_partitions](std::size_t, std::size_t, const std::pair<K, V>& kv) {
+      [num_partitions](std::size_t, const std::pair<K, V>& kv) {
         return std::hash<K>{}(kv.first) % num_partitions;
       },
       [f](const std::vector<std::pair<K, V>>& bucket) {
@@ -662,74 +549,6 @@ RDD<std::pair<K, V>> reduce_by_key(const RDD<std::pair<K, V>>& rdd, F f,
         return out;
       });
   return RDD<std::pair<K, V>>(&rdd.context(), std::move(child));
-}
-
-/// Wide transformation: redistributes elements round-robin into
-/// `num_partitions` partitions (Spark's repartition — a full shuffle).
-/// This is how the paper's Leaflet Finder moved from 1024 to 42k tasks
-/// when cdist memory demanded finer partitioning (Sec. 4.3).
-template <typename T>
-RDD<T> repartition(const RDD<T>& rdd, std::size_t num_partitions) {
-  num_partitions = std::max<std::size_t>(1, num_partitions);
-  auto child = detail::shuffle_node(
-      rdd.context(), rdd.node(), num_partitions,
-      [num_partitions](std::size_t, std::size_t index, const T&) {
-        return index % num_partitions;
-      },
-      [](const std::vector<T>& bucket) { return bucket; });
-  return RDD<T>(&rdd.context(), std::move(child));
-}
-
-/// Wide transformation: inner join of two pair RDDs on key (Spark's
-/// join). Produces one output pair per matching (left, right) value
-/// combination, hash-partitioned into `num_partitions`.
-template <typename K, typename V, typename W>
-RDD<std::pair<K, std::pair<V, W>>> join(const RDD<std::pair<K, V>>& left,
-                                        const RDD<std::pair<K, W>>& right,
-                                        std::size_t num_partitions) {
-  // Tag each side, group by key across both inputs, then emit the cross
-  // product of the per-key sides (textbook hash join on the shuffle).
-  struct Tagged {
-    bool is_left;
-    V v;
-    W w;
-  };
-  auto tag_left = left.map([](const std::pair<K, V>& kv) {
-    return std::make_pair(kv.first, Tagged{true, kv.second, W{}});
-  });
-  auto tag_right = right.map([](const std::pair<K, W>& kv) {
-    return std::make_pair(kv.first, Tagged{false, V{}, kv.second});
-  });
-  auto grouped = group_by_key(union_rdd(tag_left, tag_right),
-                              num_partitions);
-  return grouped.flat_map(
-      [](const std::pair<K, std::vector<Tagged>>& kv) {
-        std::vector<std::pair<K, std::pair<V, W>>> out;
-        for (const Tagged& l : kv.second) {
-          if (!l.is_left) continue;
-          for (const Tagged& r : kv.second) {
-            if (r.is_left) continue;
-            out.emplace_back(kv.first, std::make_pair(l.v, r.w));
-          }
-        }
-        return out;
-      });
-}
-
-/// Wide transformation: full grouping (values vector per key).
-template <typename K, typename V>
-RDD<std::pair<K, std::vector<V>>> group_by_key(
-    const RDD<std::pair<K, V>>& rdd, std::size_t num_partitions) {
-  auto lifted = rdd.map([](const std::pair<K, V>& kv) {
-    return std::make_pair(kv.first, std::vector<V>{kv.second});
-  });
-  return reduce_by_key(
-      lifted,
-      [](std::vector<V> a, const std::vector<V>& b) {
-        a.insert(a.end(), b.begin(), b.end());
-        return a;
-      },
-      num_partitions);
 }
 
 }  // namespace mdtask::spark

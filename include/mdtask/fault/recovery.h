@@ -170,7 +170,6 @@ class RecoveryLog {
   std::size_t membership_size() const;
   std::size_t autoscale_size() const;
   std::size_t exchange_size() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;

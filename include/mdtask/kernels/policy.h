@@ -26,7 +26,7 @@ namespace mdtask::kernels {
 
 enum class KernelPolicy { kScalar = 0, kVectorized = 1 };
 
-/// Number of policies; sized for per-policy calibration arrays.
+/// Number of policies.
 inline constexpr std::size_t kPolicyCount = 2;
 
 /// All policies in enum order (for sweeps in tests and benches).

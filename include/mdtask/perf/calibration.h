@@ -7,18 +7,15 @@
 // `core_speed` then rescales them to the simulated testbed.
 #pragma once
 
-#include <array>
-#include <cstddef>
-
-#include "mdtask/kernels/policy.h"
-
 namespace mdtask::perf {
 
 /// Seconds-per-unit costs of the analysis kernels on the host.
 struct KernelCosts {
   /// Hausdorff pair: seconds per (frame-pair comparison x atom), i.e.
   /// cost(pair) = hausdorff_unit * 2 * frames^2 * atoms. Timed on the two
-  /// directed scans, which evaluate all 2 * frames^2 pairs as Alg. 1 does.
+  /// exact (kScalar) directed scans, which evaluate all 2 * frames^2
+  /// pairs as Alg. 1 does; the DES reproduces the paper's unvectorized
+  /// pipelines, so the batch kernels' SIMD tier never enters it.
   double hausdorff_unit = 0.0;
   /// cdist: seconds per materialized matrix element.
   double cdist_element = 0.0;
@@ -36,22 +33,6 @@ struct KernelCosts {
   double rmsd2d_atom_naive = 0.0;
   /// Same, optimized kernel (the "Intel -O3" build of Fig. 6).
   double rmsd2d_atom_optimized = 0.0;
-
-  // ---- per-tier distance-kernel figures (mdtask/kernels) ----
-  // Indexed by static_cast<std::size_t>(kernels::KernelPolicy); measured
-  // from the same workloads as the scalar figures above so the speedup
-  // ratios are directly comparable.
-
-  /// Hausdorff pair cost per (frame-pair x atom) under each policy.
-  std::array<double, kernels::kPolicyCount> hausdorff_unit_by_policy{};
-  /// 2D-RMSD cost per (frame-pair x atom) under each policy.
-  std::array<double, kernels::kPolicyCount> rmsd2d_atom_by_policy{};
-
-  /// Which policy produced the scalar figures the simulations charge
-  /// (hausdorff_unit, cdist_element, rmsd2d_atom_*). Always kScalar:
-  /// the DES reproduces the paper's unvectorized Python/C++ pipelines,
-  /// so the virtual-time curves are unaffected by the batch kernels.
-  kernels::KernelPolicy simulation_policy = kernels::KernelPolicy::kScalar;
 };
 
 /// Runs the micro-measurements (a few hundred ms total). Deterministic

@@ -43,7 +43,6 @@ enum class ExchangeTopology {
   /// exchanges.
   kAllPairs,
 };
-const char* to_string(ExchangeTopology topology) noexcept;
 
 /// The science-side parameters of one RepEx run. Shared verbatim by the
 /// four live engines and the DES twin; everything seeded derives from

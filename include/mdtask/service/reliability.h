@@ -81,7 +81,6 @@ enum class BrownoutLevel : std::uint8_t {
   kShrinkBatch = 2,     ///< force-flush open batches (no delay windows)
   kServeStale = 3,      ///< answer misses from stale same-analysis entries
 };
-const char* to_string(BrownoutLevel level) noexcept;
 
 struct BrownoutConfig {
   bool enabled = false;

@@ -71,10 +71,6 @@ class AnalysisService {
   /// are force-flushed first so nothing waits out a delay window).
   void drain();
 
-  /// Evicts every cached answer computed against `fingerprint` (a
-  /// re-ingested store invalidates its results). Returns evictions.
-  std::size_t invalidate_store(std::uint64_t fingerprint);
-
   /// Registers the store at `path` with its content fingerprint. When
   /// the path was ingested before under a DIFFERENT fingerprint (the
   /// file was rewritten), every cached answer computed against the old
@@ -83,10 +79,6 @@ class AnalysisService {
   /// on first ingest or when the fingerprint is unchanged).
   std::size_t ingest_store(const std::string& path,
                            std::uint64_t fingerprint);
-  /// Convenience overload fingerprinting a shard store's header info
-  /// (stream::ShardStoreInfo) via store_fingerprint().
-  std::size_t ingest_store(const std::string& path,
-                           const stream::ShardStoreInfo& info);
 
   /// Mirrors chaos-failure / recovery decisions into `log` (the shared
   /// fault vocabulary; scope EngineId::kService). Call before

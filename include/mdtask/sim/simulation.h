@@ -327,10 +327,6 @@ struct ClusterSpec {
   std::size_t total_cores() const noexcept {
     return cores_used != 0 ? cores_used : nodes * machine.cores_per_node;
   }
-  /// Effective compute throughput of one node in "host cores",
-  /// accounting for hyper-threading and relative core speed, when every
-  /// logical core is in use.
-  double effective_cores_per_node() const noexcept;
   /// Effective throughput of the cores actually used: the physical cores
   /// of each node fill up first; extra logical (hyper-thread) cores
   /// contribute at the machine's hyperthread_efficiency.

@@ -34,11 +34,6 @@ struct PsaRunConfig : EngineOptions {
   /// (the paper generates one task per core).
   std::size_t block_size = 0;
   PsaMetric metric = PsaMetric::kHausdorff;
-  /// Hausdorff kernel tier the map tasks compute their blocks with
-  /// (mdtask/kernels/policy.h). The default, kScalar, reproduces the
-  /// seed's arithmetic bit-for-bit; kVectorized is the opt-in SIMD tier
-  /// (~1e-6 relative).
-  kernels::KernelPolicy kernel_policy = kernels::default_policy();
 };
 
 struct PsaRunResult {

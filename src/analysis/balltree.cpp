@@ -155,11 +155,4 @@ void BallTree::query_radius(traj::Vec3 q, double radius,
   if (!nodes_.empty()) query(0, q, radius, out);
 }
 
-std::vector<std::uint32_t> BallTree::query_radius(traj::Vec3 q,
-                                                  double radius) const {
-  std::vector<std::uint32_t> out;
-  query_radius(q, radius, out);
-  return out;
-}
-
 }  // namespace mdtask::analysis

@@ -115,13 +115,6 @@ std::vector<std::uint32_t> cut_impl(
 
 }  // namespace
 
-std::vector<std::uint32_t> cut_dendrogram(const Dendrogram& dendrogram,
-                                          double threshold) {
-  return cut_impl(dendrogram, [&](std::size_t s) {
-    return dendrogram.steps[s].distance <= threshold;
-  });
-}
-
 std::vector<std::uint32_t> cut_into_clusters(const Dendrogram& dendrogram,
                                              std::size_t k) {
   k = std::clamp<std::size_t>(k, 1, std::max<std::size_t>(1,

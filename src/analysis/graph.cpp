@@ -242,16 +242,6 @@ PartialComponents merge_partials_by_edges(const PartialComponents& a,
   return partial_components(as_edges);
 }
 
-ComponentLabels labels_from_partial(std::size_t n_vertices,
-                                    const PartialComponents& part) {
-  UnionFind uf(n_vertices);
-  for (const VertexRoot& vr : part.vertex_root) uf.unite(vr.vertex, vr.root);
-  ComponentLabels labels(n_vertices);
-  for (std::uint32_t v = 0; v < n_vertices; ++v) labels[v] = uf.find(v);
-  canonicalize_labels(labels);
-  return labels;
-}
-
 std::size_t component_count(const ComponentLabels& labels) {
   std::vector<std::uint32_t> uniq(labels.begin(), labels.end());
   std::sort(uniq.begin(), uniq.end());

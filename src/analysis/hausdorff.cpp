@@ -114,14 +114,4 @@ HausdorffProfile hausdorff_early_break_profiled(const traj::Trajectory& t1,
   return p;
 }
 
-HausdorffProfile hausdorff_naive_profiled(const traj::Trajectory& t1,
-                                          const traj::Trajectory& t2) {
-  return hausdorff_naive_profiled(t1, t2, kernels::default_policy());
-}
-
-HausdorffProfile hausdorff_early_break_profiled(const traj::Trajectory& t1,
-                                                const traj::Trajectory& t2) {
-  return hausdorff_early_break_profiled(t1, t2, kernels::default_policy());
-}
-
 }  // namespace mdtask::analysis

@@ -64,11 +64,6 @@ MetricsSnapshot MetricsWindow::snapshot(double now_s) const {
   return snap;
 }
 
-std::uint64_t MetricsWindow::completed() const {
-  std::lock_guard lk(mu_);
-  return completed_;
-}
-
 void MetricsWindow::reset() {
   std::lock_guard lk(mu_);
   window_.clear();

@@ -104,10 +104,6 @@ void ThreadPool::enable_tracing(trace::Tracer& tracer, std::uint32_t pid,
   tracer_.store(&tracer, std::memory_order_release);
 }
 
-std::size_t ThreadPool::queued() const {
-  return queued_.load(std::memory_order_seq_cst);
-}
-
 ThreadPool::StealCounters ThreadPool::steal_counters() const {
   StealCounters out;
   out.deque_steals = deque_steals_.load(std::memory_order_relaxed);

@@ -29,20 +29,6 @@ class World {
     box.cv.notify_all();
   }
 
-  bool try_collect(int dest, int source, int tag,
-                   std::vector<std::uint8_t>& out) {
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(dest)];
-    std::lock_guard lk(box.mu);
-    for (auto it = box.messages.begin(); it != box.messages.end(); ++it) {
-      if (it->source == source && it->tag == tag) {
-        out = std::move(it->data);
-        box.messages.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-
   std::vector<std::uint8_t> collect(int dest, int source, int tag) {
     Mailbox& box = mailboxes_[static_cast<std::size_t>(dest)];
     std::unique_lock lk(box.mu);
@@ -90,16 +76,6 @@ class World {
   int barrier_count_ = 0;
   std::uint64_t barrier_generation_ = 0;
 };
-
-bool world_try_collect(World& world, int dest, int source, int tag,
-                       std::vector<std::uint8_t>& out) {
-  return world.try_collect(dest, source, tag, out);
-}
-
-std::vector<std::uint8_t> world_collect(World& world, int dest, int source,
-                                        int tag) {
-  return world.collect(dest, source, tag);
-}
 
 }  // namespace detail
 

@@ -262,14 +262,6 @@ std::size_t RecoveryLog::exchange_size() const {
   return exchange_.size();
 }
 
-void RecoveryLog::clear() {
-  std::lock_guard lk(mu_);
-  events_.clear();
-  membership_.clear();
-  autoscale_.clear();
-  exchange_.clear();
-}
-
 void CheckpointStore::set_cost_model(CheckpointCostModel model) {
   std::lock_guard lk(mu_);
   cost_model_ = model;

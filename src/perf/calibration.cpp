@@ -46,11 +46,11 @@ std::vector<traj::Vec3> random_cloud(std::size_t n, std::uint64_t seed) {
 KernelCosts calibrate_kernels() {
   KernelCosts costs;
 
-  // Hausdorff: two 24-frame, 512-atom trajectories, once per policy.
-  // The simulations charge the scalar figure (simulation_policy). Alg. 1
-  // as the paper ran it evaluates every frame pair in both directions,
-  // so the two directed scans are timed, not the one-pass naive kernel
-  // that computes each distance once.
+  // Hausdorff: two 24-frame, 512-atom trajectories, exact kScalar tier:
+  // the DES reproduces the paper's unvectorized pipelines. Alg. 1 as the
+  // paper ran it evaluates every frame pair in both directions, so the
+  // two directed scans are timed, not the one-pass naive kernel that
+  // computes each distance once.
   {
     traj::ProteinTrajectoryParams p;
     p.frames = 24;
@@ -62,20 +62,16 @@ KernelCosts calibrate_kernels() {
     const double units =
         2.0 * static_cast<double>(p.frames) * p.frames * p.atoms;
     volatile double sink = 0.0;
-    for (const auto policy : kernels::kAllPolicies) {
-      const double t = median_time(5, [&] {
-        const auto pa = kernels::pack_trajectory(a);
-        const auto pb = kernels::pack_trajectory(b);
-        sink = sink + std::max(kernels::hausdorff_directed_packed(
-                                   pa, pb, /*early_break=*/false, policy),
-                               kernels::hausdorff_directed_packed(
-                                   pb, pa, /*early_break=*/false, policy));
-      });
-      costs.hausdorff_unit_by_policy[static_cast<std::size_t>(policy)] =
-          t / units;
-    }
-    costs.hausdorff_unit = costs.hausdorff_unit_by_policy[
-        static_cast<std::size_t>(costs.simulation_policy)];
+    const auto policy = kernels::KernelPolicy::kScalar;
+    const double t = median_time(5, [&] {
+      const auto pa = kernels::pack_trajectory(a);
+      const auto pb = kernels::pack_trajectory(b);
+      sink = sink + std::max(kernels::hausdorff_directed_packed(
+                                 pa, pb, /*early_break=*/false, policy),
+                             kernels::hausdorff_directed_packed(
+                                 pb, pa, /*early_break=*/false, policy));
+    });
+    costs.hausdorff_unit = t / units;
   }
 
   // cdist: 512 x 512 block.
@@ -161,20 +157,6 @@ KernelCosts calibrate_kernels() {
     });
     costs.rmsd2d_atom_optimized =
         opt / (pairs * static_cast<double>(p.atoms));
-
-    // Batch rmsd2d kernel per policy (packing cost included, as the
-    // tiled comparator pays it per block).
-    const kernels::FramePack pa = kernels::pack_trajectory(t1);
-    const kernels::FramePack pb = kernels::pack_trajectory(t2);
-    std::vector<double> matrix(static_cast<std::size_t>(p.frames) * p.frames);
-    for (const auto policy : kernels::kAllPolicies) {
-      const double t = median_time(3, [&] {
-        kernels::rmsd2d_packed(pa, pb, policy, matrix);
-        sink = sink + matrix.back();
-      });
-      costs.rmsd2d_atom_by_policy[static_cast<std::size_t>(policy)] =
-          t / (pairs * static_cast<double>(p.atoms));
-    }
   }
 
   return costs;

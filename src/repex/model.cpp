@@ -34,14 +34,6 @@ std::size_t window_frames(const RepexParams& params) {
 
 }  // namespace
 
-const char* to_string(ExchangeTopology topology) noexcept {
-  switch (topology) {
-    case ExchangeTopology::kNearestNeighbour: return "nearest-neighbour";
-    case ExchangeTopology::kAllPairs: return "all-pairs";
-  }
-  return "?";
-}
-
 double RepexParams::beta(std::size_t slot) const noexcept {
   if (replicas <= 1) return beta_lo;
   const double t = static_cast<double>(slot) /

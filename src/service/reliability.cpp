@@ -14,16 +14,6 @@ double deadline_budget_s(const DeadlineConfig& config,
   return config.for_class(request.tenant_class);
 }
 
-const char* to_string(BrownoutLevel level) noexcept {
-  switch (level) {
-    case BrownoutLevel::kNormal: return "normal";
-    case BrownoutLevel::kShedBestEffort: return "shed-best-effort";
-    case BrownoutLevel::kShrinkBatch: return "shrink-batch";
-    case BrownoutLevel::kServeStale: return "serve-stale";
-  }
-  return "?";
-}
-
 std::size_t DegradationController::enter_depth(
     BrownoutLevel level) const noexcept {
   switch (level) {

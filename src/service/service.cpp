@@ -257,11 +257,6 @@ void AnalysisService::drain() {
   --draining_;
 }
 
-std::size_t AnalysisService::invalidate_store(std::uint64_t fingerprint) {
-  std::lock_guard lk(mu_);
-  return pipeline_.invalidate_store(fingerprint);
-}
-
 std::size_t AnalysisService::ingest_store(const std::string& path,
                                           std::uint64_t fingerprint) {
   std::lock_guard lk(mu_);
@@ -270,11 +265,6 @@ std::size_t AnalysisService::ingest_store(const std::string& path,
   const std::uint64_t stale = it->second;
   it->second = fingerprint;
   return pipeline_.invalidate_store(stale);
-}
-
-std::size_t AnalysisService::ingest_store(
-    const std::string& path, const stream::ShardStoreInfo& info) {
-  return ingest_store(path, store_fingerprint(info));
 }
 
 void AnalysisService::set_recovery_log(fault::RecoveryLog* log) {

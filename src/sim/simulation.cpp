@@ -220,15 +220,6 @@ double NetworkModel::bcast_torrent_s(std::uint64_t bytes,
   return point_to_point_s(bytes) + depth * latency_s * 10.0;
 }
 
-double ClusterSpec::effective_cores_per_node() const noexcept {
-  const double physical =
-      static_cast<double>(machine.physical_cores_per_node);
-  const double logical = static_cast<double>(machine.cores_per_node);
-  const double extra = logical - physical;
-  return machine.core_speed *
-         (physical + std::max(0.0, extra) * machine.hyperthread_efficiency);
-}
-
 double ClusterSpec::total_effective_cores() const noexcept {
   const double used_per_node =
       static_cast<double>(total_cores()) / static_cast<double>(nodes);

@@ -27,21 +27,20 @@ struct MatrixEntry {
 };
 
 std::vector<MatrixEntry> compute_block_entries(
-    const traj::Ensemble& ensemble, const PsaBlock& block, PsaMetric metric,
-    kernels::KernelPolicy policy) {
+    const traj::Ensemble& ensemble, const PsaBlock& block, PsaMetric metric) {
   std::vector<MatrixEntry> out;
   out.reserve(block.pair_count());
   DistanceMatrix scratch(ensemble.size());
   switch (metric) {
     case PsaMetric::kHausdorff:
       analysis::compute_psa_block(ensemble, block,
-                                  analysis::HausdorffKernel::kNaive, policy,
-                                  scratch);
+                                  analysis::HausdorffKernel::kNaive,
+                                  kernels::default_policy(), scratch);
       break;
     case PsaMetric::kHausdorffEarlyBreak:
       analysis::compute_psa_block(ensemble, block,
                                   analysis::HausdorffKernel::kEarlyBreak,
-                                  policy, scratch);
+                                  kernels::default_policy(), scratch);
       break;
     case PsaMetric::kFrechet:
       analysis::compute_psa_block_frechet(ensemble, block, scratch);
@@ -99,8 +98,7 @@ struct PsaStreamState {
     return true;
   }
 
-  std::vector<MatrixEntry> compute(const PsaBlock& block, PsaMetric metric,
-                                   kernels::KernelPolicy policy) {
+  std::vector<MatrixEntry> compute(const PsaBlock& block, PsaMetric metric) {
     traj::Ensemble local(trajectories);
     bool ok = true;
     for (std::size_t i = block.row_begin; i < block.row_end && ok; ++i) {
@@ -110,7 +108,7 @@ struct PsaStreamState {
       if (local[j].frames() == 0) ok = load_into(local, j);
     }
     if (!ok) return {};  // failed read: the block contributes nothing
-    return compute_block_entries(local, block, metric, policy);
+    return compute_block_entries(local, block, metric);
   }
 };
 
@@ -118,10 +116,9 @@ struct PsaStreamState {
 /// the in-memory ensemble otherwise.
 std::vector<MatrixEntry> run_block(const traj::Ensemble& ensemble,
                                    const PsaBlock& block, PsaMetric metric,
-                                   kernels::KernelPolicy policy,
                                    PsaStreamState* stream) {
-  if (stream != nullptr) return stream->compute(block, metric, policy);
-  return compute_block_entries(ensemble, block, metric, policy);
+  if (stream != nullptr) return stream->compute(block, metric);
+  return compute_block_entries(ensemble, block, metric);
 }
 
 PsaRunResult run_psa_mpi(const traj::Ensemble& ensemble, std::size_t n,
@@ -142,8 +139,8 @@ PsaRunResult run_psa_mpi(const traj::Ensemble& ensemble, std::size_t n,
         for (std::size_t b = static_cast<std::size_t>(comm.rank());
              b < blocks.size();
              b += static_cast<std::size_t>(comm.size())) {
-          auto entries = run_block(ensemble, blocks[b], config.metric,
-                                   config.kernel_policy, stream);
+          auto entries =
+              run_block(ensemble, blocks[b], config.metric, stream);
           mine.insert(mine.end(), entries.begin(), entries.end());
         }
         auto gathered = comm.gather<MatrixEntry>(mine, 0);
@@ -172,15 +169,14 @@ PsaRunResult run_psa_spark(const traj::Ensemble& ensemble, std::size_t n,
   WallTimer timer;
   const std::size_t n_blocks = blocks.size();
   const auto metric = config.metric;
-  const auto policy = config.kernel_policy;
   auto entries =
       sc.parallelize(std::move(blocks), n_blocks)
-          .map_partitions([shared, metric, policy,
-                           stream](spark::TaskContext&,
-                                   std::vector<PsaBlock>& mine) {
+          .map_partitions([shared, metric, stream](
+                              spark::TaskContext&,
+                              std::vector<PsaBlock>& mine) {
             std::vector<MatrixEntry> out;
             for (const auto& block : mine) {
-              auto part = run_block(**shared, block, metric, policy, stream);
+              auto part = run_block(**shared, block, metric, stream);
               out.insert(out.end(), part.begin(), part.end());
             }
             return out;
@@ -206,8 +202,7 @@ PsaRunResult run_psa_dask(const traj::Ensemble& ensemble, std::size_t n,
   for (const auto& block : blocks) {
     // One delayed function per block task, exactly the paper's Dask PSA.
     futures.push_back(client.submit([&ensemble, block, &config, stream] {
-      return run_block(ensemble, block, config.metric, config.kernel_policy,
-                       stream);
+      return run_block(ensemble, block, config.metric, stream);
     }));
   }
   PsaRunResult result;
@@ -232,11 +227,9 @@ PsaRunResult run_psa_rp(const traj::Ensemble& ensemble, std::size_t n,
     descriptions.push_back(rp::ComputeUnitDescription{
         .name = "psa_block_" + std::to_string(b),
         .executable =
-            [&ensemble, block = blocks[b], metric = config.metric,
-             policy = config.kernel_policy, out_path,
+            [&ensemble, block = blocks[b], metric = config.metric, out_path,
              stream](rp::SharedFilesystem& fs) {
-              auto entries =
-                  run_block(ensemble, block, metric, policy, stream);
+              auto entries = run_block(ensemble, block, metric, stream);
               ByteWriter writer;
               writer.put_span<MatrixEntry>(entries);
               fs.put(out_path, std::move(writer).take());

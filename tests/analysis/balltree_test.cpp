@@ -32,6 +32,13 @@ std::vector<std::uint32_t> brute_force(const std::vector<Vec3>& pts, Vec3 q,
   return out;
 }
 
+// The points within `r` of `q`, collected into a fresh vector.
+std::vector<std::uint32_t> query(const BallTree& tree, Vec3 q, double r) {
+  std::vector<std::uint32_t> out;
+  tree.query_radius(q, r, out);
+  return out;
+}
+
 class BallTreeParamTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BallTreeParamTest, MatchesBruteForceAcrossLeafSizes) {
@@ -43,7 +50,7 @@ TEST_P(BallTreeParamTest, MatchesBruteForceAcrossLeafSizes) {
                  static_cast<float>(rng.uniform(-2, 22)),
                  static_cast<float>(rng.uniform(-2, 22))};
     const double r = rng.uniform(0.1, 6.0);
-    auto got = tree.query_radius(q, r);
+    auto got = query(tree, q, r);
     auto want = brute_force(pts, q, r);
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, want) << "leaf=" << GetParam() << " trial=" << trial;
@@ -57,32 +64,32 @@ TEST(BallTreeTest, EmptyTree) {
   const std::vector<Vec3> none;
   const BallTree tree(none);
   EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.query_radius({0, 0, 0}, 100.0).empty());
+  EXPECT_TRUE(query(tree, {0, 0, 0}, 100.0).empty());
 }
 
 TEST(BallTreeTest, SinglePoint) {
   const std::vector<Vec3> one = {{1, 1, 1}};
   const BallTree tree(one);
-  EXPECT_EQ(tree.query_radius({1, 1, 1}, 0.0).size(), 1u);
-  EXPECT_TRUE(tree.query_radius({5, 5, 5}, 1.0).empty());
+  EXPECT_EQ(query(tree, {1, 1, 1}, 0.0).size(), 1u);
+  EXPECT_TRUE(query(tree, {5, 5, 5}, 1.0).empty());
 }
 
 TEST(BallTreeTest, DuplicatePointsAllReported) {
   const std::vector<Vec3> pts(10, Vec3{2, 2, 2});
   const BallTree tree(pts, 2);
-  EXPECT_EQ(tree.query_radius({2, 2, 2}, 0.5).size(), 10u);
+  EXPECT_EQ(query(tree, {2, 2, 2}, 0.5).size(), 10u);
 }
 
 TEST(BallTreeTest, RadiusIsInclusive) {
   const std::vector<Vec3> pts = {{0, 0, 0}, {3, 0, 0}};
   const BallTree tree(pts);
-  EXPECT_EQ(tree.query_radius({0, 0, 0}, 3.0).size(), 2u);
+  EXPECT_EQ(query(tree, {0, 0, 0}, 3.0).size(), 2u);
 }
 
 TEST(BallTreeTest, ZeroRadiusFindsExactMatchesOnly) {
   const auto pts = random_points(100, 9);
   const BallTree tree(pts, 4);
-  const auto hits = tree.query_radius(pts[17], 0.0);
+  const auto hits = query(tree, pts[17], 0.0);
   ASSERT_GE(hits.size(), 1u);
   for (auto h : hits) EXPECT_EQ(pts[h], pts[17]);
 }
@@ -101,7 +108,7 @@ TEST(BallTreeTest, BilayerNeighboursMatchBruteForce) {
   const BallTree tree(b.positions, 16);
   const double cutoff = traj::default_cutoff(p);
   for (std::uint32_t i = 0; i < 20; ++i) {
-    auto got = tree.query_radius(b.positions[i], cutoff);
+    auto got = query(tree, b.positions[i], cutoff);
     auto want = brute_force(b.positions, b.positions[i], cutoff);
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, want);

@@ -67,20 +67,6 @@ INSTANTIATE_TEST_SUITE_P(Linkages, LinkageTest,
                                            Linkage::kComplete,
                                            Linkage::kAverage));
 
-TEST(ClusteringTest, ThresholdCutMatchesGroups) {
-  auto r = hierarchical_cluster(two_groups(), Linkage::kAverage);
-  ASSERT_TRUE(r.ok());
-  const auto labels = cut_dendrogram(r.value(), 2.0);
-  EXPECT_EQ(labels[0], labels[2]);
-  EXPECT_NE(labels[0], labels[3]);
-  // Cut below every merge: all singletons.
-  const auto singletons = cut_dendrogram(r.value(), 0.1);
-  for (std::uint32_t v = 0; v < 5; ++v) EXPECT_EQ(singletons[v], v);
-  // Cut above everything: one cluster.
-  const auto one = cut_dendrogram(r.value(), 100.0);
-  for (auto l : one) EXPECT_EQ(l, one[0]);
-}
-
 TEST(ClusteringTest, CutIntoKExtremes) {
   auto r = hierarchical_cluster(two_groups(), Linkage::kComplete);
   ASSERT_TRUE(r.ok());
@@ -92,12 +78,12 @@ TEST(ClusteringTest, CutIntoKExtremes) {
 
 TEST(ClusteringTest, SingleLinkageEqualsMstConnectivity) {
   // Single linkage at threshold t clusters exactly like the graph of
-  // pairwise distances <= t (a classic equivalence).
+  // pairwise distances <= t (a classic equivalence). At t = 1.15 that
+  // graph has two components, so the two-cluster cut is the cut at t.
   const auto d = two_groups();
   auto r = hierarchical_cluster(d, Linkage::kSingle);
   ASSERT_TRUE(r.ok());
-  const double t = 1.15;
-  const auto labels = cut_dendrogram(r.value(), t);
+  const auto labels = cut_into_clusters(r.value(), 2);
   // Direct check: 0-1 (1.0) and 1-2 (1.1) <= t so {0,1,2} join; 0-2 is
   // 1.2 > t but transitivity holds through 1.
   EXPECT_EQ(labels[0], labels[2]);

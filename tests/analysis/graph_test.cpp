@@ -159,7 +159,7 @@ TEST(PartialMergeTest, PairwiseTreeMergeEqualsFlatMerge) {
       if (parts.size() % 2 == 1) next.push_back(parts.back());
       parts = std::move(next);
     }
-    const auto tree = labels_from_partial(250, parts.front());
+    const auto tree = merge_partial_components(250, parts);
     const auto flat = connected_components_union_find(250, edges);
     EXPECT_EQ(tree, flat) << "seed " << seed;
   }
@@ -237,7 +237,8 @@ TEST(PartialMergeTest, OutOfContractSummaryThrows) {
 }
 
 TEST(PartialMergeTest, LabelsFromEmptyPartialAllSingletons) {
-  const auto labels = labels_from_partial(5, PartialComponents{});
+  const std::vector<PartialComponents> one_empty(1);
+  const auto labels = merge_partial_components(5, one_empty);
   for (std::uint32_t v = 0; v < 5; ++v) EXPECT_EQ(labels[v], v);
 }
 

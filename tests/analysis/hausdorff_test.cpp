@@ -45,8 +45,10 @@ TEST(HausdorffTest, EarlyBreakEqualsNaive) {
 
 TEST(HausdorffTest, EarlyBreakDoesFewerEvals) {
   const auto a = make_traj(3, 40), b = make_traj(4, 40);
-  const auto naive = hausdorff_naive_profiled(a, b);
-  const auto early = hausdorff_early_break_profiled(a, b);
+  const auto naive =
+      hausdorff_naive_profiled(a, b, kernels::default_policy());
+  const auto early =
+      hausdorff_early_break_profiled(a, b, kernels::default_policy());
   EXPECT_DOUBLE_EQ(naive.distance, early.distance);
   EXPECT_EQ(naive.metric_evals, 2u * 40u * 40u);
   EXPECT_LT(early.metric_evals, naive.metric_evals);

@@ -2,66 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include <vector>
 
 namespace mdtask {
 namespace {
 
-TEST(RunningStatsTest, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStatsTest, SingleValue) {
-  RunningStats s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_EQ(s.mean(), 5.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 5.0);
-  EXPECT_EQ(s.max(), 5.0);
-}
-
-TEST(RunningStatsTest, MatchesBatchFormulas) {
+TEST(MeanTest, AveragesAndEmptyIsZero) {
   const std::vector<double> xs = {1.0, 2.0, 3.5, -4.0, 10.0, 2.25};
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  EXPECT_NEAR(s.mean(), mean(xs), 1e-12);
-  EXPECT_NEAR(s.stddev(), stddev(xs), 1e-12);
-  EXPECT_EQ(s.min(), -4.0);
-  EXPECT_EQ(s.max(), 10.0);
-}
-
-TEST(RunningStatsTest, MergeEqualsSequential) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = 0.37 * i - 3.0;
-    (i < 20 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptyIsIdentity) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double m = a.mean();
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.mean(), m);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_EQ(empty.mean(), m);
+  EXPECT_DOUBLE_EQ(mean(xs), 14.75 / 6.0);
+  EXPECT_EQ(mean({}), 0.0);
 }
 
 TEST(PercentileTest, MedianOfOddCount) {
@@ -81,17 +30,6 @@ TEST(PercentileTest, InterpolatesBetweenValues) {
 
 TEST(PercentileTest, EmptyReturnsZero) {
   EXPECT_EQ(percentile({}, 50.0), 0.0);
-}
-
-TEST(BatchStatsTest, StddevOfConstantIsZero) {
-  const std::vector<double> xs = {4.0, 4.0, 4.0};
-  EXPECT_EQ(stddev(xs), 0.0);
-}
-
-TEST(BatchStatsTest, KnownStddev) {
-  const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  // Sample stddev of this classic set is sqrt(32/7).
-  EXPECT_NEAR(stddev(xs), std::sqrt(32.0 / 7.0), 1e-12);
 }
 
 }  // namespace

@@ -34,16 +34,6 @@ TEST(StealQueueTest, StealBatchTakesOldestUpToMax) {
   EXPECT_EQ(q.size(), 6u);
 }
 
-TEST(StealQueueTest, DrainEmptiesEverythingInFifoOrder) {
-  StealQueue<int> q;
-  for (int i = 0; i < 5; ++i) q.push(i);
-  std::vector<int> out;
-  EXPECT_EQ(q.drain(out), 5u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.drain(out), 0u);
-}
-
 TEST(StealQueueTest, ConcurrentOwnerAndThievesLoseNothing) {
   StealQueue<int> q;
   constexpr int kItems = 20000;

@@ -57,7 +57,6 @@ TEST(ThreadPoolTopoTest, ContendedExternalPostsRunEverything) {
   for (auto& t : posters) t.join();
   pool.wait_idle();
   EXPECT_EQ(ran.load(), kPosters * kJobsEach);
-  EXPECT_EQ(pool.queued(), 0u);
 }
 
 // Satellite: the late-enable gap. Once a tracer is ATTACHED, posts stamp

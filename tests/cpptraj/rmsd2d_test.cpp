@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "mdtask/analysis/hausdorff.h"
 #include "mdtask/analysis/rmsd.h"
 #include "mdtask/traj/generators.h"
 
@@ -42,83 +41,6 @@ TEST(Rmsd2dTest, OptimizedMatchesReference) {
       EXPECT_NEAR(ref[i], opt[i], 1e-9) << "seed " << seed << " i " << i;
     }
   }
-}
-
-TEST(Rmsd2dTest, DispatchSelectsKernel) {
-  const auto a = make_traj(1), b = make_traj(2);
-  EXPECT_EQ(rmsd2d_block(a, b, Rmsd2dKernel::kReference),
-            rmsd2d_block_reference(a, b));
-}
-
-TEST(HausdorffFromMatrixTest, MatchesDirectHausdorff) {
-  const auto a = make_traj(5), b = make_traj(6);
-  const auto m = rmsd2d_block_optimized(a, b);
-  EXPECT_NEAR(hausdorff_from_matrix(m, a.frames(), b.frames()),
-              analysis::hausdorff_naive(a, b), 1e-9);
-}
-
-TEST(HausdorffFromMatrixTest, ZeroMatrixGivesZero) {
-  const std::vector<double> zeros(12, 0.0);
-  EXPECT_DOUBLE_EQ(hausdorff_from_matrix(zeros, 3, 4), 0.0);
-}
-
-class CpptrajPsaTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CpptrajPsaTest, MatchesMdanalysisStylePsaAcrossRankCounts) {
-  traj::ProteinTrajectoryParams p;
-  p.atoms = 12;
-  p.frames = 8;
-  const auto ensemble = traj::make_protein_ensemble(5, p);
-  const auto result =
-      cpptraj_psa(ensemble, GetParam(), Rmsd2dKernel::kOptimized);
-  ASSERT_EQ(result.n, 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_DOUBLE_EQ(result.distances[i * 5 + i], 0.0);
-    for (std::size_t j = i + 1; j < 5; ++j) {
-      EXPECT_NEAR(result.distances[i * 5 + j],
-                  analysis::hausdorff_naive(ensemble[i], ensemble[j]), 1e-9);
-      EXPECT_DOUBLE_EQ(result.distances[i * 5 + j],
-                       result.distances[j * 5 + i]);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, CpptrajPsaTest, ::testing::Values(1, 2, 5, 8));
-
-class Rmsd2dParallelTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(Rmsd2dParallelTest, FrameDistributionMatchesSerial) {
-  const auto a = make_traj(7, 13, 21);
-  const auto b = make_traj(8, 9, 21);
-  const auto serial = rmsd2d_block_optimized(a, b);
-  const auto parallel =
-      rmsd2d_parallel(a, b, GetParam(), Rmsd2dKernel::kOptimized);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_NEAR(parallel[i], serial[i], 1e-12) << "i=" << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, Rmsd2dParallelTest,
-                         ::testing::Values(1, 2, 3, 8, 16));
-
-TEST(Rmsd2dParallelTest, MoreRanksThanFrames) {
-  const auto a = make_traj(1, 3, 5);
-  const auto b = make_traj(2, 3, 5);
-  const auto parallel = rmsd2d_parallel(a, b, 12, Rmsd2dKernel::kReference);
-  EXPECT_EQ(parallel, rmsd2d_block_reference(a, b));
-}
-
-TEST(Rmsd2dParallelTest, EmptyPairGivesEmptyMatrix) {
-  EXPECT_TRUE(rmsd2d_parallel(traj::Trajectory(), traj::Trajectory(), 4,
-                              Rmsd2dKernel::kReference)
-                  .empty());
-}
-
-TEST(CpptrajPsaTest, EmptyEnsemble) {
-  const auto result = cpptraj_psa({}, 4, Rmsd2dKernel::kReference);
-  EXPECT_EQ(result.n, 0u);
-  EXPECT_TRUE(result.distances.empty());
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <string>
 
 namespace mdtask::dask {
 namespace {
@@ -133,100 +131,6 @@ TEST(DaskSpeculationTest, SetValueIsFirstCompletionWins) {
   EXPECT_TRUE(state.set_value(7));
   EXPECT_FALSE(state.set_value(9));
   EXPECT_EQ(state.value(), 7);
-}
-
-TEST(BagTest, FromSequenceComputeRoundTrip) {
-  DaskClient client;
-  std::vector<int> data(37);
-  std::iota(data.begin(), data.end(), 0);
-  auto bag = Bag<int>::from_sequence(client, data, 5);
-  EXPECT_EQ(bag.partitions(), 5u);
-  EXPECT_EQ(bag.compute(), data);
-}
-
-TEST(BagTest, MapAndFilter) {
-  DaskClient client;
-  std::vector<int> data(20);
-  std::iota(data.begin(), data.end(), 0);
-  auto out = Bag<int>::from_sequence(client, data, 4)
-                 .map([](const int& x) { return x * 3; })
-                 .filter([](const int& x) { return x % 2 == 0; })
-                 .compute();
-  for (int x : out) {
-    EXPECT_EQ(x % 3, 0);
-    EXPECT_EQ(x % 2, 0);
-  }
-  EXPECT_EQ(out.size(), 10u);
-}
-
-TEST(BagTest, FoldTreeReduction) {
-  DaskClient client;
-  std::vector<int> data(101);
-  std::iota(data.begin(), data.end(), 0);
-  auto total = Bag<int>::from_sequence(client, data, 7)
-                   .fold(0, [](int acc, const int& x) { return acc + x; },
-                         [](int a, int b) { return a + b; });
-  EXPECT_EQ(total.get(), 100 * 101 / 2);
-}
-
-TEST(BagTest, MapPartitionsSeesWholePartition) {
-  DaskClient client;
-  std::vector<int> data(10);
-  auto sizes =
-      Bag<int>::from_sequence(client, data, 3)
-          .map_partitions([](const std::vector<int>& xs) {
-            return std::vector<std::size_t>{xs.size()};
-          })
-          .compute();
-  EXPECT_EQ(sizes.size(), 3u);
-  EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), 0u), 10u);
-}
-
-TEST(BagTest, EmptyBagFoldReturnsInit) {
-  DaskClient client;
-  auto total = Bag<int>::from_sequence(client, {}, 3)
-                   .fold(100, [](int acc, const int& x) { return acc + x; },
-                         [](int a, int b) { return a + b; });
-  // Like Dask, fold applies `init` once per partition: 3 empty partition
-  // folds each yield 100, and the combine tree sums them.
-  EXPECT_EQ(total.get(), 300);
-}
-
-TEST(BagTest, TypeChangingMap) {
-  DaskClient client;
-  auto out = Bag<int>::from_sequence(client, {1, 2, 3}, 2)
-                 .map([](const int& x) { return std::to_string(x); })
-                 .compute();
-  EXPECT_EQ(out, (std::vector<std::string>{"1", "2", "3"}));
-}
-
-TEST(BagTest, FrequenciesCountsDistinctValues) {
-  DaskClient client;
-  std::vector<int> data;
-  for (int i = 0; i < 60; ++i) data.push_back(i % 3);
-  auto counts =
-      Bag<int>::from_sequence(client, data, 7).frequencies().get();
-  ASSERT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts.at(0), 20u);
-  EXPECT_EQ(counts.at(1), 20u);
-  EXPECT_EQ(counts.at(2), 20u);
-}
-
-TEST(BagTest, FrequenciesOfEmptyBag) {
-  DaskClient client;
-  auto counts = Bag<int>::from_sequence(client, {}, 3).frequencies().get();
-  EXPECT_TRUE(counts.empty());
-}
-
-TEST(BagTest, FrequenciesComposesWithMap) {
-  DaskClient client;
-  std::vector<int> data = {1, 2, 3, 4, 5, 6};
-  auto counts = Bag<int>::from_sequence(client, data, 2)
-                    .map([](const int& x) { return x % 2; })
-                    .frequencies()
-                    .get();
-  EXPECT_EQ(counts.at(0), 3u);
-  EXPECT_EQ(counts.at(1), 3u);
 }
 
 }  // namespace

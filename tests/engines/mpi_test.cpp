@@ -130,18 +130,6 @@ TEST(GatherTest, VariableLengthContributions) {
   });
 }
 
-TEST(ScatterTest, EachRankGetsItsPart) {
-  run_spmd(3, [](Communicator& comm) {
-    std::vector<std::vector<int>> parts;
-    if (comm.rank() == 0) {
-      parts = {{0}, {1, 1}, {2, 2, 2}};
-    }
-    auto mine = comm.scatter<int>(parts, 0);
-    EXPECT_EQ(mine.size(), static_cast<std::size_t>(comm.rank()) + 1);
-    for (int x : mine) EXPECT_EQ(x, comm.rank());
-  });
-}
-
 TEST(ReduceTest, ElementwiseSum) {
   run_spmd(5, [](Communicator& comm) {
     std::vector<int> mine = {comm.rank(), 1};
@@ -163,28 +151,6 @@ TEST(AllreduceTest, EveryRankGetsTheResult) {
     EXPECT_DOUBLE_EQ(prod[0], 24.0);  // 1*2*3*4
   });
 }
-
-class AlltoallTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(AlltoallTest, PersonalizedExchange) {
-  const int ranks = GetParam();
-  run_spmd(ranks, [ranks](Communicator& comm) {
-    std::vector<std::vector<int>> outgoing(
-        static_cast<std::size_t>(ranks));
-    for (int dest = 0; dest < ranks; ++dest) {
-      outgoing[static_cast<std::size_t>(dest)] = {comm.rank() * 100 + dest};
-    }
-    auto incoming = comm.alltoall(outgoing);
-    ASSERT_EQ(incoming.size(), static_cast<std::size_t>(ranks));
-    for (int src = 0; src < ranks; ++src) {
-      EXPECT_EQ(incoming[static_cast<std::size_t>(src)],
-                (std::vector<int>{src * 100 + comm.rank()}));
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, AlltoallTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8));
 
 TEST(BarrierTest, RepeatedBarriersStayInLockstep) {
   std::atomic<int> phase_counter{0};
@@ -228,39 +194,6 @@ TEST(StatsTest, LinearBcastBytesGrowWithRanks) {
   };
   // Root send volume scales ~linearly with P (Fig. 8's MPI behaviour).
   EXPECT_GT(total_bytes(8), 3 * total_bytes(2));
-}
-
-TEST(NonblockingTest, IrecvOverlapsWork) {
-  run_spmd(2, [](Communicator& comm) {
-    if (comm.rank() == 0) {
-      comm.isend<int>(1, 5, std::vector<int>{9, 8, 7});
-    } else {
-      auto request = comm.irecv<int>(0, 5);
-      // Do "work" while the message is (already or soon) in flight.
-      int acc = 0;
-      for (int i = 0; i < 1000; ++i) acc += i;
-      EXPECT_EQ(acc, 499500);
-      EXPECT_EQ(request.wait(), (std::vector<int>{9, 8, 7}));
-    }
-  });
-}
-
-TEST(NonblockingTest, TestPollsWithoutBlocking) {
-  run_spmd(2, [](Communicator& comm) {
-    if (comm.rank() == 1) {
-      auto request = comm.irecv<int>(0, 6);
-      // Nothing sent yet on tag 6 until after the barrier.
-      EXPECT_FALSE(request.test());
-      comm.barrier();
-      // Sender has now delivered; poll until it lands.
-      while (!request.test()) {
-      }
-      EXPECT_EQ(request.wait(), (std::vector<int>{42}));
-    } else {
-      comm.barrier();
-      comm.isend<int>(1, 6, std::vector<int>{42});
-    }
-  });
 }
 
 TEST(AllgatherTest, EveryRankSeesAllContributions) {

@@ -93,8 +93,6 @@ TEST(RecoveryLogTest, RecordsAndRendersEvents) {
       events[0].to_string(),
       "spark task=12 attempt=0 fault=worker-oom-kill "
       "action=reexecute-lineage");
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
 }
 
 TEST(RecoveryLogTest, CanonicalOrderIsInterleavingIndependent) {
@@ -139,8 +137,6 @@ TEST(RecoveryLogTest, ExchangeRecordsRenderEngineFree) {
   // stream must be byte-identical across engines and live-vs-DES.
   EXPECT_EQ(events[0].to_string(),
             "repex round=2 pair=1/2 configs=3/0 accept=1");
-  log.clear();
-  EXPECT_EQ(log.exchange_size(), 0u);
 }
 
 TEST(RecoveryLogTest, CanonicalInterleavesExchangeAndRecoveryLines) {

@@ -182,8 +182,8 @@ TEST(BallTreePolicyTest, QueriesIdenticalAcrossPolicies) {
 
 TEST(Rmsd2dKernelTest, TiledAgreesWithReference) {
   const auto a = make_traj(30, 20, 24), b = make_traj(31, 22, 24);
-  const auto ref = cpptraj::rmsd2d_block(a, b, cpptraj::Rmsd2dKernel::kReference);
-  const auto tiled = cpptraj::rmsd2d_block(a, b, cpptraj::Rmsd2dKernel::kTiled);
+  const auto ref = cpptraj::rmsd2d_block_reference(a, b);
+  const auto tiled = cpptraj::rmsd2d_block_tiled(a, b);
   ASSERT_EQ(ref.size(), tiled.size());
   for (std::size_t k = 0; k < ref.size(); ++k) {
     EXPECT_NEAR(tiled[k], ref[k], kVecRelTol * std::max(ref[k], 1.0));

@@ -291,10 +291,12 @@ TEST(ServiceReliabilityTest, InvalidateStoreForcesRecomputation) {
         jobs.fetch_add(1);
         return echo_executor(job);
       });
+  EXPECT_EQ(service.ingest_store("store", 5), 0u);
   ASSERT_TRUE(service.submit(make_request(1, 5)).get().ok());
   ASSERT_TRUE(service.submit(make_request(2, 5)).get().ok());
   EXPECT_EQ(jobs.load(), 1u);  // second was a cache hit
-  EXPECT_EQ(service.invalidate_store(5), 1u);
+  // Rewriting the store under a new fingerprint evicts the old answer.
+  EXPECT_EQ(service.ingest_store("store", 6), 1u);
   ASSERT_TRUE(service.submit(make_request(3, 5)).get().ok());
   EXPECT_EQ(jobs.load(), 2u);  // re-ingested store recomputes
 }

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "mdtask/analysis/observables.h"
+#include <cmath>
+
 #include "mdtask/traj/generators.h"
 
 namespace mdtask::workflows {
@@ -18,6 +19,26 @@ std::string engine_id(EngineKind kind) {
   return "Unknown";
 }
 
+// A sample per-frame observable: the radius of gyration about the
+// frame's centroid.
+const FrameObservable kRadiusOfGyration =
+    [](std::span<const traj::Vec3> frame) {
+      if (frame.empty()) return 0.0;
+      double x = 0, y = 0, z = 0;
+      for (const auto& p : frame) {
+        x += p.x;
+        y += p.y;
+        z += p.z;
+      }
+      const double n = static_cast<double>(frame.size());
+      double sum = 0.0;
+      for (const auto& p : frame) {
+        const double dx = p.x - x / n, dy = p.y - y / n, dz = p.z - z / n;
+        sum += dx * dx + dy * dy + dz * dz;
+      }
+      return std::sqrt(sum / n);
+    };
+
 traj::Trajectory make_traj(std::size_t frames = 25) {
   traj::ProteinTrajectoryParams p;
   p.frames = frames;
@@ -29,30 +50,24 @@ class FrameSeriesEngineTest : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(FrameSeriesEngineTest, RadiusOfGyrationSeriesMatchesSerial) {
   const auto t = make_traj();
-  const FrameObservable rog = [](std::span<const traj::Vec3> frame) {
-    return analysis::radius_of_gyration(frame);
-  };
   FrameSeriesConfig config;
   config.workers = 3;
-  const auto result = run_frame_series(GetParam(), t, rog, config);
+  const auto result =
+      run_frame_series(GetParam(), t, kRadiusOfGyration, config);
   ASSERT_EQ(result.series.size(), t.frames());
   for (std::size_t f = 0; f < t.frames(); ++f) {
-    EXPECT_DOUBLE_EQ(result.series[f],
-                     analysis::radius_of_gyration(t.frame(f)));
+    EXPECT_DOUBLE_EQ(result.series[f], kRadiusOfGyration(t.frame(f)));
   }
   EXPECT_GT(result.metrics.tasks, 1u);
 }
 
 TEST_P(FrameSeriesEngineTest, BlockSizeDoesNotChangeValues) {
   const auto t = make_traj(17);
-  const FrameObservable extent = [](std::span<const traj::Vec3> frame) {
-    return analysis::bounding_radius(frame);
-  };
   FrameSeriesConfig coarse, fine;
   coarse.frame_block = 17;
   fine.frame_block = 1;
-  const auto a = run_frame_series(GetParam(), t, extent, coarse);
-  const auto b = run_frame_series(GetParam(), t, extent, fine);
+  const auto a = run_frame_series(GetParam(), t, kRadiusOfGyration, coarse);
+  const auto b = run_frame_series(GetParam(), t, kRadiusOfGyration, fine);
   EXPECT_EQ(a.series, b.series);
   EXPECT_EQ(b.metrics.tasks, 17u);
 }
@@ -77,10 +92,8 @@ TEST(FrameSeriesTest, CrossFrameReduceOnTopOfParallelMap) {
   // The HiMach pattern: parallel per-frame map, then a cheap cross-frame
   // reduce at the driver (here: the frame index of the maximum Rg).
   const auto t = make_traj(30);
-  const auto result = run_frame_series(
-      EngineKind::kSpark, t, [](std::span<const traj::Vec3> frame) {
-        return analysis::radius_of_gyration(frame);
-      });
+  const auto result =
+      run_frame_series(EngineKind::kSpark, t, kRadiusOfGyration);
   std::size_t argmax = 0;
   for (std::size_t f = 1; f < result.series.size(); ++f) {
     if (result.series[f] > result.series[argmax]) argmax = f;
