@@ -101,15 +101,6 @@ class StragglerSpeculationPolicy : public Policy {
     std::uint64_t min_completed = 8;
     /// Floor on the threshold, guarding against degenerate tiny p95.
     double min_threshold_s = 0.0;
-    /// Distinguish "slow core" from "slow task" on heterogeneous
-    /// machines: the engine compares each in-flight copy's wall age
-    /// SCALED BY its core's speed multiplier against the threshold, and
-    /// records speed-normalized latencies into the window. A task at
-    /// 2x wall age on a 0.5x core is exactly on schedule and is NOT
-    /// speculated; the same age on a 1.0x core is. No effect on
-    /// homogeneous pools (all multipliers 1.0), so defaults/published
-    /// runs are unchanged.
-    bool core_class_aware = false;
   };
 
   StragglerSpeculationPolicy() = default;

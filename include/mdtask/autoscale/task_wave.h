@@ -87,17 +87,12 @@ struct TaskWaveOutcome {
 ///    resize.
 ///  * `controller` ticks every tick_interval_s virtual seconds when
 ///    enabled; its scale-downs use the engine's default departure.
-///  * `core_speeds` (optional) gives the pool's slots speed multipliers
-///    (sim::Resource::set_speeds); pair with
-///    speculation.core_class_aware to stop the controller from
-///    backup-copying tasks that are merely sitting on slow cores.
 TaskWaveOutcome simulate_task_wave(
     std::size_t cores, const std::vector<double>& durations,
     const fault::FaultPlan& plan, fault::EngineId engine,
     fault::RecoveryLog* log = nullptr,
     const fault::MembershipPlan* membership = nullptr,
     std::vector<PoolSample>* pool_timeline = nullptr,
-    const AdaptiveConfig& controller = {},
-    std::vector<double> core_speeds = {});
+    const AdaptiveConfig& controller = {});
 
 }  // namespace mdtask::autoscale

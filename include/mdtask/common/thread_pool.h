@@ -87,18 +87,13 @@ class ThreadPool {
 
   /// Cumulative work-stealing statistics: how often idle workers found
   /// work by stealing from another worker's deque or by grabbing from
-  /// the shared overflow queue, and how long the successful victim
-  /// sweeps took. When tracing is enabled every successful steal also
-  /// samples `pool:steal*` counters on the thief's track, so trace
-  /// summaries surface the same data (docs/OBSERVABILITY.md).
+  /// the shared overflow queue. When tracing is enabled every successful
+  /// steal also samples `pool:steal*` counters on the thief's track,
+  /// the latency of its victim sweep among them (docs/OBSERVABILITY.md).
   struct StealCounters {
     std::uint64_t deque_steals = 0;    ///< jobs stolen from worker deques
     std::uint64_t overflow_grabs = 0;  ///< batched overflow-queue grabs
     std::uint64_t overflow_jobs = 0;   ///< jobs taken by those grabs
-    /// Successful-sweep latency (sweep start to steal) across deque
-    /// steals; total/max in microseconds.
-    double steal_latency_total_us = 0.0;
-    double steal_latency_max_us = 0.0;
   };
 
   /// Snapshot of the cumulative steal statistics.
@@ -142,13 +137,10 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;  ///< joined at teardown
 
-  /// Cumulative steal statistics (steal_counters()); latencies are
-  /// kept in integer nanoseconds so the hot path stays fetch_add-only.
+  /// Cumulative steal statistics (steal_counters()).
   std::atomic<std::uint64_t> deque_steals_{0};
   std::atomic<std::uint64_t> overflow_grabs_{0};
   std::atomic<std::uint64_t> overflow_jobs_{0};
-  std::atomic<std::uint64_t> steal_latency_total_ns_{0};
-  std::atomic<std::uint64_t> steal_latency_max_ns_{0};
 
   std::atomic<trace::Tracer*> tracer_{nullptr};
 };

@@ -71,8 +71,7 @@ struct ServiceInterval {
 ///
 /// Servers are numbered slots: the initial servers are 0..n-1, every
 /// added server takes the next fresh number, and an idle request takes
-/// the lowest-numbered free slot. The slot fixes a hold's speed
-/// (set_speeds) and its trace track.
+/// the lowest-numbered free slot. The slot fixes a hold's trace track.
 class Resource {
  public:
   /// Handle of one hold, from acquire() until the hold completes or is
@@ -103,18 +102,8 @@ class Resource {
                  std::string server_prefix = "core",
                  std::string span_name = "task");
 
-  /// Per-server speed multipliers (heterogeneous core classes): slot s
-  /// serves at speeds[s % size] x nominal rate, added slots continuing
-  /// the tiling. Build one with core_speed_schedule. Empty (the
-  /// default) means every server runs at 1.0.
-  void set_speeds(std::vector<double> speeds) { speeds_ = std::move(speeds); }
-  double speed(std::size_t slot) const noexcept {
-    return speeds_.empty() ? 1.0 : speeds_[slot % speeds_.size()];
-  }
-
-  /// Requests one server for `work` seconds of nominal service (the hold
-  /// lasts work / speed of the slot it lands on); `on_complete` fires
-  /// when the hold ends. May queue.
+  /// Requests one server for `work` seconds of service; `on_complete`
+  /// fires when the hold ends. May queue.
   HoldId acquire(double work, Simulation::Callback on_complete);
 
   /// Withdraws a hold without firing its on_complete. A queued hold
@@ -172,7 +161,6 @@ class Resource {
     Simulation::Callback on_complete;
     std::uint64_t run = kQueued;  ///< inflight_ key while running
     Placement at;
-    double duration = 0.0;
     std::size_t trace_index = kNpos;
   };
   /// The hold whose completion callback is running: its server still
@@ -205,7 +193,6 @@ class Resource {
   std::size_t next_slot_ = 0;  ///< number of the next added server
   std::size_t to_remove_ = 0;  ///< lazy removals pending
   std::optional<Finishing> finishing_;
-  std::vector<double> speeds_;
   double busy_time_ = 0.0;
   std::vector<ServiceInterval>* trace_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
@@ -268,27 +255,12 @@ struct FileSystemModel {
   }
 };
 
-/// A homogeneous group of cores inside one machine family: `count`
-/// cores running at `speed` x the profile's core_speed. Heterogeneous
-/// (big.LITTLE-style, or thermally throttled) nodes declare several.
-struct CoreClass {
-  const char* name = "core";
-  double speed = 1.0;
-  std::size_t count = 0;
-};
-
 /// A machine family (one paper testbed).
 struct MachineProfile {
   const char* name = "generic";
   std::size_t cores_per_node = 24;
   /// Compute speed relative to the calibration host (1.0 = host speed).
   double core_speed = 1.0;
-  /// Heterogeneous core classes. Empty (the default, and both paper
-  /// testbeds) means every core runs at core_speed — all published
-  /// results are produced with this empty. Non-empty: the classes tile
-  /// in declaration order to give each core slot a speed multiplier
-  /// (see core_speed_schedule).
-  std::vector<CoreClass> core_classes;
   /// Wrangler's 24 cores/node are hyper-threaded (12 physical): the
   /// second thread on a core contributes only this fraction of extra
   /// throughput. Comet's 24 are physical (factor 1).
@@ -305,16 +277,6 @@ struct MachineProfile {
 MachineProfile comet();
 /// TACC Wrangler: 24 hyper-threaded cores/node (12 physical), 128 GB.
 MachineProfile wrangler();
-
-/// Per-core speed multipliers for `cores` slots of `machine`: the
-/// core_classes tile in declaration order (class 0's count slots, then
-/// class 1's, ...), repeating when `cores` exceeds one tiling; a class
-/// with count 0 is skipped. Empty core_classes (or all counts 0) yields
-/// all-1.0 — the homogeneous machines every published figure uses. The
-/// multipliers compose with the profile-wide core_speed, which callers
-/// apply separately.
-std::vector<double> core_speed_schedule(const MachineProfile& machine,
-                                        std::size_t cores);
 
 /// A concrete allocation: nodes x machine.
 struct ClusterSpec {

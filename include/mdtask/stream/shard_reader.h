@@ -1,5 +1,5 @@
 // ShardReader: random access into a sharded store without materializing
-// the trajectory.
+// the trajectory. DecodedStore: one run's decode-once view of a store.
 //
 // open() parses only the header and index; each read_shard() call pulls
 // one shard's stored bytes (pread in kStream mode, memcpy from the
@@ -12,8 +12,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mdtask/common/error.h"
 #include "mdtask/stream/shard_format.h"
@@ -63,16 +66,9 @@ class ShardReader {
   /// trajectory. Checksum mismatches and short reads are kFormatError.
   Result<traj::Trajectory> read_shard(std::size_t s) const;
 
-  /// Reads an arbitrary frame range, touching only the shards that
-  /// overlap it. A range past the last frame (including one whose end
-  /// wraps) is kOutOfRange.
-  Result<traj::Trajectory> read_frames(std::size_t first,
-                                       std::size_t count) const;
-
-  /// Reads the whole trajectory (the in-memory fallback path).
-  Result<traj::Trajectory> read_all() const {
-    return read_frames(0, info_.frames);
-  }
+  /// Reads the whole trajectory (the in-memory fallback path): every
+  /// shard in order, decoded afresh on each call.
+  Result<traj::Trajectory> read_all() const;
 
   /// Stored payload bytes fetched so far (I/O volume, not decoded size).
   std::uint64_t bytes_read() const noexcept {
@@ -100,6 +96,47 @@ class ShardReader {
   mutable std::atomic<std::uint64_t> shards_fetched_{0};
   trace::Tracer* tracer_ = nullptr;
   trace::Track io_track_{};
+};
+
+/// The decoded shards of one store, shared by every task of one
+/// streamed run. The first task to need a shard reads and verifies it
+/// under that shard's lock; later tasks wait there or find it decoded.
+/// Decoded shards live as long as the store, so a run decodes each
+/// shard at most once and holds at most the store's decoded size. A
+/// failed read leaves its shard undecoded, so only verified shards are
+/// shared and the next caller reads it again. The run's first error is
+/// kept for the runner to report once the engine drains.
+class DecodedStore {
+ public:
+  explicit DecodedStore(ShardReader reader)
+      : reader_(std::move(reader)), slots_(reader_.shard_count()) {}
+
+  /// The underlying reader: its byte counters and set_tracer().
+  ShardReader& reader() noexcept { return reader_; }
+
+  /// Frames [first, first + count), copied out of the decoded shards
+  /// the range overlaps. A range past the last frame (including one
+  /// whose end wraps) is kOutOfRange; a shard that does not hold its
+  /// frame is kFormatError. Every failure is also recorded (error()).
+  Result<traj::Trajectory> frames(std::size_t first, std::size_t count);
+
+  /// The first failure any frames() call hit, if one did.
+  std::optional<Error> error() const;
+
+ private:
+  struct Slot {
+    std::mutex mu;
+    std::optional<traj::Trajectory> decoded;
+  };
+
+  /// Shard `s`, read and verified by the first caller that needs it.
+  Result<const traj::Trajectory*> shard(std::size_t s);
+  Error fail(Error e);
+
+  ShardReader reader_;
+  std::vector<Slot> slots_;
+  mutable std::mutex error_mu_;
+  std::optional<Error> error_;
 };
 
 }  // namespace mdtask::stream

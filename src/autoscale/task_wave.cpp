@@ -32,16 +32,14 @@ TaskWaveOutcome simulate_task_wave(
     std::size_t cores, const std::vector<double>& durations,
     const fault::FaultPlan& plan, fault::EngineId engine,
     fault::RecoveryLog* log, const fault::MembershipPlan* membership,
-    std::vector<PoolSample>* pool_timeline, const AdaptiveConfig& controller,
-    std::vector<double> core_speeds) {
+    std::vector<PoolSample>* pool_timeline,
+    const AdaptiveConfig& controller) {
   TaskWaveOutcome outcome;
   cores = std::max<std::size_t>(1, cores);
   const std::size_t n_tasks = durations.size();
   sim::Simulation simulation;
   sim::Resource pool(simulation, cores);
-  pool.set_speeds(std::move(core_speeds));
   const fault::FaultInjector injector(plan, engine);
-  const bool class_aware = controller.speculation.core_class_aware;
 
   std::vector<Task> tasks(n_tasks);
   std::vector<double> latencies(n_tasks, 0.0);
@@ -81,11 +79,7 @@ TaskWaveOutcome simulate_task_wave(
     ++finished;
     const double latency = simulation.now() - t.first_start;
     latencies[task] = latency;
-    // Core-class-aware mode records speed-normalized latencies (the
-    // task's WORK), so a slow core cannot inflate p95 for everyone.
-    window.record_task_duration(
-        class_aware ? latency * pool.speed(pool.running(id)->slot)
-                    : latency);
+    window.record_task_duration(latency);
     // First completion wins: the other copy, running or queued, is
     // cancelled now and its server released.
     for (const HoldId copy : t.copies) {
@@ -196,12 +190,7 @@ TaskWaveOutcome simulate_task_wave(
       if (t.copies.size() != 1) continue;  // finished or backed up already
       const auto at = pool.running(t.copies.front());
       if (!at) continue;  // still queued
-      // Core-class-aware: compare the copy's accomplished WORK-age, not
-      // wall age — a task pacing exactly with its slow core is not a
-      // straggler, only a task slow relative to its own core's speed.
-      const double age =
-          (now - at->start_s) * (class_aware ? pool.speed(at->slot) : 1.0);
-      if (age <= threshold_s) continue;
+      if (now - at->start_s <= threshold_s) continue;
       ++submitted;
       ++outcome.speculative_copies;
       if (log != nullptr) {

@@ -109,29 +109,12 @@ ThreadPool::StealCounters ThreadPool::steal_counters() const {
   out.deque_steals = deque_steals_.load(std::memory_order_relaxed);
   out.overflow_grabs = overflow_grabs_.load(std::memory_order_relaxed);
   out.overflow_jobs = overflow_jobs_.load(std::memory_order_relaxed);
-  out.steal_latency_total_us =
-      static_cast<double>(
-          steal_latency_total_ns_.load(std::memory_order_relaxed)) /
-      1000.0;
-  out.steal_latency_max_us =
-      static_cast<double>(
-          steal_latency_max_ns_.load(std::memory_order_relaxed)) /
-      1000.0;
   return out;
 }
 
 void ThreadPool::note_deque_steal(double latency_us, Slot* thief) {
   const std::uint64_t total =
       deque_steals_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const auto latency_ns =
-      static_cast<std::uint64_t>(std::max(0.0, latency_us) * 1000.0);
-  steal_latency_total_ns_.fetch_add(latency_ns, std::memory_order_relaxed);
-  std::uint64_t prev_max =
-      steal_latency_max_ns_.load(std::memory_order_relaxed);
-  while (prev_max < latency_ns &&
-         !steal_latency_max_ns_.compare_exchange_weak(
-             prev_max, latency_ns, std::memory_order_relaxed)) {
-  }
   trace::Tracer* tracer = tracer_.load(std::memory_order_acquire);
   if (tracer != nullptr && tracer->enabled() &&
       thief->traced.load(std::memory_order_acquire)) {
@@ -213,16 +196,21 @@ void ThreadPool::worker_loop(std::size_t index) {
     if (!got) {
       // Steal FIFO from the other workers, swept in rotation from this
       // worker's own index so thieves spread over different victims.
-      const auto sweep_start = std::chrono::steady_clock::now();
+      // Only a traced worker reads the clock: the sweep's latency feeds
+      // nothing but its pool:steal-latency-us counter.
+      const bool timed = slot->traced.load(std::memory_order_acquire);
+      const auto sweep_start = timed ? std::chrono::steady_clock::now()
+                                     : std::chrono::steady_clock::time_point{};
       const std::size_t n = slots_.size();
       for (std::size_t k = 1; k < n; ++k) {
         if (slots_[(index + k) % n]->deque.steal(job)) {
           got = true;
-          note_deque_steal(std::chrono::duration<double, std::micro>(
-                               std::chrono::steady_clock::now() -
-                               sweep_start)
-                               .count(),
-                           slot);
+          const double latency_us =
+              timed ? std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - sweep_start)
+                          .count()
+                    : 0.0;
+          note_deque_steal(latency_us, slot);
           break;
         }
       }

@@ -76,22 +76,21 @@ void Resource::start(HoldId id) {
   Hold& hold = holds_.at(id);
   hold.at = {simulation_->now(), *free_slots_.begin()};
   free_slots_.erase(free_slots_.begin());
-  hold.duration = hold.work / speed(hold.at.slot);
-  busy_time_ += hold.duration;
+  busy_time_ += hold.work;
   if (trace_) {
     hold.trace_index = trace_->size();
-    trace_->push_back({hold.at.start_s, hold.at.start_s + hold.duration});
+    trace_->push_back({hold.at.start_s, hold.at.start_s + hold.work});
   }
   // The DES knows the full interval at start time, so the span is
   // recorded immediately with virtual timestamps — this is what makes
   // simulated traces deterministic (no wall clock involved).
   if (tracer_ != nullptr) {
     tracer_->complete(track_for(hold.at.slot), span_name_, "task",
-                      hold.at.start_s * 1e6, hold.duration * 1e6);
+                      hold.at.start_s * 1e6, hold.work * 1e6);
   }
   hold.run = next_run_++;
   inflight_.emplace(hold.run, id);
-  simulation_->after(hold.duration,
+  simulation_->after(hold.work,
                      [this, run = hold.run] { finish(run); });
 }
 
@@ -112,7 +111,7 @@ void Resource::finish(std::uint64_t run) {
 
 void Resource::stop(Hold& hold) {
   const double now = simulation_->now();
-  busy_time_ -= std::max(0.0, hold.at.start_s + hold.duration - now);
+  busy_time_ -= std::max(0.0, hold.at.start_s + hold.work - now);
   if (hold.trace_index != kNpos && trace_ != nullptr &&
       hold.trace_index < trace_->size()) {
     (*trace_)[hold.trace_index].end = now;
@@ -265,21 +264,6 @@ MachineProfile wrangler() {
   m.filesystem.stream_Bps = 1.5e9;
   m.filesystem.aggregate_Bps = 1e10;   // = filesystem_Bps
   return m;
-}
-
-std::vector<double> core_speed_schedule(const MachineProfile& machine,
-                                        std::size_t cores) {
-  std::vector<double> schedule(cores, 1.0);
-  // One tiling of the declared classes; skip count-0 entries.
-  std::vector<double> pattern;
-  for (const CoreClass& cls : machine.core_classes) {
-    for (std::size_t i = 0; i < cls.count; ++i) pattern.push_back(cls.speed);
-  }
-  if (pattern.empty()) return schedule;  // homogeneous machine
-  for (std::size_t c = 0; c < cores; ++c) {
-    schedule[c] = pattern[c % pattern.size()];
-  }
-  return schedule;
 }
 
 std::vector<double> utilization_timeline(

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -63,8 +64,8 @@ Result<ShardReader> ShardReader::open(const std::string& path, Mode mode) {
   reader.info_.atoms = static_cast<std::size_t>(fields[1]);
   reader.info_.frames_per_shard = static_cast<std::size_t>(fields[2]);
   const auto shard_count = static_cast<std::size_t>(fields[3]);
-  // The shards must tile the frames exactly: read_frames() maps a frame
-  // to its shard by frames_per_shard alone.
+  // The shards must tile the frames exactly: DecodedStore::frames() maps
+  // a frame to its shard by frames_per_shard alone.
   const std::size_t frames = reader.info_.frames;
   const std::size_t per_shard = reader.info_.frames_per_shard;
   if (frames > 0 && per_shard == 0) {
@@ -251,34 +252,75 @@ Result<traj::Trajectory> ShardReader::read_shard(std::size_t s) const {
   return out;
 }
 
-Result<traj::Trajectory> ShardReader::read_frames(std::size_t first,
-                                                  std::size_t count) const {
-  if (count > info_.frames || first > info_.frames - count) {
-    return Error(ErrorCode::kOutOfRange,
-                 "frame range beyond store: " + path_);
-  }
-  traj::Trajectory out(count, info_.atoms);
-  if (count == 0) return out;
-  const std::size_t frame_bytes = info_.atoms * sizeof(traj::Vec3);
-  auto* dst = reinterpret_cast<std::uint8_t*>(out.data().data());
-  std::size_t s = info_.shard_of_frame(first);
-  std::size_t written = 0;
-  while (written < count) {
+Result<traj::Trajectory> ShardReader::read_all() const {
+  // open() checked that the shards tile the frames and read_shard() each
+  // shard's decoded size, so the shards fill `out` exactly.
+  traj::Trajectory out(info_.frames, info_.atoms);
+  auto dst = out.data().begin();
+  for (std::size_t s = 0; s < shard_count(); ++s) {
     auto shard = read_shard(s);
     if (!shard.ok()) return shard.error();
-    const std::size_t shard_first = info_.shard_first_frame(s);
-    const std::size_t skip = first + written - shard_first;
-    const std::size_t take =
-        std::min(shard.value().frames() - skip, count - written);
-    std::memcpy(dst + written * frame_bytes,
-                reinterpret_cast<const std::uint8_t*>(
-                    shard.value().data().data()) +
-                    skip * frame_bytes,
-                take * frame_bytes);
-    written += take;
-    ++s;
+    dst = std::copy(shard.value().data().begin(), shard.value().data().end(),
+                    dst);
   }
   return out;
+}
+
+Result<traj::Trajectory> DecodedStore::frames(std::size_t first,
+                                              std::size_t count) {
+  const ShardStoreInfo& info = reader_.info();
+  if (count > info.frames || first > info.frames - count) {
+    return fail(Error(ErrorCode::kOutOfRange,
+                      "frame range beyond store: " + reader_.path()));
+  }
+  traj::Trajectory out(count, info.atoms);
+  auto dst = out.data().begin();
+  for (std::size_t f = first; f < first + count;) {
+    const std::size_t s = info.shard_of_frame(f);
+    auto decoded = shard(s);
+    if (!decoded.ok()) return decoded.error();
+    const traj::Trajectory& held = *decoded.value();
+    const std::size_t skip = f - info.shard_first_frame(s);
+    if (skip >= held.frames()) {
+      return fail(Error(ErrorCode::kFormatError,
+                        "shard " + std::to_string(s) +
+                            " does not hold frame " + std::to_string(f) +
+                            ": " + reader_.path()));
+    }
+    const std::size_t take = std::min(held.frames() - skip, first + count - f);
+    const auto from = held.data().subspan(skip * info.atoms, take * info.atoms);
+    dst = std::copy(from.begin(), from.end(), dst);
+    f += take;
+  }
+  return out;
+}
+
+std::optional<Error> DecodedStore::error() const {
+  std::lock_guard lk(error_mu_);
+  return error_;
+}
+
+Result<const traj::Trajectory*> DecodedStore::shard(std::size_t s) {
+  if (s >= slots_.size()) {
+    return fail(Error(ErrorCode::kOutOfRange,
+                      "shard index out of range: " + reader_.path()));
+  }
+  Slot& slot = slots_[s];
+  std::lock_guard lk(slot.mu);
+  if (!slot.decoded.has_value()) {
+    auto read = reader_.read_shard(s);
+    if (!read.ok()) return fail(read.error());
+    slot.decoded = std::move(read).value();
+  }
+  // Written once under the lock and never again, so callers may read it
+  // after the lock is released.
+  return &*slot.decoded;
+}
+
+Error DecodedStore::fail(Error e) {
+  std::lock_guard lk(error_mu_);
+  if (!error_.has_value()) error_ = e;
+  return e;
 }
 
 }  // namespace mdtask::stream

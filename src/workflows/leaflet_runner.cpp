@@ -1,8 +1,6 @@
 #include "mdtask/workflows/leaflet_runner.h"
 
 #include <algorithm>
-#include <mutex>
-#include <optional>
 
 #include "mdtask/analysis/balltree.h"
 #include "mdtask/common/serial.h"
@@ -74,115 +72,43 @@ LfRunResult finish_from_partials(std::size_t n_atoms,
   return result;
 }
 
-/// Shared out-of-core input of one streamed run: every engine task
-/// loads its block's row/col ranges through this reader (points store:
-/// one atom per stored frame). Each shard is read and decoded at most
-/// once per run: the first task to need it reads it under its slot's
-/// lock, later tasks wait there or find it ready, and a task's chunk is
-/// assembled from the decoded shards. Decoded shards live until the run
-/// ends, so a run holds at most the store's decoded size. Read errors
-/// are captured once and surfaced after the engine drains — the failing
-/// task contributes no edges, mirroring how a lost map task looks
-/// before its retry; a failed read leaves its slot empty, so only
-/// verified shards are ever shared.
-struct LfStreamState {
-  struct ShardSlot {
-    std::mutex mu;
-    std::optional<traj::Trajectory> decoded;
-  };
-
-  stream::ShardReader reader;
-  std::vector<ShardSlot> slots;
-  std::mutex mu;
-  std::optional<Error> error;
-
-  explicit LfStreamState(stream::ShardReader r)
-      : reader(std::move(r)), slots(reader.shard_count()) {}
-
-  void fail(Error e) {
-    std::lock_guard lk(mu);
-    if (!error.has_value()) error = std::move(e);
+/// Streamed edge discovery: the block's row/col chunks are read from
+/// the run's store (a points store: one atom per frame) and handed to
+/// the exact span kernels the in-memory path runs. Approach 1 never
+/// reaches here: its broadcast semantics load the store whole at the
+/// driver. A failed read is recorded in the store, and the task
+/// contributes no edges, like a lost map task before its retry.
+std::vector<Edge> discover_streamed(int approach, const MapTask& task,
+                                    double cutoff,
+                                    stream::DecodedStore& store) {
+  const AtomChunk& r = task.block.rows;
+  auto rows = store.frames(r.begin, r.size());
+  if (!rows.ok()) return {};
+  traj::Trajectory cols;
+  if (!task.block.diagonal()) {
+    const AtomChunk& c = task.block.cols;
+    auto read = store.frames(c.begin, c.size());
+    if (!read.ok()) return {};
+    cols = std::move(read).value();
   }
-
-  /// Shard `s`, read and verified by the first task that needs it;
-  /// nullptr (after fail()) when that read fails.
-  const traj::Trajectory* shard(std::size_t s) {
-    if (s >= slots.size()) {
-      fail(Error(ErrorCode::kOutOfRange,
-                 "shard index out of range: " + reader.path()));
-      return nullptr;
-    }
-    ShardSlot& slot = slots[s];
-    std::lock_guard lk(slot.mu);
-    if (!slot.decoded.has_value()) {
-      auto read = reader.read_shard(s);
-      if (!read.ok()) {
-        fail(read.error());
-        return nullptr;
-      }
-      slot.decoded = std::move(read).value();
-    }
-    return &*slot.decoded;
+  const std::span<const Vec3> row_view = rows.value().data();
+  const std::span<const Vec3> col_view =
+      task.block.diagonal() ? row_view : cols.data();
+  if (approach == 4) {
+    return analysis::lf_edges_tree_spans(row_view, col_view, task.block,
+                                         cutoff);
   }
-
-  /// The chunk's positions, one contiguous copy out of the decoded
-  /// shards its atom range overlaps.
-  std::optional<std::vector<Vec3>> load(const AtomChunk& chunk) {
-    const stream::ShardStoreInfo& info = reader.info();
-    std::vector<Vec3> out;
-    out.reserve(chunk.size() * info.atoms);
-    for (std::size_t f = chunk.begin; f < chunk.end;) {
-      const std::size_t s = info.shard_of_frame(f);
-      const traj::Trajectory* decoded = shard(s);
-      if (decoded == nullptr) return std::nullopt;
-      const std::size_t skip = f - info.shard_first_frame(s);
-      if (skip >= decoded->frames()) {  // shards that do not tile frames
-        fail(Error(ErrorCode::kFormatError,
-                   "shard " + std::to_string(s) + " does not hold frame " +
-                       std::to_string(f) + ": " + reader.path()));
-        return std::nullopt;
-      }
-      const std::size_t take =
-          std::min(decoded->frames() - skip, chunk.end - f);
-      const auto from =
-          decoded->data().subspan(skip * info.atoms, take * info.atoms);
-      out.insert(out.end(), from.begin(), from.end());
-      f += take;
-    }
-    return out;
-  }
-
-  /// Streamed edge discovery: the block's row/col spans are read from
-  /// the store and handed to the exact span kernels the in-memory path
-  /// runs (approach 1 never reaches here — its broadcast semantics load
-  /// the store whole at the driver).
-  std::vector<Edge> discover(int approach, const MapTask& task,
-                             double cutoff) {
-    auto rows = load(task.block.rows);
-    if (!rows.has_value()) return {};
-    const std::span<const Vec3> row_view = *rows;
-    std::optional<std::vector<Vec3>> cols;
-    std::span<const Vec3> col_view = row_view;
-    if (!task.block.diagonal()) {
-      cols = load(task.block.cols);
-      if (!cols.has_value()) return {};
-      col_view = *cols;
-    }
-    if (approach == 4) {
-      return analysis::lf_edges_tree_spans(row_view, col_view, task.block,
-                                           cutoff);
-    }
-    return analysis::lf_edges_2d_spans(row_view, col_view, task.block,
-                                       cutoff);
-  }
-};
+  return analysis::lf_edges_2d_spans(row_view, col_view, task.block, cutoff);
+}
 
 /// One map task's edges: from the shared store when streaming, from the
 /// in-memory view otherwise.
 std::vector<Edge> run_discovery(int approach, std::span<const Vec3> view,
                                 const MapTask& task, double cutoff,
-                                LfStreamState* stream) {
-  if (stream != nullptr) return stream->discover(approach, task, cutoff);
+                                stream::DecodedStore* stream) {
+  if (stream != nullptr) {
+    return discover_streamed(approach, task, cutoff, *stream);
+  }
   switch (approach) {
     case 1:
       return analysis::lf_edges_1d(view, task.block.rows, cutoff);
@@ -198,7 +124,7 @@ std::vector<Edge> run_discovery(int approach, std::span<const Vec3> view,
 /// slots (no hashing).
 PartialComponents run_summary(int approach, std::span<const Vec3> view,
                               const MapTask& task, double cutoff,
-                              LfStreamState* stream) {
+                              stream::DecodedStore* stream) {
   return analysis::lf_partial_components(
       run_discovery(approach, view, task, cutoff, stream), task.block);
 }
@@ -208,7 +134,7 @@ PartialComponents run_summary(int approach, std::span<const Vec3> view,
 Result<LfRunResult> run_mpi(int approach, std::span<const Vec3> atoms,
                             std::size_t n_atoms, double cutoff,
                             const LfRunConfig& config,
-                            LfStreamState* stream) {
+                            stream::DecodedStore* stream) {
   const auto tasks = plan_tasks(approach, n_atoms, config.target_tasks);
   LfRunResult result;
   std::atomic<bool> memory_failed{false};
@@ -309,7 +235,7 @@ Result<LfRunResult> run_mpi(int approach, std::span<const Vec3> atoms,
 Result<LfRunResult> run_spark(int approach, std::span<const Vec3> atoms,
                               std::size_t n_atoms, double cutoff,
                               const LfRunConfig& config,
-                              LfStreamState* stream) {
+                              stream::DecodedStore* stream) {
   auto tasks = plan_tasks(approach, n_atoms, config.target_tasks);
   SparkSession session(config,
                        {.task_memory_limit = config.task_memory_limit});
@@ -379,7 +305,7 @@ Result<LfRunResult> run_spark(int approach, std::span<const Vec3> atoms,
 Result<LfRunResult> run_dask(int approach, std::span<const Vec3> atoms,
                              std::size_t n_atoms, double cutoff,
                              const LfRunConfig& config,
-                             LfStreamState* stream) {
+                             stream::DecodedStore* stream) {
   const auto tasks = plan_tasks(approach, n_atoms, config.target_tasks);
   DaskSession session(config,
                       {.task_memory_limit = config.task_memory_limit});
@@ -460,7 +386,7 @@ Result<LfRunResult> run_dask(int approach, std::span<const Vec3> atoms,
 Result<LfRunResult> run_rp(int approach, std::span<const Vec3> atoms,
                            std::size_t n_atoms, double cutoff,
                            const LfRunConfig& config,
-                           LfStreamState* stream) {
+                           stream::DecodedStore* stream) {
   const auto tasks = plan_tasks(approach, n_atoms, config.target_tasks);
   RpSession session(config);
   rp::UnitManager& um = session.engine();
@@ -535,7 +461,7 @@ Result<LfRunResult> dispatch(EngineKind engine, int approach,
                              std::span<const Vec3> atoms,
                              std::size_t n_atoms, double cutoff,
                              const LfRunConfig& config,
-                             LfStreamState* stream) {
+                             stream::DecodedStore* stream) {
   switch (engine) {
     case EngineKind::kMpi:
       return run_mpi(approach, atoms, n_atoms, cutoff, config, stream);
@@ -577,22 +503,28 @@ Result<LfRunResult> run_leaflet_finder_streamed(EngineKind engine,
   }
   auto opened = stream::ShardReader::open(input.path, input.mode);
   if (!opened.ok()) return opened.error();
-  LfStreamState state(std::move(opened).value());
-  if (config.tracer != nullptr) state.reader.set_tracer(config.tracer);
   // Points store: one atom per stored frame.
-  const std::size_t n_atoms = state.reader.frames();
+  if (opened.value().atoms() != 1) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "leaflet finder store holds " +
+                     std::to_string(opened.value().atoms()) +
+                     " atoms per frame, not 1: " + input.path);
+  }
+  stream::DecodedStore store(std::move(opened).value());
+  if (config.tracer != nullptr) store.reader().set_tracer(config.tracer);
+  const std::size_t n_atoms = store.reader().frames();
 
   if (approach == 1) {
     // Broadcast-everything by definition: the store is read once at the
     // driver (the distribute phase the engines then measure) and the
     // run proceeds in-memory.
-    auto all = state.reader.read_all();
+    auto all = store.reader().read_all();
     if (!all.ok()) return all.error();
     auto result = run_leaflet_finder(engine, approach, all.value().data(),
                                      cutoff, config);
     if (!result.ok()) return result;
     LfRunResult run = std::move(result).value();
-    run.metrics.staged_bytes += state.reader.bytes_read();
+    run.metrics.staged_bytes += store.reader().bytes_read();
     return run;
   }
 
@@ -601,11 +533,11 @@ Result<LfRunResult> run_leaflet_finder_streamed(EngineKind engine,
   span.arg_num("approach", approach);
   span.arg_num("atoms", static_cast<double>(n_atoms));
   auto result =
-      dispatch(engine, approach, {}, n_atoms, cutoff, config, &state);
+      dispatch(engine, approach, {}, n_atoms, cutoff, config, &store);
   if (!result.ok()) return result;
-  if (state.error.has_value()) return *state.error;
+  if (auto error = store.error()) return *error;
   LfRunResult run = std::move(result).value();
-  run.metrics.staged_bytes += state.reader.bytes_read();
+  run.metrics.staged_bytes += store.reader().bytes_read();
   return run;
 }
 

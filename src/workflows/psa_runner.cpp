@@ -1,9 +1,7 @@
 #include "mdtask/workflows/psa_runner.h"
 
 #include <cmath>
-#include <mutex>
 #include <numeric>
-#include <optional>
 
 #include "mdtask/common/serial.h"
 #include "mdtask/common/timer.h"
@@ -68,62 +66,37 @@ std::vector<PsaBlock> plan_blocks(std::size_t n_trajectories,
   return std::move(blocks).value();
 }
 
-/// Shared out-of-core input of one streamed PSA run: the store holds
-/// the N trajectories concatenated frame-major; every block task reads
-/// only its row/col trajectories into a sparse local ensemble (the
-/// unneeded slots stay empty) and runs the unchanged block kernel on
-/// it, so values are bit-identical to the in-memory run. Read errors
-/// are captured once and surfaced after the engine drains.
-struct PsaStreamState {
-  stream::ShardReader reader;
-  std::size_t trajectories = 0;
-  std::size_t frames_each = 0;
-  std::mutex mu;
-  std::optional<Error> error;
-
-  explicit PsaStreamState(stream::ShardReader r) : reader(std::move(r)) {}
-
-  void fail(Error e) {
-    std::lock_guard lk(mu);
-    if (!error.has_value()) error = std::move(e);
-  }
-
-  bool load_into(traj::Ensemble& local, std::size_t i) {
-    auto t = reader.read_frames(i * frames_each, frames_each);
-    if (!t.ok()) {
-      fail(t.error());
-      return false;
-    }
-    local[i] = std::move(t).value();
-    return true;
-  }
-
-  std::vector<MatrixEntry> compute(const PsaBlock& block, PsaMetric metric) {
-    traj::Ensemble local(trajectories);
-    bool ok = true;
-    for (std::size_t i = block.row_begin; i < block.row_end && ok; ++i) {
-      ok = load_into(local, i);
-    }
-    for (std::size_t j = block.col_begin; j < block.col_end && ok; ++j) {
-      if (local[j].frames() == 0) ok = load_into(local, j);
-    }
-    if (!ok) return {};  // failed read: the block contributes nothing
-    return compute_block_entries(local, block, metric);
-  }
-};
-
-/// One block task's entries: from the shared store when streaming, from
-/// the in-memory ensemble otherwise.
+/// One block task's entries. In a streamed run the store holds the
+/// ensemble's trajectories concatenated frame-major, and `ensemble`
+/// only sizes the run: the task loads its row/col trajectories into a
+/// sparse local ensemble (the other slots stay empty) and runs the
+/// unchanged block kernel on it, so values are bit-identical to the
+/// in-memory run. A failed load is recorded in the store, and the block
+/// contributes nothing.
 std::vector<MatrixEntry> run_block(const traj::Ensemble& ensemble,
                                    const PsaBlock& block, PsaMetric metric,
-                                   PsaStreamState* stream) {
-  if (stream != nullptr) return stream->compute(block, metric);
-  return compute_block_entries(ensemble, block, metric);
+                                   stream::DecodedStore* stream) {
+  if (stream == nullptr) return compute_block_entries(ensemble, block, metric);
+  const std::size_t frames_each = stream->reader().frames() / ensemble.size();
+  traj::Ensemble local(ensemble.size());
+  const auto load = [&](std::size_t i) {
+    if (local[i].frames() > 0) return true;  // a row that is also a column
+    auto t = stream->frames(i * frames_each, frames_each);
+    if (t.ok()) local[i] = std::move(t).value();
+    return t.ok();
+  };
+  for (std::size_t i = block.row_begin; i < block.row_end; ++i) {
+    if (!load(i)) return {};
+  }
+  for (std::size_t j = block.col_begin; j < block.col_end; ++j) {
+    if (!load(j)) return {};
+  }
+  return compute_block_entries(local, block, metric);
 }
 
 PsaRunResult run_psa_mpi(const traj::Ensemble& ensemble, std::size_t n,
                          const PsaRunConfig& config,
-                         PsaStreamState* stream) {
+                         stream::DecodedStore* stream) {
   const auto blocks = plan_blocks(n, config);
   PsaRunResult result;
   result.matrix = DistanceMatrix(n);
@@ -156,7 +129,7 @@ PsaRunResult run_psa_mpi(const traj::Ensemble& ensemble, std::size_t n,
 
 PsaRunResult run_psa_spark(const traj::Ensemble& ensemble, std::size_t n,
                            const PsaRunConfig& config,
-                           PsaStreamState* stream) {
+                           stream::DecodedStore* stream) {
   auto blocks = plan_blocks(n, config);
   SparkSession session(config);
   spark::SparkContext& sc = session.engine();
@@ -192,7 +165,7 @@ PsaRunResult run_psa_spark(const traj::Ensemble& ensemble, std::size_t n,
 
 PsaRunResult run_psa_dask(const traj::Ensemble& ensemble, std::size_t n,
                           const PsaRunConfig& config,
-                          PsaStreamState* stream) {
+                          stream::DecodedStore* stream) {
   const auto blocks = plan_blocks(n, config);
   DaskSession session(config);
   dask::DaskClient& client = session.engine();
@@ -215,7 +188,7 @@ PsaRunResult run_psa_dask(const traj::Ensemble& ensemble, std::size_t n,
 
 PsaRunResult run_psa_rp(const traj::Ensemble& ensemble, std::size_t n,
                         const PsaRunConfig& config,
-                        PsaStreamState* stream) {
+                        stream::DecodedStore* stream) {
   const auto blocks = plan_blocks(n, config);
   RpSession session(config);
   rp::UnitManager& um = session.engine();
@@ -256,7 +229,7 @@ PsaRunResult run_psa_rp(const traj::Ensemble& ensemble, std::size_t n,
 
 PsaRunResult dispatch(EngineKind engine, const traj::Ensemble& ensemble,
                       std::size_t n, const PsaRunConfig& config,
-                      PsaStreamState* stream) {
+                      stream::DecodedStore* stream) {
   switch (engine) {
     case EngineKind::kMpi: return run_psa_mpi(ensemble, n, config, stream);
     case EngineKind::kSpark:
@@ -297,25 +270,24 @@ Result<PsaRunResult> run_psa_streamed(EngineKind engine,
   }
   auto opened = stream::ShardReader::open(input.path, input.mode);
   if (!opened.ok()) return opened.error();
-  PsaStreamState state(std::move(opened).value());
-  if (state.reader.frames() % input.trajectories != 0) {
+  stream::DecodedStore store(std::move(opened).value());
+  const std::size_t frames = store.reader().frames();
+  if (frames % input.trajectories != 0) {
     return Error(ErrorCode::kInvalidArgument,
-                 "store frames (" + std::to_string(state.reader.frames()) +
+                 "store frames (" + std::to_string(frames) +
                      ") do not divide into " +
                      std::to_string(input.trajectories) +
                      " trajectories: " + input.path);
   }
-  state.trajectories = input.trajectories;
-  state.frames_each = state.reader.frames() / input.trajectories;
-  if (config.tracer != nullptr) state.reader.set_tracer(config.tracer);
+  if (config.tracer != nullptr) store.reader().set_tracer(config.tracer);
 
   trace::Span span = run_span(config.tracer, "psa-streamed", engine);
   span.arg_num("trajectories", static_cast<double>(input.trajectories));
-  const traj::Ensemble empty;
+  const traj::Ensemble slots(input.trajectories);
   PsaRunResult result =
-      dispatch(engine, empty, input.trajectories, config, &state);
-  if (state.error.has_value()) return *state.error;
-  result.metrics.staged_bytes += state.reader.bytes_read();
+      dispatch(engine, slots, input.trajectories, config, &store);
+  if (auto error = store.error()) return *error;
+  result.metrics.staged_bytes += store.reader().bytes_read();
   return result;
 }
 

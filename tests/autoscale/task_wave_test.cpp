@@ -1,9 +1,9 @@
 // The task-wave replay with the controller in the loop: determinism
 // (same seed => byte-identical canonical RecoveryLog and traces on all
 // four engines), the adaptive-beats-static acceptance claim, MPI rigid
-// vetoes, the speculation win on straggler-heavy waves, heterogeneous
-// core classes, and the parity of a controller with every policy gated
-// off against no controller at all.
+// vetoes, the speculation win on straggler-heavy waves, and the parity
+// of a controller with every policy gated off against no controller at
+// all.
 #include "mdtask/autoscale/task_wave.h"
 
 #include <gtest/gtest.h>
@@ -200,87 +200,6 @@ TEST(SimAdaptiveTest, EmptyWaveCompletesImmediately) {
                          nullptr, nullptr, elastic_config());
   EXPECT_DOUBLE_EQ(outcome.makespan_s, 0.0);
   EXPECT_EQ(outcome.speculative_copies, 0u);
-}
-
-TEST(SimAdaptiveHeterogeneousTest, EmptyCoreSpeedsMatchesHomogeneousModel) {
-  // The slot-based server model with no core_speeds — or all-1.0 ones —
-  // must reproduce the homogeneous replay exactly (the published-figure
-  // invariant).
-  const std::vector<double> durations(200, 1.0);
-  const auto run = [&](std::vector<double> speeds) {
-    return simulate_task_wave(16, durations, straggler_plan(),
-                              EngineId::kDask, nullptr, nullptr, nullptr,
-                              elastic_config(), std::move(speeds));
-  };
-  const auto a = simulate_task_wave(16, durations, straggler_plan(),
-                                    EngineId::kDask, nullptr, nullptr,
-                                    nullptr, elastic_config());
-  for (const auto& b : {run({}), run(std::vector<double>(16, 1.0))}) {
-    EXPECT_EQ(a.makespan_s, b.makespan_s);
-    EXPECT_EQ(a.speculative_copies, b.speculative_copies);
-    EXPECT_EQ(a.scale_ups, b.scale_ups);
-    EXPECT_EQ(a.scale_downs, b.scale_downs);
-  }
-}
-
-TEST(SimAdaptiveHeterogeneousTest, SlowCoresStretchTheWave) {
-  const std::vector<double> durations(128, 1.0);
-  fault::FaultPlan clean;  // no faults: isolate the core-class effect
-  AdaptiveConfig config = controller_config();
-  config.scaling_enabled = false;
-  config.speculation_enabled = false;
-  const auto fast = simulate_task_wave(8, durations, clean, EngineId::kDask,
-                                       nullptr, nullptr, nullptr, config);
-  const auto slow = simulate_task_wave(
-      8, durations, clean, EngineId::kDask, nullptr, nullptr, nullptr,
-      config, std::vector<double>(8, 0.5));  // all cores 2x slower
-  EXPECT_NEAR(slow.makespan_s, 2.0 * fast.makespan_s, 1e-9);
-}
-
-TEST(SimAdaptiveHeterogeneousTest, NaiveSpeculationCopiesSlowCoreTasks) {
-  // Uniform work, no faults, half the cores at 0.4x: every task on a
-  // slow core looks 2.5x late to a wall-clock threshold. The naive
-  // policy wastes backup copies on them; the core-class-aware policy
-  // knows they are pacing their cores and submits none.
-  const std::vector<double> durations(160, 1.0);
-  fault::FaultPlan clean;
-  AdaptiveConfig naive = controller_config();
-  naive.scaling_enabled = false;
-  naive.speculation.threshold_factor = 1.5;
-  naive.speculation.min_completed = 8;
-  AdaptiveConfig aware = naive;
-  aware.speculation.core_class_aware = true;
-  const auto speeds = [] {
-    std::vector<double> s(16, 1.0);
-    for (std::size_t i = 8; i < 16; ++i) s[i] = 0.4;
-    return s;
-  }();
-  const auto wasteful =
-      simulate_task_wave(16, durations, clean, EngineId::kDask, nullptr,
-                         nullptr, nullptr, naive, speeds);
-  const auto precise =
-      simulate_task_wave(16, durations, clean, EngineId::kDask, nullptr,
-                         nullptr, nullptr, aware, speeds);
-  EXPECT_GT(wasteful.speculative_copies, 0u);
-  EXPECT_EQ(precise.speculative_copies, 0u);
-  // No real stragglers exist, so the copies cannot beat the makespan.
-  EXPECT_LE(precise.makespan_s, wasteful.makespan_s + 1e-9);
-}
-
-TEST(SimAdaptiveHeterogeneousTest, AwareSpeculationStillCatchesRealStragglers) {
-  // A genuinely stretched task on a FAST core must still earn a backup
-  // under the core-class-aware test.
-  const std::vector<double> durations(160, 1.0);
-  AdaptiveConfig config = controller_config();
-  config.scaling_enabled = false;
-  config.speculation.threshold_factor = 1.5;
-  config.speculation.min_completed = 8;
-  config.speculation.core_class_aware = true;
-  const auto outcome = simulate_task_wave(
-      8, durations, straggler_plan(), EngineId::kDask, nullptr, nullptr,
-      nullptr, config, {1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5});
-  EXPECT_GT(outcome.stragglers, 0u);
-  EXPECT_GT(outcome.speculative_copies, 0u);
 }
 
 TEST(TaskWaveParityTest, ControllerWithPoliciesOffIsTheFaultReplay) {

@@ -1,4 +1,4 @@
-// Tests for the ThreadPool steal/latency counters: forced deque
+// Tests for the ThreadPool steal counters: forced deque
 // stealing is counted, external posts count as overflow grabs, and with
 // tracing enabled the same data surfaces as `pool:steal*` counters in
 // trace summaries.
@@ -36,9 +36,6 @@ TEST(ThreadPoolStealCountersTest, DequeStealsAreCounted) {
   ASSERT_EQ(force_deque_steals(pool), 64);
   const ThreadPool::StealCounters c = pool.steal_counters();
   EXPECT_GT(c.deque_steals, 0u);
-  EXPECT_GE(c.steal_latency_total_us, 0.0);
-  EXPECT_GE(c.steal_latency_max_us, 0.0);
-  EXPECT_GE(c.steal_latency_total_us, c.steal_latency_max_us);
 }
 
 TEST(ThreadPoolStealCountersTest, ExternalPostsCountAsOverflowGrabs) {
@@ -60,7 +57,6 @@ TEST(ThreadPoolStealCountersTest, CountersStartAtZero) {
   EXPECT_EQ(c.deque_steals, 0u);
   EXPECT_EQ(c.overflow_grabs, 0u);
   EXPECT_EQ(c.overflow_jobs, 0u);
-  EXPECT_EQ(c.steal_latency_total_us, 0.0);
 }
 
 TEST(ThreadPoolStealCountersTest, StealsSurfaceInTraceSummary) {

@@ -229,18 +229,6 @@ TEST(ResourceHoldTest, RunningReportsPlacementUntilTheCallbackReturns) {
   EXPECT_FALSE(cores.running(id).has_value());
 }
 
-TEST(ResourceHoldTest, SlotSpeedsScaleHoldDurations) {
-  Simulation simulation;
-  Resource cores(simulation, 2);
-  cores.set_speeds({1.0, 0.5});
-  std::vector<double> done;
-  for (int i = 0; i < 2; ++i) {
-    cores.acquire(1.0, [&] { done.push_back(simulation.now()); });
-  }
-  simulation.run();
-  EXPECT_EQ(done, (std::vector<double>{1.0, 2.0}));  // slot 1 is half speed
-}
-
 TEST(TraceTest, ResourceRecordsServiceIntervals) {
   Simulation simulation;
   Resource cores(simulation, 2);
@@ -253,27 +241,6 @@ TEST(TraceTest, ResourceRecordsServiceIntervals) {
   EXPECT_DOUBLE_EQ(trace[0].end, 5.0);
   EXPECT_DOUBLE_EQ(trace[2].start, 5.0);  // queued job starts at t=5
   EXPECT_DOUBLE_EQ(trace[2].end, 10.0);
-}
-
-TEST(CoreSpeedScheduleTest, EmptyClassesYieldAllOnes) {
-  const MachineProfile m = comet();  // both testbeds are homogeneous
-  const auto schedule = core_speed_schedule(m, 5);
-  EXPECT_EQ(schedule, (std::vector<double>{1.0, 1.0, 1.0, 1.0, 1.0}));
-}
-
-TEST(CoreSpeedScheduleTest, ClassesTileInDeclarationOrder) {
-  MachineProfile m;
-  m.core_classes = {{"fast", 1.0, 2}, {"slow", 0.5, 1}};
-  const auto schedule = core_speed_schedule(m, 7);
-  EXPECT_EQ(schedule, (std::vector<double>{1.0, 1.0, 0.5, 1.0, 1.0, 0.5,
-                                           1.0}));
-}
-
-TEST(CoreSpeedScheduleTest, ZeroCountClassesAreSkipped) {
-  MachineProfile m;
-  m.core_classes = {{"ghost", 9.0, 0}, {"slow", 0.25, 2}};
-  const auto schedule = core_speed_schedule(m, 3);
-  EXPECT_EQ(schedule, (std::vector<double>{0.25, 0.25, 0.25}));
 }
 
 TEST(UtilizationTimelineTest, FullyBusyThenIdle) {

@@ -98,9 +98,14 @@ TEST_F(ShardFormatTest, ReadShardAndFrameRangesMatchSource) {
     }
   }
 
-  // A range crossing two shard boundaries.
-  auto range = r.read_frames(6, 12);
+  // A range crossing two shard boundaries, through a run's decoded
+  // store: it decodes the three shards the range overlaps.
+  auto opened = ShardReader::open(path_);
+  ASSERT_TRUE(opened.ok());
+  DecodedStore store(std::move(opened).value());
+  auto range = store.frames(6, 12);
   ASSERT_TRUE(range.ok());
+  EXPECT_EQ(store.reader().shards_fetched(), 3u);
   ASSERT_EQ(range.value().frames(), 12u);
   for (std::size_t f = 0; f < 12; ++f) {
     for (std::size_t a = 0; a < t.atoms(); ++a) {
@@ -266,9 +271,9 @@ TEST_F(ShardFormatTest, MissingFileIsAnError) {
 }
 
 TEST_F(ShardFormatTest, OpenRejectsShardsThatDoNotTileTheFrames) {
-  // read_frames() maps a frame to its shard by frames_per_shard alone,
-  // so open() must refuse any header whose shards do not tile exactly
-  // ceil(frames / frames_per_shard) shards.
+  // DecodedStore::frames() maps a frame to its shard by
+  // frames_per_shard alone, so open() must refuse any header whose
+  // shards do not tile exactly ceil(frames / frames_per_shard) shards.
   const traj::Trajectory t = random_trajectory(16, 8, 4);
   ShardStoreOptions opts;
   opts.frames_per_shard = 4;  // 4 shards
@@ -283,7 +288,7 @@ TEST_F(ShardFormatTest, OpenRejectsShardsThatDoNotTileTheFrames) {
   };
 
   // Zero frames per shard, shard 0 a valid empty payload: every frame
-  // maps to shard 0, and read_frames(8, 8) would copy past it.
+  // maps to shard 0, and frames(8, 8) would copy past it.
   ASSERT_TRUE(write_sharded(path_, t, opts).ok());
   testutil::zero_frames_per_shard(path_);
   expect_open_fails(ErrorCode::kFormatError, "zero frames per shard");
@@ -302,7 +307,8 @@ TEST_F(ShardFormatTest, OpenRejectsShardsThatDoNotTileTheFrames) {
   ASSERT_TRUE(write_sharded(path_, t, opts).ok());
   auto reader = ShardReader::open(path_);
   ASSERT_TRUE(reader.ok()) << reader.error().to_string();
-  auto tail = reader.value().read_frames(8, 8);
+  DecodedStore store(std::move(reader).value());
+  auto tail = store.frames(8, 8);
   ASSERT_TRUE(tail.ok());
   EXPECT_EQ(tail.value().frames(), 8u);
   ASSERT_TRUE(write_sharded(path_, traj::Trajectory(0, 8), opts).ok());
@@ -378,7 +384,8 @@ TEST_F(ShardFormatTest, OpenRejectsAtomCountsThatWrap) {
   ASSERT_TRUE(write_sharded(path_, t).ok());
   auto reader = ShardReader::open(path_);
   ASSERT_TRUE(reader.ok()) << reader.error().to_string();
-  auto range = reader.value().read_frames(1, ~std::size_t{0});
+  DecodedStore store(std::move(reader).value());
+  auto range = store.frames(1, ~std::size_t{0});
   ASSERT_FALSE(range.ok());
   EXPECT_EQ(range.error().code(), ErrorCode::kOutOfRange);
 }

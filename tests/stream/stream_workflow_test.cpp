@@ -32,6 +32,23 @@ class StreamWorkflowTest : public ::testing::Test {
  protected:
   std::string path_ = testutil::unique_temp_path("mds");
   void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Flips one payload byte of the middle shard, failing its checksum.
+  void corrupt_middle_shard() {
+    std::uint64_t flip_at = 0;
+    {
+      auto reader = stream::ShardReader::open(path_);
+      ASSERT_TRUE(reader.ok());
+      const auto& index = reader.value().info().index;
+      const auto& victim = index[index.size() / 2];
+      ASSERT_GT(victim.stored_bytes, 0u);
+      flip_at = victim.offset + victim.stored_bytes / 2;
+    }
+    std::vector<char> bytes = testutil::read_store(path_);
+    ASSERT_LT(flip_at, bytes.size());
+    bytes[flip_at] ^= 0x5a;
+    testutil::write_store(path_, bytes);
+  }
 };
 
 /// The PSA store layout: N trajectories concatenated frame-major.
@@ -187,6 +204,68 @@ TEST_F(StreamWorkflowTest, PsaStreamedRejectsShardsThatMissTheirFrames) {
   expect_every_engine_fails(ErrorCode::kOutOfRange, "one shard");
 }
 
+TEST_F(StreamWorkflowTest, PsaStreamedReadsEachShardOnce) {
+  // Every block task loads its row and column trajectories, so most
+  // trajectories are wanted by several blocks, and the 5-frame shards
+  // straddle the 12-frame trajectories. A streamed run still decodes
+  // each shard once: it stages exactly the store's stored bytes beyond
+  // what the in-memory run stages.
+  traj::ProteinTrajectoryParams p;
+  p.atoms = 19;
+  p.frames = 12;
+  const traj::Ensemble ensemble = traj::make_protein_ensemble(6, p);
+  ShardStoreOptions opts;
+  opts.frames_per_shard = 5;
+  ASSERT_TRUE(write_sharded(path_, concatenate(ensemble), opts).ok());
+  auto reader = stream::ShardReader::open(path_);
+  ASSERT_TRUE(reader.ok());
+  std::uint64_t stored = 0;
+  for (const auto& entry : reader.value().info().index) {
+    stored += entry.stored_bytes;
+  }
+
+  StreamInput input;
+  input.path = path_;
+  input.trajectories = ensemble.size();
+  PsaRunConfig config;
+  config.workers = 3;
+  for (const EngineKind engine : kEngines) {
+    const PsaRunResult memory = run_psa(engine, ensemble, config);
+    auto streamed = run_psa_streamed(engine, input, config);
+    ASSERT_TRUE(streamed.ok())
+        << to_string(engine) << ": " << streamed.error().to_string();
+    EXPECT_EQ(streamed.value().metrics.staged_bytes -
+                  memory.metrics.staged_bytes,
+              stored)
+        << to_string(engine);
+  }
+}
+
+TEST_F(StreamWorkflowTest, PsaStreamedCorruptShardFailsTyped) {
+  // The PSA twin of LeafletStreamedCorruptShardFailsTyped: no matrix is
+  // built from unverified bytes on any engine.
+  traj::ProteinTrajectoryParams p;
+  p.atoms = 19;
+  p.frames = 12;
+  const traj::Ensemble ensemble = traj::make_protein_ensemble(6, p);
+  ShardStoreOptions opts;
+  opts.frames_per_shard = 5;
+  ASSERT_TRUE(write_sharded(path_, concatenate(ensemble), opts).ok());
+  ASSERT_NO_FATAL_FAILURE(corrupt_middle_shard());
+
+  StreamInput input;
+  input.path = path_;
+  input.trajectories = ensemble.size();
+  PsaRunConfig config;
+  config.workers = 3;
+  for (const EngineKind engine : kEngines) {
+    auto streamed = run_psa_streamed(engine, input, config);
+    ASSERT_FALSE(streamed.ok()) << to_string(engine);
+    EXPECT_EQ(streamed.error().code(), ErrorCode::kFormatError)
+        << to_string(engine) << ": " << streamed.error().to_string();
+  }
+}
+
 TEST_F(StreamWorkflowTest, LeafletBitIdenticalAcrossEnginesAndApproaches) {
   traj::BilayerParams p;
   p.atoms = 1024;
@@ -280,19 +359,7 @@ TEST_F(StreamWorkflowTest, LeafletStreamedCorruptShardFailsTyped) {
   ShardStoreOptions opts;
   opts.frames_per_shard = 100;
   ASSERT_TRUE(write_sharded_points(path_, bilayer.positions, opts).ok());
-  std::uint64_t flip_at = 0;
-  {
-    auto reader = stream::ShardReader::open(path_);
-    ASSERT_TRUE(reader.ok());
-    const auto& index = reader.value().info().index;
-    const auto& victim = index[index.size() / 2];
-    ASSERT_GT(victim.stored_bytes, 0u);
-    flip_at = victim.offset + victim.stored_bytes / 2;
-  }
-  std::vector<char> bytes = testutil::read_store(path_);
-  ASSERT_LT(flip_at, bytes.size());
-  bytes[flip_at] ^= 0x5a;
-  testutil::write_store(path_, bytes);
+  ASSERT_NO_FATAL_FAILURE(corrupt_middle_shard());
 
   StreamInput input;
   input.path = path_;
@@ -353,6 +420,37 @@ TEST_F(StreamWorkflowTest, LeafletStreamedRejectsShardsThatMissTheirFrames) {
   ASSERT_TRUE(write_sharded_points(path_, bilayer.positions, opts).ok());
   testutil::set_shard_count(path_, 1);
   expect_every_run_fails(ErrorCode::kOutOfRange, "one shard");
+}
+
+TEST_F(StreamWorkflowTest, LeafletStreamedRejectsSeveralAtomsPerFrame) {
+  // The Leaflet Finder reads a points store: one atom per frame. A
+  // trajectory store of 256 frames x 8 atoms must be refused before any
+  // task runs, by every approach on every engine, instead of indexing
+  // past a chunk's points.
+  traj::ProteinTrajectoryParams p;
+  p.atoms = 8;
+  p.frames = 256;
+  ShardStoreOptions opts;
+  opts.frames_per_shard = 32;
+  ASSERT_TRUE(
+      write_sharded(path_, traj::make_protein_trajectory(p), opts).ok());
+
+  StreamInput input;
+  input.path = path_;
+  LfRunConfig config;
+  config.workers = 3;
+  config.target_tasks = 12;
+  for (const EngineKind engine : kEngines) {
+    for (int approach = 1; approach <= 4; ++approach) {
+      auto streamed =
+          run_leaflet_finder_streamed(engine, approach, input, 5.0, config);
+      ASSERT_FALSE(streamed.ok())
+          << to_string(engine) << " approach " << approach;
+      EXPECT_EQ(streamed.error().code(), ErrorCode::kInvalidArgument)
+          << to_string(engine) << " approach " << approach << ": "
+          << streamed.error().to_string();
+    }
+  }
 }
 
 TEST_F(StreamWorkflowTest, LeafletStreamedSurvivesInjectedReadFaults) {
