@@ -41,7 +41,8 @@ inline constexpr std::size_t kCutoffTile = 256;
 
 /// Sum of squared coordinate differences between frame `frame_a` of `a`
 /// and frame `frame_b` of `b` (the pre-sqrt RMSD numerator). kScalar
-/// reproduces the seed's accumulation order exactly.
+/// reproduces the seed's accumulation order exactly. Unchecked: both
+/// packs must hold the same atom count.
 double frame_sumsq_packed(const FramePack& a, std::size_t frame_a,
                           const FramePack& b, std::size_t frame_b,
                           KernelPolicy policy) noexcept;
@@ -49,7 +50,8 @@ double frame_sumsq_packed(const FramePack& a, std::size_t frame_a,
 /// One frame of A against the frame block [j_begin, j_end) of B: writes
 /// the per-frame squared sums to out_sumsq[j - j_begin] and returns the
 /// minimum over the block (+inf for an empty block). This is the tile
-/// primitive the vectorized directed Hausdorff scan is built from.
+/// primitive the vectorized directed Hausdorff scan is built from. Same
+/// unchecked precondition as frame_sumsq_packed.
 double sumsq_one_to_many(const FramePack& a, std::size_t frame_a,
                          const FramePack& b, std::size_t j_begin,
                          std::size_t j_end, std::span<double> out_sumsq,
@@ -62,10 +64,11 @@ double sumsq_one_to_many(const FramePack& a, std::size_t frame_a,
 /// per kFrameTile tile under kVectorized. Either way the value equals
 /// the full scan's and the evaluation count never exceeds the naive
 /// frames(A) x frames(B). `evals` (optional) accumulates the number of
-/// frame pairs evaluated.
+/// frame pairs evaluated. Throws std::invalid_argument when the packs'
+/// atom counts differ.
 double hausdorff_directed_packed(const FramePack& a, const FramePack& b,
                                  bool early_break, KernelPolicy policy,
-                                 std::size_t* evals = nullptr) noexcept;
+                                 std::size_t* evals = nullptr);
 
 /// Symmetric Hausdorff max(h(A->B), h(B->A)) over packed trajectories.
 /// Without `early_break` (Alg. 1's naive scan) this is one pass over the
@@ -83,7 +86,8 @@ double hausdorff_directed_packed(const FramePack& a, const FramePack& b,
 /// shape), in most pairs more than the naive scan, and remain as the
 /// paper's ablation. An empty side gives +inf (0 when both are empty);
 /// 0 atoms gives 0 with no evaluations. The one-pass scan allocates
-/// O(frames(A) + atoms) scratch per call.
+/// O(frames(A) + atoms) scratch per call. Throws std::invalid_argument
+/// when the packs' atom counts differ.
 double hausdorff_packed(const FramePack& a, const FramePack& b,
                         bool early_break, KernelPolicy policy,
                         std::size_t* evals = nullptr);
@@ -91,9 +95,10 @@ double hausdorff_packed(const FramePack& a, const FramePack& b,
 /// Tiled all-pairs frame RMSD (the cpptraj "2D-RMSD" comparator):
 /// out[i * b.frames() + j] = rmsd(a[i], b[j]); out.size() must be
 /// a.frames() * b.frames(). Tiles of kFrameTile x kFrameTile frames keep
-/// the B-side tile hot across the A-side rows.
+/// the B-side tile hot across the A-side rows. Throws
+/// std::invalid_argument when the packs' atom counts differ.
 void rmsd2d_packed(const FramePack& a, const FramePack& b,
-                   KernelPolicy policy, std::span<double> out) noexcept;
+                   KernelPolicy policy, std::span<double> out);
 
 /// A (row, col) hit of the cutoff kernel, indices local to the packs.
 struct IndexPair {

@@ -96,8 +96,16 @@ inline std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept {
 std::vector<std::uint8_t> delta_encode(std::span<const std::uint8_t> raw,
                                        std::size_t frame_bytes);
 
-/// Inverse of delta_encode. Fails on malformed streams or when the
-/// decoded size does not equal `raw_bytes`.
+/// Inverse of delta_encode, decoding straight into `raw` with no scratch
+/// buffer: the zero-RLE pass writes each byte to its unshuffled place,
+/// then the XOR-delta is undone in place. Fails on malformed streams or
+/// when the decoded size does not equal raw.size(); `raw` is then
+/// unspecified.
+Status delta_decode_into(std::span<const std::uint8_t> encoded,
+                         std::size_t frame_bytes,
+                         std::span<std::uint8_t> raw);
+
+/// delta_decode_into a new buffer of `raw_bytes`.
 Result<std::vector<std::uint8_t>> delta_decode(
     std::span<const std::uint8_t> encoded, std::size_t frame_bytes,
     std::size_t raw_bytes);

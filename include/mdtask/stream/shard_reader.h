@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -86,6 +87,10 @@ class ShardReader {
  private:
   ShardReader() = default;
   void close() noexcept;
+  /// Reads, verifies and decodes shard `s` straight into the bytes
+  /// `target()` returns, exactly the shard's decoded size.
+  template <typename Target>
+  Status read_shard_into(std::size_t s, Target target) const;
 
   std::string path_;
   int fd_ = -1;

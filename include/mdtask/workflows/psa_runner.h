@@ -42,7 +42,9 @@ struct PsaRunResult {
 };
 
 /// Runs PSA over `ensemble` on the chosen engine. All engines produce a
-/// bit-identical matrix (asserted by the integration tests).
+/// bit-identical matrix (asserted by the integration tests). Throws
+/// std::invalid_argument, before any task runs, when the trajectories'
+/// atom counts differ.
 PsaRunResult run_psa(EngineKind engine, const traj::Ensemble& ensemble,
                      const PsaRunConfig& config = {});
 

@@ -1,15 +1,34 @@
 // Batch kernel implementations. This TU is compiled -O3 -funroll-loops
 // in every build type (see src/CMakeLists.txt) so the lane loops below
-// vectorize; the MDTASK_NATIVE_ARCH CMake option additionally enables
-// -march=native for wider vectors. It is also compiled
-// -ffp-contract=off: GCC contracts `a * b + c` into an FMA wherever the
-// target has one, which changes the kScalar bits under -march=native.
+// vectorize. It is also compiled -ffp-contract=off: GCC contracts
+// `a * b + c` into an FMA wherever the target has one, which would
+// change the kScalar bits in the AVX2 and AVX-512 clones below.
 #include "mdtask/kernels/batch.h"
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+// Compiles a kernel's loop nest once per x86-64 ISA level (AVX-512,
+// AVX2, the SSE2 baseline); glibc's ifunc resolver binds the widest
+// clone the CPU supports, once, at load time. `flatten` inlines the leaf
+// loops into each clone, so they run at the clone's vector width too.
+// With contraction off and neither tier reassociating, every clone gives
+// the same bits (GoldenBitsTest). Empty off x86-64 or GCC, and under
+// TSan: GCC instruments the resolver, which runs before the TSan runtime
+// is initialised.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
+#define MDTASK_KERNEL_CLONES                                          \
+  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3",    \
+                               "default"),                            \
+                 flatten))
+#else
+#define MDTASK_KERNEL_CLONES
+#endif
 
 namespace mdtask::kernels {
 namespace {
@@ -140,6 +159,7 @@ double rmsd_from_sumsq(double sumsq, std::size_t atoms) noexcept {
 /// Scalar-policy directed scan: the seed's per-pair loop (metric value
 /// computed and compared in the RMSD domain, per-pair early break) so
 /// values AND evaluation counts are bit-identical to the seed.
+MDTASK_KERNEL_CLONES
 double directed_scalar(const FramePack& a, const FramePack& b,
                        bool early_break, std::size_t* evals) noexcept {
   const std::size_t atoms = a.atoms();
@@ -164,6 +184,7 @@ double directed_scalar(const FramePack& a, const FramePack& b,
 /// Vectorized directed scan: squared-sum domain, early break at
 /// kFrameTile granularity. sqrt and /atoms are monotone, so the tiled
 /// early break returns the full scan's value.
+MDTASK_KERNEL_CLONES
 double directed_tiled(const FramePack& a, const FramePack& b,
                       bool early_break, std::size_t* evals) noexcept {
   const std::size_t nb = b.frames();
@@ -192,6 +213,7 @@ double directed_tiled(const FramePack& a, const FramePack& b,
 /// kPairTile B frames at a time. Each pair's squared sum updates the A
 /// frame's row minimum and the B frame's column minimum; the directed
 /// maxima are reduced in the squared-sum domain and take one sqrt each.
+MDTASK_KERNEL_CLONES
 double symmetric_one_pass(const FramePack& a, const FramePack& b,
                           KernelPolicy policy) {
   const std::size_t na = a.frames();
@@ -235,56 +257,10 @@ double symmetric_one_pass(const FramePack& a, const FramePack& b,
                   rmsd_from_sumsq(col_max, atoms));
 }
 
-}  // namespace
-
-double frame_sumsq_packed(const FramePack& a, std::size_t frame_a,
-                          const FramePack& b, std::size_t frame_b,
-                          KernelPolicy policy) noexcept {
-  return pair_sumsq(a, frame_a, b, frame_b, policy);
-}
-
-double sumsq_one_to_many(const FramePack& a, std::size_t frame_a,
-                         const FramePack& b, std::size_t j_begin,
-                         std::size_t j_end, std::span<double> out_sumsq,
-                         KernelPolicy policy) noexcept {
-  double m = kInf;
-  for (std::size_t j = j_begin; j < j_end; ++j) {
-    const double s = pair_sumsq(a, frame_a, b, j, policy);
-    out_sumsq[j - j_begin] = s;
-    if (s < m) m = s;
-  }
-  return m;
-}
-
-double hausdorff_directed_packed(const FramePack& a, const FramePack& b,
-                                 bool early_break, KernelPolicy policy,
-                                 std::size_t* evals) noexcept {
-  if (a.atoms() == 0) {
-    // Degenerate topology: every frame distance is 0 by convention (no
-    // metric evaluations are charged under any policy).
-    return 0.0;
-  }
-  if (policy == KernelPolicy::kScalar) {
-    return directed_scalar(a, b, early_break, evals);
-  }
-  return directed_tiled(a, b, early_break, evals);
-}
-
-double hausdorff_packed(const FramePack& a, const FramePack& b,
-                        bool early_break, KernelPolicy policy,
-                        std::size_t* evals) {
-  if (early_break) {
-    return std::max(
-        hausdorff_directed_packed(a, b, early_break, policy, evals),
-        hausdorff_directed_packed(b, a, early_break, policy, evals));
-  }
-  if (a.atoms() == 0) return 0.0;
-  if (evals) *evals += 2 * a.frames() * b.frames();
-  return symmetric_one_pass(a, b, policy);
-}
-
-void rmsd2d_packed(const FramePack& a, const FramePack& b,
-                   KernelPolicy policy, std::span<double> out) noexcept {
+/// rmsd2d_packed's loop nest.
+MDTASK_KERNEL_CLONES
+void rmsd2d_tiles(const FramePack& a, const FramePack& b, KernelPolicy policy,
+                  std::span<double> out) noexcept {
   const std::size_t na = a.frames();
   const std::size_t nb = b.frames();
   const std::size_t atoms = a.atoms();
@@ -309,6 +285,72 @@ void rmsd2d_packed(const FramePack& a, const FramePack& b,
       }
     }
   }
+}
+
+/// The packed kernels index both packs' lanes with one atom count.
+void require_equal_atoms(const FramePack& a, const FramePack& b,
+                         const char* kernel) {
+  if (a.atoms() != b.atoms()) {
+    throw std::invalid_argument(std::string(kernel) + ": packs of " +
+                                std::to_string(a.atoms()) + " and " +
+                                std::to_string(b.atoms()) + " atoms");
+  }
+}
+
+}  // namespace
+
+double frame_sumsq_packed(const FramePack& a, std::size_t frame_a,
+                          const FramePack& b, std::size_t frame_b,
+                          KernelPolicy policy) noexcept {
+  return pair_sumsq(a, frame_a, b, frame_b, policy);
+}
+
+double sumsq_one_to_many(const FramePack& a, std::size_t frame_a,
+                         const FramePack& b, std::size_t j_begin,
+                         std::size_t j_end, std::span<double> out_sumsq,
+                         KernelPolicy policy) noexcept {
+  double m = kInf;
+  for (std::size_t j = j_begin; j < j_end; ++j) {
+    const double s = pair_sumsq(a, frame_a, b, j, policy);
+    out_sumsq[j - j_begin] = s;
+    if (s < m) m = s;
+  }
+  return m;
+}
+
+double hausdorff_directed_packed(const FramePack& a, const FramePack& b,
+                                 bool early_break, KernelPolicy policy,
+                                 std::size_t* evals) {
+  require_equal_atoms(a, b, "hausdorff_directed_packed");
+  if (a.atoms() == 0) {
+    // Degenerate topology: every frame distance is 0 by convention (no
+    // metric evaluations are charged under any policy).
+    return 0.0;
+  }
+  if (policy == KernelPolicy::kScalar) {
+    return directed_scalar(a, b, early_break, evals);
+  }
+  return directed_tiled(a, b, early_break, evals);
+}
+
+double hausdorff_packed(const FramePack& a, const FramePack& b,
+                        bool early_break, KernelPolicy policy,
+                        std::size_t* evals) {
+  require_equal_atoms(a, b, "hausdorff_packed");
+  if (early_break) {
+    return std::max(
+        hausdorff_directed_packed(a, b, early_break, policy, evals),
+        hausdorff_directed_packed(b, a, early_break, policy, evals));
+  }
+  if (a.atoms() == 0) return 0.0;
+  if (evals) *evals += 2 * a.frames() * b.frames();
+  return symmetric_one_pass(a, b, policy);
+}
+
+void rmsd2d_packed(const FramePack& a, const FramePack& b,
+                   KernelPolicy policy, std::span<double> out) {
+  require_equal_atoms(a, b, "rmsd2d_packed");
+  rmsd2d_tiles(a, b, policy, out);
 }
 
 namespace {
@@ -339,6 +381,7 @@ void cutoff_scalar(const float* rx, const float* ry, const float* rz,
 /// block. Must divide kCutoffTile.
 constexpr std::size_t kCutoffGroup = 16;
 
+MDTASK_KERNEL_CLONES
 void cutoff_tiled(const float* rx, const float* ry, const float* rz,
                   std::size_t nr, const float* cx, const float* cy,
                   const float* cz, std::size_t nc, double c2,

@@ -81,56 +81,68 @@ std::vector<std::uint8_t> delta_encode(std::span<const std::uint8_t> raw,
   return out;
 }
 
-Result<std::vector<std::uint8_t>> delta_decode(
-    std::span<const std::uint8_t> encoded, std::size_t frame_bytes,
-    std::size_t raw_bytes) {
-  std::vector<std::uint8_t> delta;
-  delta.reserve(raw_bytes);
+Status delta_decode_into(std::span<const std::uint8_t> encoded,
+                         std::size_t frame_bytes,
+                         std::span<std::uint8_t> raw) {
+  // Pass 1: zero-RLE straight into the unshuffled layout. Byte n of the
+  // shuffled stream, n < 8 * groups, is byte n / groups of 8-byte group
+  // n % groups; the sub-8 tail is stored in place. Zero runs only
+  // advance over the zero-filled output.
+  std::fill(raw.begin(), raw.end(), std::uint8_t{0});
+  const std::size_t groups = raw.size() / 8;
+  const std::size_t plane_bytes = groups * 8;
+  std::size_t n = 0;
   std::size_t i = 0;
   while (i < encoded.size()) {
     const std::uint8_t control = encoded[i++];
     const std::size_t run = static_cast<std::size_t>(control & 0x7f) + 1;
-    if ((control & 0x80) != 0) {
-      if (i + run > encoded.size()) {
-        return Error(ErrorCode::kFormatError,
-                     "shard codec: literal run past end of stream");
-      }
-      delta.insert(delta.end(), encoded.begin() + static_cast<std::ptrdiff_t>(i),
-                   encoded.begin() + static_cast<std::ptrdiff_t>(i + run));
-      i += run;
-    } else {
-      delta.insert(delta.end(), run, std::uint8_t{0});
+    const bool literal = (control & 0x80) != 0;
+    if (literal && run > encoded.size() - i) {
+      return Error(ErrorCode::kFormatError,
+                   "shard codec: literal run past end of stream");
     }
-    if (delta.size() > raw_bytes) {
+    if (run > raw.size() - n) {
       return Error(ErrorCode::kFormatError,
                    "shard codec: decoded size exceeds raw_bytes");
     }
+    if (literal) {
+      const std::size_t end = n + run;
+      std::size_t k = n;
+      if (k < plane_bytes) {
+        std::size_t plane = k / groups;
+        std::size_t group = k % groups;
+        for (; k < end && k < plane_bytes; ++k) {
+          raw[group * 8 + plane] = encoded[i++];
+          if (++group == groups) {
+            group = 0;
+            ++plane;
+          }
+        }
+      }
+      for (; k < end; ++k) raw[k] = encoded[i++];
+    }
+    n += run;
   }
-  if (delta.size() != raw_bytes) {
+  if (n != raw.size()) {
     return Error(ErrorCode::kFormatError,
                  "shard codec: decoded size mismatch");
   }
-  // Undo the byte-plane shuffle.
-  {
-    const std::size_t groups = delta.size() / 8;
-    std::vector<std::uint8_t> unshuffled(delta.size());
-    for (std::size_t p = 0; p < 8; ++p) {
-      for (std::size_t g = 0; g < groups; ++g) {
-        unshuffled[g * 8 + p] = delta[p * groups + g];
-      }
-    }
-    std::copy(delta.begin() + static_cast<std::ptrdiff_t>(groups * 8),
-              delta.end(),
-              unshuffled.begin() + static_cast<std::ptrdiff_t>(groups * 8));
-    delta = std::move(unshuffled);
-  }
-  // Undo the XOR-delta front to back.
+  // Pass 2: undo the XOR-delta in place, front to back.
   if (frame_bytes > 0) {
-    for (std::size_t j = frame_bytes; j < delta.size(); ++j) {
-      delta[j] ^= delta[j - frame_bytes];
+    for (std::size_t j = frame_bytes; j < raw.size(); ++j) {
+      raw[j] ^= raw[j - frame_bytes];
     }
   }
-  return delta;
+  return Status::success();
+}
+
+Result<std::vector<std::uint8_t>> delta_decode(
+    std::span<const std::uint8_t> encoded, std::size_t frame_bytes,
+    std::size_t raw_bytes) {
+  std::vector<std::uint8_t> raw(raw_bytes);
+  const Status decoded = delta_decode_into(encoded, frame_bytes, raw);
+  if (!decoded.ok()) return decoded.error();
+  return raw;
 }
 
 Status write_sharded(const std::string& path,

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "mdtask/common/serial.h"
 #include "mdtask/common/timer.h"
@@ -256,6 +258,17 @@ std::size_t psa_effective_block_size(std::size_t n_trajectories,
 
 PsaRunResult run_psa(EngineKind engine, const traj::Ensemble& ensemble,
                      const PsaRunConfig& config) {
+  // The kernels throw on a pair of unequal atom counts; refuse the input
+  // before any task runs, so no engine can turn a failed task into a
+  // matrix of zeros.
+  for (std::size_t i = 1; i < ensemble.size(); ++i) {
+    if (ensemble[i].atoms() != ensemble.front().atoms()) {
+      throw std::invalid_argument(
+          "run_psa: trajectory " + std::to_string(i) + " has " +
+          std::to_string(ensemble[i].atoms()) + " atoms, trajectory 0 has " +
+          std::to_string(ensemble.front().atoms()));
+    }
+  }
   trace::Span span = run_span(config.tracer, "psa", engine);
   span.arg_num("trajectories", static_cast<double>(ensemble.size()));
   return dispatch(engine, ensemble, ensemble.size(), config, nullptr);

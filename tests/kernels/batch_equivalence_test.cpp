@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "mdtask/common/rng.h"
@@ -199,6 +200,29 @@ TEST(BatchEquivalenceTest, DirectedEarlyBreakEvalCountsAreTileGranular) {
   hausdorff_directed_packed(a, b, true, KernelPolicy::kVectorized, &evals);
   EXPECT_LE(evals, 37u * 41u);
   EXPECT_GT(evals, 0u);
+}
+
+TEST(BatchEquivalenceTest, UnequalAtomCountsThrow) {
+  // The kernels index both packs' lanes with one atom count, so a 3-atom
+  // x 40-atom pair would read and write past the smaller pack's lanes.
+  const auto a = make_pack(700, 5, 3);
+  const auto b = make_pack(701, 6, 40);
+  for (const auto policy : kAllPolicies) {
+    for (const bool early : {false, true}) {
+      EXPECT_THROW(hausdorff_packed(a, b, early, policy),
+                   std::invalid_argument)
+          << to_string(policy) << " early " << early;
+      EXPECT_THROW(hausdorff_packed(b, a, early, policy),
+                   std::invalid_argument)
+          << to_string(policy) << " early " << early;
+      EXPECT_THROW(hausdorff_directed_packed(a, b, early, policy),
+                   std::invalid_argument)
+          << to_string(policy) << " early " << early;
+    }
+    std::vector<double> out(a.frames() * b.frames());
+    EXPECT_THROW(rmsd2d_packed(a, b, policy, out), std::invalid_argument)
+        << to_string(policy);
+  }
 }
 
 TEST(BatchEquivalenceTest, Rmsd2dPoliciesAgree) {

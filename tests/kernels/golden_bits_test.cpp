@@ -1,4 +1,4 @@
-// Golden bits of the exact kScalar tier.
+// Golden bits of both kernel tiers.
 //
 // The packs below hold exactly representable floats built with integer
 // operations only (a SplitMix64 hash, a 24-bit signed mantissa, a
@@ -7,13 +7,15 @@
 // 26 significant bits, their squares round, and a contracted (FMA)
 // accumulation would change the sums. The pinned values are those of
 // the two directed scans, which the one-pass naive scan must equal; a
-// build whose kernels contract, reorder or regroup the kScalar
-// arithmetic fails here, whatever its -march.
+// build whose kernels contract, reorder or regroup the kScalar or the
+// kVectorized arithmetic fails here, whichever SIMD clone runs.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <vector>
 
 #include "mdtask/common/hash.h"
 #include "mdtask/kernels/batch.h"
@@ -46,37 +48,70 @@ struct GoldenCase {
   std::size_t frames_a;
   std::size_t frames_b;
   std::size_t atoms;
-  std::uint64_t bits;  ///< IEEE-754 bits of the symmetric distance
+  std::uint64_t bits;  ///< IEEE-754 bits of the kScalar symmetric distance
+  std::uint64_t vectorized_bits;  ///< the same under kVectorized
 };
 
 // Frame counts straddle kPairTile; atom counts straddle the 16-float
-// lane padding. The last seven cases each change in the last bit when
-// the kernels are built with -march=native and GCC's default
-// -ffp-contract=fast (checked on an AVX-512 host).
+// lane padding. Seven of the kScalar and seven of the kVectorized
+// values each change in the last bits when the AVX-512 clone is
+// compiled with GCC's default -ffp-contract=fast (checked on an AVX-512
+// host); nine of the kVectorized values change when the lane sum is
+// regrouped.
 constexpr GoldenCase kCases[] = {
-    {1, 5, 7, 37, 0x40cad8633a24f16bull},
-    {3, 9, 4, 16, 0x40cc0fb53439803dull},
-    {5, 3, 11, 61, 0x40cdf903e61cdfd0ull},
-    {41, 8, 2, 42, 0x40cb79ac435fc404ull},
-    {87, 5, 6, 33, 0x40cf705a2cf1e869ull},
-    {125, 3, 7, 1, 0x40c64cd1003e9553ull},
-    {285, 5, 6, 14, 0x40cd7819cb2da923ull},
-    {337, 9, 4, 31, 0x40cc709dac8f2927ull},
-    {339, 5, 7, 46, 0x40cf180144948e29ull},
-    {395, 2, 9, 17, 0x40cf31556a9002a7ull},
+    {1, 5, 7, 37, 0x40cad8633a24f16bull, 0x40cad8633bf15f21ull},
+    {3, 9, 4, 16, 0x40cc0fb53439803dull, 0x40cc0fb538a0edc9ull},
+    {5, 3, 11, 61, 0x40cdf903e61cdfd0ull, 0x40cdf903e084daabull},
+    {41, 8, 2, 42, 0x40cb79ac435fc404ull, 0x40cb79ac48519fa8ull},
+    {87, 5, 6, 33, 0x40cf705a2cf1e869ull, 0x40cf705a32aab2f2ull},
+    {125, 3, 7, 1, 0x40c64cd1003e9553ull, 0x40c64cd1071dad26ull},
+    {285, 5, 6, 14, 0x40cd7819cb2da923ull, 0x40cd7819cb4d7baeull},
+    {337, 9, 4, 31, 0x40cc709dac8f2927ull, 0x40cc709daac0059eull},
+    {339, 5, 7, 46, 0x40cf180144948e29ull, 0x40cf18014b4b9aa6ull},
+    {395, 2, 9, 17, 0x40cf31556a9002a7ull, 0x40cf3155629b5049ull},
 };
 
-TEST(GoldenBitsTest, ScalarHausdorffMatchesPinnedBits) {
+void expect_hausdorff_bits(KernelPolicy policy,
+                           std::uint64_t GoldenCase::*pinned) {
   for (const GoldenCase& c : kCases) {
     const FramePack a = golden_pack(c.seed, c.frames_a, c.atoms);
     const FramePack b = golden_pack(c.seed + 1, c.frames_b, c.atoms);
     for (const bool early : {false, true}) {
-      const double d = hausdorff_packed(a, b, early, KernelPolicy::kScalar);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(d), c.bits)
+      const double d = hausdorff_packed(a, b, early, policy);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(d), c.*pinned)
           << std::hexfloat << d << " early " << early << ", seed " << c.seed
           << ", " << c.frames_a << "x" << c.frames_b << " frames, "
           << c.atoms << " atoms";
     }
+  }
+}
+
+TEST(GoldenBitsTest, ScalarHausdorffMatchesPinnedBits) {
+  expect_hausdorff_bits(KernelPolicy::kScalar, &GoldenCase::bits);
+}
+
+TEST(GoldenBitsTest, VectorizedHausdorffMatchesPinnedBits) {
+  expect_hausdorff_bits(KernelPolicy::kVectorized,
+                        &GoldenCase::vectorized_bits);
+}
+
+TEST(GoldenBitsTest, VectorizedRmsd2dRowMatchesPinnedBits) {
+  // Row 0 of the third case's 3 x 11 matrix: 61 atoms, four 16-float
+  // lane blocks per pair.
+  constexpr std::uint64_t kRow[] = {
+      0x40ca6c1be6295ab1ull, 0x40cdbe68026716e7ull, 0x40c92b69189944e3ull,
+      0x40ca03cff6302ae8ull, 0x40c7275e776b4c2bull, 0x40c685bc3a262b19ull,
+      0x40c88e119c3d4c1aull, 0x40c99e3cab962848ull, 0x40cdf903e084daabull,
+      0x40c69b495a327c08ull, 0x40c638c2dce078deull};
+  const GoldenCase& c = kCases[2];
+  const FramePack a = golden_pack(c.seed, c.frames_a, c.atoms);
+  const FramePack b = golden_pack(c.seed + 1, c.frames_b, c.atoms);
+  ASSERT_EQ(b.frames(), std::size(kRow));
+  std::vector<double> matrix(a.frames() * b.frames());
+  rmsd2d_packed(a, b, KernelPolicy::kVectorized, matrix);
+  for (std::size_t j = 0; j < b.frames(); ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(matrix[j]), kRow[j])
+        << std::hexfloat << matrix[j] << " at column " << j;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "mdtask/traj/generators.h"
 
 namespace mdtask::workflows {
@@ -58,6 +60,22 @@ TEST_P(PsaEngineTest, ExplicitBlockSizeHonoured) {
   EXPECT_EQ(result.metrics.tasks, 16u);
   EXPECT_EQ(result.matrix.max_abs_diff(analysis::psa_reference(ensemble)),
             0.0);
+}
+
+TEST_P(PsaEngineTest, UnequalAtomCountsThrowBeforeAnyTask) {
+  auto ensemble = tiny_ensemble(3);
+  traj::ProteinTrajectoryParams p;
+  p.atoms = 40;
+  p.frames = 6;
+  ensemble[1] = traj::make_protein_trajectory(p);
+  PsaRunConfig config;
+  config.workers = 2;
+  for (const auto metric : {PsaMetric::kHausdorff,
+                            PsaMetric::kHausdorffEarlyBreak}) {
+    config.metric = metric;
+    EXPECT_THROW(run_psa(GetParam(), ensemble, config),
+                 std::invalid_argument);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, PsaEngineTest,
