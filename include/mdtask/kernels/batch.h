@@ -41,21 +41,22 @@ inline constexpr std::size_t kCutoffTile = 256;
 
 /// Sum of squared coordinate differences between frame `frame_a` of `a`
 /// and frame `frame_b` of `b` (the pre-sqrt RMSD numerator). kScalar
-/// reproduces the seed's accumulation order exactly. Unchecked: both
-/// packs must hold the same atom count.
+/// reproduces the seed's accumulation order exactly. Throws
+/// std::invalid_argument when the packs' atom counts differ.
 double frame_sumsq_packed(const FramePack& a, std::size_t frame_a,
                           const FramePack& b, std::size_t frame_b,
-                          KernelPolicy policy) noexcept;
+                          KernelPolicy policy);
 
 /// One frame of A against the frame block [j_begin, j_end) of B: writes
 /// the per-frame squared sums to out_sumsq[j - j_begin] and returns the
 /// minimum over the block (+inf for an empty block). This is the tile
-/// primitive the vectorized directed Hausdorff scan is built from. Same
-/// unchecked precondition as frame_sumsq_packed.
+/// primitive the vectorized directed Hausdorff scan is built from.
+/// Throws std::invalid_argument when the packs' atom counts differ or
+/// out_sumsq is shorter than j_end - j_begin.
 double sumsq_one_to_many(const FramePack& a, std::size_t frame_a,
                          const FramePack& b, std::size_t j_begin,
                          std::size_t j_end, std::span<double> out_sumsq,
-                         KernelPolicy policy) noexcept;
+                         KernelPolicy policy);
 
 /// Directed Hausdorff h(A -> B) over packed trajectories, RMSD frame
 /// metric. With `early_break`, the Taha-Hanbury cutoff stops a row's

@@ -105,11 +105,6 @@ Status delta_decode_into(std::span<const std::uint8_t> encoded,
                          std::size_t frame_bytes,
                          std::span<std::uint8_t> raw);
 
-/// delta_decode_into a new buffer of `raw_bytes`.
-Result<std::vector<std::uint8_t>> delta_decode(
-    std::span<const std::uint8_t> encoded, std::size_t frame_bytes,
-    std::size_t raw_bytes);
-
 /// Writes `trajectory` to `path` as a sharded store; overwrites.
 Status write_sharded(const std::string& path,
                      const traj::Trajectory& trajectory,

@@ -2,12 +2,16 @@
 //
 // PSA is embarrassingly parallel: the N x N Hausdorff matrix is cut into
 // 2-D blocks (Alg. 2), one task per block, with no inter-task
-// communication. Each engine implementation mirrors the paper's:
-//  * MPI    — ranks own a block-cyclic share; partial matrices are
-//             reduced to rank 0 (element-wise sum over disjoint blocks).
+// communication. Unlike the paper, the tasks cover only the upper
+// triangle (analysis::make_psa_blocks) and emit their (i, j, distance)
+// entries for i < j; the matrix is assembled in one place, which sets
+// each entry and its mirror. Each engine implementation otherwise
+// follows the paper's:
+//  * MPI    — ranks own a block-cyclic share of the blocks; each rank's
+//             entries are gathered to rank 0.
 //  * Spark  — one RDD partition per block, map-only job, collect().
 //  * Dask   — one delayed task per block, futures gathered.
-//  * RP     — one Compute-Unit per block, results staged through the
+//  * RP     — one Compute-Unit per block, entries staged through the
 //             shared filesystem (RP has no collectives).
 //
 // Each engine is built through the workflows harness (common.h), so
@@ -30,8 +34,8 @@ enum class PsaMetric {
 /// PSA's own knobs on top of the shared EngineOptions (workers, tracer,
 /// fault plan, recovery log; see common.h).
 struct PsaRunConfig : EngineOptions {
-  /// Alg. 2 block size n1; 0 picks n1 so the block count ~= 2x workers
-  /// (the paper generates one task per core).
+  /// Alg. 2 block size n1; 0 picks n1 so the upper-triangular block
+  /// count ~= 2x workers (the paper generates one task per core).
   std::size_t block_size = 0;
   PsaMetric metric = PsaMetric::kHausdorff;
 };

@@ -9,34 +9,6 @@
 #include "mdtask/kernels/batch.h"
 
 namespace mdtask::analysis {
-namespace {
-
-/// Packs the ensemble members a block touches, keyed by trajectory
-/// index. Packing is O(frames x atoms) per member against the block's
-/// O(frames^2 x atoms) pair work, so the pack cost amortizes away.
-std::vector<kernels::FramePack> pack_ensemble(const traj::Ensemble& ensemble) {
-  std::vector<kernels::FramePack> packs;
-  packs.reserve(ensemble.size());
-  for (const auto& t : ensemble) packs.push_back(kernels::pack_trajectory(t));
-  return packs;
-}
-
-void compute_psa_block_packed(std::span<const kernels::FramePack> packs,
-                              const PsaBlock& block, HausdorffKernel kernel,
-                              kernels::KernelPolicy policy,
-                              DistanceMatrix& out) {
-  const bool early = kernel == HausdorffKernel::kEarlyBreak;
-  for (std::size_t i = block.row_begin; i < block.row_end; ++i) {
-    for (std::size_t j = block.col_begin; j < block.col_end; ++j) {
-      out.set(i, j,
-              i == j ? 0.0
-                     : kernels::hausdorff_packed(packs[i], packs[j], early,
-                                                 policy));
-    }
-  }
-}
-
-}  // namespace
 
 double DistanceMatrix::max_abs_diff(
     const DistanceMatrix& other) const noexcept {
@@ -55,11 +27,15 @@ Result<std::vector<PsaBlock>> make_psa_blocks(std::size_t n_trajectories,
   }
   std::vector<PsaBlock> blocks;
   for (std::size_t r = 0; r < n_trajectories; r += n1) {
-    for (std::size_t c = 0; c < n_trajectories; c += n1) {
+    for (std::size_t c = r; c < n_trajectories; c += n1) {
       blocks.push_back({r, std::min(r + n1, n_trajectories), c,
                         std::min(c + n1, n_trajectories)});
     }
   }
+  std::stable_sort(blocks.begin(), blocks.end(),
+                   [](const PsaBlock& a, const PsaBlock& b) {
+                     return a.pair_count() > b.pair_count();
+                   });
   return blocks;
 }
 
@@ -67,7 +43,7 @@ void compute_psa_block(const traj::Ensemble& ensemble, const PsaBlock& block,
                        HausdorffKernel kernel, kernels::KernelPolicy policy,
                        DistanceMatrix& out) {
   // Pack each trajectory the block touches exactly once (row and column
-  // ranges usually overlap on the diagonal blocks).
+  // ranges coincide on the diagonal blocks).
   std::vector<kernels::FramePack> packs(ensemble.size());
   std::vector<bool> packed(ensemble.size(), false);
   auto ensure = [&](std::size_t begin, std::size_t end) {
@@ -80,7 +56,10 @@ void compute_psa_block(const traj::Ensemble& ensemble, const PsaBlock& block,
   };
   ensure(block.row_begin, block.row_end);
   ensure(block.col_begin, block.col_end);
-  compute_psa_block_packed(packs, block, kernel, policy, out);
+  const bool early = kernel == HausdorffKernel::kEarlyBreak;
+  block.for_each_pair([&](std::size_t i, std::size_t j) {
+    out.set(i, j, kernels::hausdorff_packed(packs[i], packs[j], early, policy));
+  });
 }
 
 void compute_psa_block(const traj::Ensemble& ensemble, const PsaBlock& block,
@@ -91,27 +70,38 @@ void compute_psa_block(const traj::Ensemble& ensemble, const PsaBlock& block,
 DistanceMatrix psa_reference(const traj::Ensemble& ensemble,
                              HausdorffKernel kernel,
                              kernels::KernelPolicy policy) {
-  DistanceMatrix out(ensemble.size());
-  const auto packs = pack_ensemble(ensemble);
-  const PsaBlock whole{0, ensemble.size(), 0, ensemble.size()};
-  compute_psa_block_packed(packs, whole, kernel, policy, out);
+  const std::size_t n = ensemble.size();
+  std::vector<kernels::FramePack> packs;
+  packs.reserve(n);
+  for (const auto& t : ensemble) packs.push_back(kernels::pack_trajectory(t));
+  const bool early = kernel == HausdorffKernel::kEarlyBreak;
+  DistanceMatrix out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) {
+        out.set(i, j,
+                kernels::hausdorff_packed(packs[i], packs[j], early, policy));
+      }
+    }
+  }
   return out;
 }
 
 void compute_psa_block_frechet(const traj::Ensemble& ensemble,
                                const PsaBlock& block, DistanceMatrix& out) {
-  for (std::size_t i = block.row_begin; i < block.row_end; ++i) {
-    for (std::size_t j = block.col_begin; j < block.col_end; ++j) {
-      out.set(i, j,
-              i == j ? 0.0 : frechet_distance(ensemble[i], ensemble[j]));
-    }
-  }
+  block.for_each_pair([&](std::size_t i, std::size_t j) {
+    out.set(i, j, frechet_distance(ensemble[i], ensemble[j]));
+  });
 }
 
 DistanceMatrix psa_reference_frechet(const traj::Ensemble& ensemble) {
-  DistanceMatrix out(ensemble.size());
-  const PsaBlock whole{0, ensemble.size(), 0, ensemble.size()};
-  compute_psa_block_frechet(ensemble, whole, out);
+  const std::size_t n = ensemble.size();
+  DistanceMatrix out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) out.set(i, j, frechet_distance(ensemble[i], ensemble[j]));
+    }
+  }
   return out;
 }
 

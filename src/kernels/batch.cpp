@@ -150,6 +150,20 @@ void pair_tile_sumsq(const float* ax, const float* ay, const float* az,
   for (std::size_t l = 0; l < kPairTile; ++l) out[l] = s[l];
 }
 
+/// sumsq_one_to_many without its checks: the directed scan's tile.
+double sumsq_one_to_many_unchecked(const FramePack& a, std::size_t frame_a,
+                                   const FramePack& b, std::size_t j_begin,
+                                   std::size_t j_end, double* out_sumsq,
+                                   KernelPolicy policy) noexcept {
+  double m = kInf;
+  for (std::size_t j = j_begin; j < j_end; ++j) {
+    const double s = pair_sumsq(a, frame_a, b, j, policy);
+    out_sumsq[j - j_begin] = s;
+    if (s < m) m = s;
+  }
+  return m;
+}
+
 /// RMSD from a squared sum; 0 atoms is defined as distance 0 (the packed
 /// kernels' uniform convention for degenerate inputs).
 double rmsd_from_sumsq(double sumsq, std::size_t atoms) noexcept {
@@ -195,9 +209,8 @@ double directed_tiled(const FramePack& a, const FramePack& b,
     double cmin = kInf;
     for (std::size_t j0 = 0; j0 < nb; j0 += kFrameTile) {
       const std::size_t j1 = std::min(j0 + kFrameTile, nb);
-      const double tile_min = sumsq_one_to_many(
-          a, i, b, j0, j1, std::span<double>(tile_sums, j1 - j0),
-          KernelPolicy::kVectorized);
+      const double tile_min = sumsq_one_to_many_unchecked(
+          a, i, b, j0, j1, tile_sums, KernelPolicy::kVectorized);
       if (evals) *evals += j1 - j0;
       if (tile_min < cmin) cmin = tile_min;
       if (early_break && cmin <= cmax_ss) break;
@@ -301,21 +314,24 @@ void require_equal_atoms(const FramePack& a, const FramePack& b,
 
 double frame_sumsq_packed(const FramePack& a, std::size_t frame_a,
                           const FramePack& b, std::size_t frame_b,
-                          KernelPolicy policy) noexcept {
+                          KernelPolicy policy) {
+  require_equal_atoms(a, b, "frame_sumsq_packed");
   return pair_sumsq(a, frame_a, b, frame_b, policy);
 }
 
 double sumsq_one_to_many(const FramePack& a, std::size_t frame_a,
                          const FramePack& b, std::size_t j_begin,
                          std::size_t j_end, std::span<double> out_sumsq,
-                         KernelPolicy policy) noexcept {
-  double m = kInf;
-  for (std::size_t j = j_begin; j < j_end; ++j) {
-    const double s = pair_sumsq(a, frame_a, b, j, policy);
-    out_sumsq[j - j_begin] = s;
-    if (s < m) m = s;
+                         KernelPolicy policy) {
+  require_equal_atoms(a, b, "sumsq_one_to_many");
+  if (j_end > j_begin && out_sumsq.size() < j_end - j_begin) {
+    throw std::invalid_argument(
+        "sumsq_one_to_many: out_sumsq holds " +
+        std::to_string(out_sumsq.size()) + " of " +
+        std::to_string(j_end - j_begin) + " frames");
   }
-  return m;
+  return sumsq_one_to_many_unchecked(a, frame_a, b, j_begin, j_end,
+                                     out_sumsq.data(), policy);
 }
 
 double hausdorff_directed_packed(const FramePack& a, const FramePack& b,

@@ -136,15 +136,6 @@ Status delta_decode_into(std::span<const std::uint8_t> encoded,
   return Status::success();
 }
 
-Result<std::vector<std::uint8_t>> delta_decode(
-    std::span<const std::uint8_t> encoded, std::size_t frame_bytes,
-    std::size_t raw_bytes) {
-  std::vector<std::uint8_t> raw(raw_bytes);
-  const Status decoded = delta_decode_into(encoded, frame_bytes, raw);
-  if (!decoded.ok()) return decoded.error();
-  return raw;
-}
-
 Status write_sharded(const std::string& path,
                      const traj::Trajectory& trajectory,
                      const ShardStoreOptions& options) {

@@ -46,18 +46,22 @@ std::vector<MatrixEntry> compute_block_entries(
       analysis::compute_psa_block_frechet(ensemble, block, scratch);
       break;
   }
-  for (std::size_t i = block.row_begin; i < block.row_end; ++i) {
-    for (std::size_t j = block.col_begin; j < block.col_end; ++j) {
-      out.push_back({static_cast<std::uint32_t>(i),
-                     static_cast<std::uint32_t>(j), scratch.at(i, j)});
-    }
-  }
+  block.for_each_pair([&](std::size_t i, std::size_t j) {
+    out.push_back({static_cast<std::uint32_t>(i),
+                   static_cast<std::uint32_t>(j), scratch.at(i, j)});
+  });
   return out;
 }
 
+/// Sets each entry (i, j), i < j, and its mirror (j, i): the tasks
+/// compute only the upper triangle, and both metrics are symmetric bit
+/// for bit, so the matrix equals psa_reference's.
 void fill_matrix(DistanceMatrix& matrix,
                  std::span<const MatrixEntry> entries) {
-  for (const auto& e : entries) matrix.set(e.row, e.col, e.value);
+  for (const auto& e : entries) {
+    matrix.set(e.row, e.col, e.value);
+    matrix.set(e.col, e.row, e.value);
+  }
 }
 
 std::vector<PsaBlock> plan_blocks(std::size_t n_trajectories,
@@ -108,8 +112,9 @@ PsaRunResult run_psa_mpi(const traj::Ensemble& ensemble, std::size_t n,
   const auto report = run_mpi_job(
       config, static_cast<int>(std::max<std::size_t>(1, config.workers)),
       [&](mpi::Communicator& comm, fault::CheckpointStore&) {
-        // Block-cyclic ownership; every rank reads the shared ensemble
-        // (in the paper each task reads its input files from Lustre).
+        // Block-cyclic ownership over the largest-first blocks; every
+        // rank reads the shared ensemble (in the paper each task reads its
+        // input files from Lustre).
         std::vector<MatrixEntry> mine;
         for (std::size_t b = static_cast<std::size_t>(comm.rank());
              b < blocks.size();
@@ -248,9 +253,11 @@ std::size_t psa_effective_block_size(std::size_t n_trajectories,
                                      const PsaRunConfig& config) {
   if (config.block_size > 0) return config.block_size;
   if (n_trajectories == 0) return 1;
-  // One task per core target: k^2 ~= 2 * workers tasks => n1 = N / k.
-  const double k = std::ceil(std::sqrt(
-      2.0 * static_cast<double>(std::max<std::size_t>(1, config.workers))));
+  // One task per core target: the smallest k whose k (k + 1) / 2
+  // upper-triangular blocks reach 2 * workers tasks => n1 = N / k.
+  const double tasks =
+      2.0 * static_cast<double>(std::max<std::size_t>(1, config.workers));
+  const double k = std::ceil((std::sqrt(1.0 + 8.0 * tasks) - 1.0) / 2.0);
   const auto n1 = static_cast<std::size_t>(
       std::ceil(static_cast<double>(n_trajectories) / k));
   return std::max<std::size_t>(1, n1);

@@ -31,8 +31,18 @@ TEST(FrechetTest, SelfDistanceIsZero) {
 }
 
 TEST(FrechetTest, Symmetric) {
-  const auto a = make_traj(1), b = make_traj(2);
-  EXPECT_DOUBLE_EQ(frechet_distance(a, b), frechet_distance(b, a));
+  // Bit for bit, not within ULPs: the PSA runners compute each pair once
+  // and mirror it.
+  const std::size_t frame_counts[][2] = {{12, 12}, {7, 19}, {1, 5},
+                                         {16, 17}, {33, 4}};
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    for (const auto& frames : frame_counts) {
+      const auto a = make_traj(seed, frames[0]);
+      const auto b = make_traj(seed + 100, frames[1]);
+      EXPECT_EQ(frechet_distance(a, b), frechet_distance(b, a))
+          << "seed " << seed << " frames " << frames[0] << "x" << frames[1];
+    }
+  }
 }
 
 TEST(FrechetTest, AtLeastHausdorff) {

@@ -24,10 +24,27 @@ TEST(HausdorffTest, SelfDistanceIsZero) {
 }
 
 TEST(HausdorffTest, Symmetric) {
-  const auto a = make_traj(1), b = make_traj(2);
-  EXPECT_DOUBLE_EQ(hausdorff_naive(a, b), hausdorff_naive(b, a));
-  EXPECT_DOUBLE_EQ(hausdorff_early_break(a, b),
-                   hausdorff_early_break(b, a));
+  // Bit for bit, not within ULPs: the PSA runners compute each pair once
+  // and mirror it.
+  const std::size_t frame_counts[][2] = {{12, 12}, {7, 19}, {1, 5},
+                                         {16, 17}, {33, 4}};
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    for (const auto& frames : frame_counts) {
+      const auto a = make_traj(seed, frames[0]);
+      const auto b = make_traj(seed + 100, frames[1]);
+      EXPECT_EQ(hausdorff_naive(a, b), hausdorff_naive(b, a))
+          << "seed " << seed << " frames " << frames[0] << "x" << frames[1];
+      EXPECT_EQ(hausdorff_early_break(a, b), hausdorff_early_break(b, a))
+          << "seed " << seed << " frames " << frames[0] << "x" << frames[1];
+      for (const auto policy : kernels::kAllPolicies) {
+        EXPECT_EQ(hausdorff_naive(a, b, policy), hausdorff_naive(b, a, policy))
+            << kernels::to_string(policy) << " seed " << seed;
+        EXPECT_EQ(hausdorff_early_break(a, b, policy),
+                  hausdorff_early_break(b, a, policy))
+            << kernels::to_string(policy) << " seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(HausdorffTest, NonNegativeAndPositiveForDistinct) {

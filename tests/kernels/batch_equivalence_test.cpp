@@ -222,6 +222,32 @@ TEST(BatchEquivalenceTest, UnequalAtomCountsThrow) {
     std::vector<double> out(a.frames() * b.frames());
     EXPECT_THROW(rmsd2d_packed(a, b, policy, out), std::invalid_argument)
         << to_string(policy);
+    EXPECT_THROW(frame_sumsq_packed(a, 0, b, 0, policy),
+                 std::invalid_argument)
+        << to_string(policy);
+    EXPECT_THROW(frame_sumsq_packed(b, 0, a, 0, policy),
+                 std::invalid_argument)
+        << to_string(policy);
+    std::vector<double> sums(b.frames());
+    EXPECT_THROW(sumsq_one_to_many(a, 0, b, 0, b.frames(), sums, policy),
+                 std::invalid_argument)
+        << to_string(policy);
+    EXPECT_THROW(sumsq_one_to_many(b, 0, a, 0, a.frames(), sums, policy),
+                 std::invalid_argument)
+        << to_string(policy);
+  }
+}
+
+TEST(BatchEquivalenceTest, OneToManyShortOutputThrows) {
+  const auto a = make_pack(702, 3, 8);
+  const auto b = make_pack(703, 6, 8);
+  for (const auto policy : kAllPolicies) {
+    std::vector<double> sums(b.frames() - 1);
+    EXPECT_THROW(sumsq_one_to_many(a, 0, b, 0, b.frames(), sums, policy),
+                 std::invalid_argument)
+        << to_string(policy);
+    EXPECT_NO_THROW(sumsq_one_to_many(a, 0, b, 1, b.frames(), sums, policy))
+        << to_string(policy);
   }
 }
 

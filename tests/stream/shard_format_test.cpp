@@ -161,9 +161,10 @@ TEST_F(ShardFormatTest, DeltaCodecIsLosslessOnRandomBytes) {
               : 0;
     }
     const std::vector<std::uint8_t> encoded = delta_encode(raw, frame_bytes);
-    auto decoded = delta_decode(encoded, frame_bytes, raw.size());
-    ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
-    ASSERT_EQ(decoded.value(), raw) << "round " << round;
+    std::vector<std::uint8_t> decoded(raw.size());
+    const Status status = delta_decode_into(encoded, frame_bytes, decoded);
+    ASSERT_TRUE(status.ok()) << status.error().to_string();
+    ASSERT_EQ(decoded, raw) << "round " << round;
   }
 }
 

@@ -128,6 +128,57 @@ TEST_F(StreamWorkflowTest, PsaMatrixEqualsDirectedScansOnEveryEngine) {
   }
 }
 
+TEST_F(StreamWorkflowTest, PsaStreamedEqualsReferenceForEveryMetric) {
+  // The block tasks compute the pairs i < j and the runner mirrors them;
+  // the references compute every ordered pair. Each cell must agree bit
+  // for bit, one trajectory and single-pair blocks included.
+  traj::ProteinTrajectoryParams p;
+  p.atoms = 13;
+  p.frames = 7;
+  for (const std::size_t n : {1u, 5u}) {
+    const traj::Ensemble ensemble = traj::make_protein_ensemble(n, p);
+    ShardStoreOptions opts;
+    opts.frames_per_shard = 3;
+    ASSERT_TRUE(write_sharded(path_, concatenate(ensemble), opts).ok());
+    const struct {
+      PsaMetric metric;
+      analysis::DistanceMatrix reference;
+    } cases[] = {
+        {PsaMetric::kHausdorff, analysis::psa_reference(ensemble)},
+        {PsaMetric::kHausdorffEarlyBreak,
+         analysis::psa_reference(ensemble,
+                                 analysis::HausdorffKernel::kEarlyBreak)},
+        {PsaMetric::kFrechet, analysis::psa_reference_frechet(ensemble)},
+    };
+    StreamInput input;
+    input.path = path_;
+    input.trajectories = n;
+    for (const auto& c : cases) {
+      for (const std::size_t block_size : {0u, 1u}) {
+        PsaRunConfig config;
+        config.workers = 3;
+        config.block_size = block_size;
+        config.metric = c.metric;
+        for (const EngineKind engine : kEngines) {
+          auto streamed = run_psa_streamed(engine, input, config);
+          ASSERT_TRUE(streamed.ok())
+              << to_string(engine) << ": " << streamed.error().to_string();
+          const auto& got = streamed.value().matrix;
+          ASSERT_EQ(got.size(), n);
+          for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+              EXPECT_EQ(got.at(i, j), c.reference.at(i, j))
+                  << to_string(engine) << " metric "
+                  << static_cast<int>(c.metric) << " N=" << n
+                  << " n1=" << block_size << " (" << i << ", " << j << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(StreamWorkflowTest, PsaMmapModeAlsoBitIdentical) {
   traj::ProteinTrajectoryParams p;
   p.atoms = 11;
